@@ -29,10 +29,8 @@ import numpy as np
 
 from . import __version__
 from . import numerics as nm
-from .errors import LengthMismatch
-from .neurons import (DsnParams, NeuronConfig, NeuronState, PsnParams,
-                      dsn_forward_parallel, lif_step, make_neuron, psn_forward)
-from .numerics import Rectangular, Tape, Tensor
+from .neurons import NEURON_KINDS, make_neuron
+from .numerics import Tape
 from .energy import (REFERENCE_ENERGY_TOTALS, REFERENCE_FIRING_RATES,
                      reference_energy_report)
 from .props import (EXPECTED_CONDITIONS, EXPECTED_CONTROL,
@@ -41,7 +39,7 @@ from .props import (EXPECTED_CONDITIONS, EXPECTED_CONTROL,
 from .serialize import save_tensors
 from .tasks import TrainConfig, gen_dataset_a, gen_dataset_b
 from .tasks.approx import run_approx_experiment
-from .tasks.extrapolate import EXTRAP_KINDS, LOCKED_KINDS, run_extrapolation
+from .tasks.extrapolate import EXTRAP_KINDS, run_extrapolation
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -111,54 +109,21 @@ def _run_command(name: str, config: dict, out_dir: Path) -> int:
 
 
 def _bench_inputs(kind: str, length: int, batch: int, channels: int, seed: int):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(batch, channels, length))
-    if kind == "dsn":
-        params = DsnParams.init(channels, seed=seed)
-        bundle = {"kernel": params.conv_kernel.data,
-                  "bias": params.conv_bias.data}
-    elif kind in ("psn", "masked-psn"):
-        variant = "full" if kind == "psn" else "masked"
-        bundle = {"weight": PsnParams.init_decay(
-            variant, t_train=length, k=min(32, length)).weight.data}
-    elif kind == "sliding-psn":
-        bundle = {"weight": PsnParams.init_decay("sliding", k=32).weight.data}
-    elif kind == "lif":
-        bundle = {}
-    else:
-        raise click.UsageError(f"unknown bench neuron {kind!r}")
-    return x, bundle
+    x = np.random.default_rng(seed).normal(size=(batch, channels, length))
+    try:
+        neuron = make_neuron(kind, channels=channels, t_train=length, seed=seed)
+    except ValueError as exc:
+        raise click.UsageError(f"bench neuron: {exc}") from None
+    return x, neuron
 
 
-def _bench_pass(kind: str, x: np.ndarray, bundle: dict):
+def _bench_pass(neuron, x: np.ndarray):
     """One taped forward+backward; returns (fwd_s, bwd_s, output digest)."""
     tape = Tape()
-    leaves = {k: tape.leaf(v) for k, v in bundle.items()}
+    leaves = {name: tape.leaf(w.data) for name, w in neuron.weights().items()}
     xt = tape.leaf(x)
     t0 = time.perf_counter()
-    if kind == "dsn":
-        params = DsnParams(conv_kernel=leaves["kernel"], conv_bias=leaves["bias"])
-        s, _, _ = dsn_forward_parallel(params, xt)
-    elif kind in ("psn", "masked-psn"):
-        variant = "full" if kind == "psn" else "masked"
-        params = PsnParams(weight=leaves["weight"], variant=variant,
-                           k=min(32, x.shape[-1]) if variant == "masked" else None,
-                           t_train=x.shape[-1])
-        s = psn_forward(params, xt)
-    elif kind == "sliding-psn":
-        params = PsnParams(weight=leaves["weight"], variant="sliding",
-                           k=bundle["weight"].shape[0])
-        s = psn_forward(params, xt)
-    else:  # lif: taped serial fold
-        cfg = NeuronConfig.lif(2.0, "hard")
-        b, c, T = x.shape
-        state = NeuronState(v=nm.zeros((b, c)))
-        frames = []
-        for t in range(T):
-            x_t = nm.reshape(nm.time_slice(xt, t, t + 1), (b, c))
-            s_t, state = lif_step(cfg, state, x_t, Rectangular())
-            frames.append(s_t)
-        s = nm.stack_time(frames)
+    s = neuron.with_weights(leaves).forward(xt)
     t1 = time.perf_counter()
     loss = nm.mean_all(s)
     t2 = time.perf_counter()
@@ -188,12 +153,12 @@ def _core_bench(config: dict, out_dir: Path):
     for kind in neurons:
         totals = []
         for length in lengths:
-            x, bundle = _bench_inputs(kind, length, config["batch"],
+            x, neuron = _bench_inputs(kind, length, config["batch"],
                                       config["channels"], config["seed"])
             fwd, bwd = [], []
             digest = ""
             for rep in range(warmup + reps):
-                f, b, digest = _bench_pass(kind, x, bundle)
+                f, b, digest = _bench_pass(neuron, x)
                 if rep >= warmup:
                     fwd.append(f)
                     bwd.append(b)
@@ -225,7 +190,8 @@ def cli():
 
 @cli.command("bench")
 @click.option("--neurons", default="dsn,psn", show_default=True,
-              help="comma list from dsn,psn,masked-psn,sliding-psn,lif")
+              help="comma list of neuron kinds: lif (short for lif-hard), "
+                   + ", ".join(NEURON_KINDS))
 @click.option("--lengths", default="1024,2048,4096,8192", show_default=True)
 @click.option("--batch", default=16, show_default=True)
 @click.option("--channels", default=512, show_default=True)

@@ -37,3 +37,16 @@ class StabilityGuard(SpikescanError):
 
 class MissingFiringRate(SpikescanError):
     """A spike-input layer has no firing rate to weight its energy."""
+
+
+class ParallelUnavailable(SpikescanError):
+    """The neuron has no offline parallel evaluation path."""
+
+
+class StepUnavailable(SpikescanError):
+    """The neuron cannot run stepwise with bounded state."""
+
+
+class ReplayMismatch(SpikescanError):
+    """A checker's input, replayed through the live neuron, did not reproduce
+    the membrane values the checker drew its verdict from."""

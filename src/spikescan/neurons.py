@@ -1,17 +1,20 @@
 """Spiking neuron models with dual serial/parallel execution.
 
-Every neuron realizes the same four-map interface: a prefix map phi that
-summarizes past inputs into a membrane potential, a firing map g from
-potential to spikes, an online update u for stepwise inference, and -- where
-the structure allows it -- a parallel map p evaluating a whole sequence at
-once.  Serial-capable neurons guarantee that folding ``step`` over time and
-calling ``sequence`` produce the same spikes.
+Every kind sits behind one interface, :class:`Neuron`: ``step`` for serial
+inference with bounded state, ``trace`` for serial (S, H) trajectories,
+``forward`` for taped training over a whole (B, C, T) sequence,
+``sequence`` for the offline parallel map, and ``weights``/``with_weights``
+for the trainable tensors.  :func:`make_neuron` is the one place that maps
+a kind name to a model; the CLI (bench included) and the tasks all build
+through it.  Folding ``step`` over time and calling ``sequence`` produce
+the same spikes wherever both exist.
 
 Models:
 
 * ``LifNeuron`` -- leaky (or non-leaky) integrate-and-fire with hard, soft
-  or no reset.  Stepwise only, except that the no-reset variant degenerates
-  to a linear recurrence and gains a parallel path through the scan.
+  or no reset.  Trains through the taped :func:`lif_sequence` (serial
+  forward, reverse-time BPTT backward); only the no-reset variant, a linear
+  recurrence, has a parallel path, through the scan.
 * ``DsnNeuron`` -- reset-free neuron whose decay is produced per step from
   the last k inputs by a depthwise causal convolution and a sharpened
   sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via the
@@ -24,13 +27,14 @@ Models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import LengthMismatch, ShapeMismatch
-from .numerics import SurrogateKind, Rectangular, Tensor, heaviside, round_half_away
+from .errors import LengthMismatch, ParallelUnavailable, ShapeMismatch, StepUnavailable
+from .numerics import (SurrogateKind, Rectangular, Tensor, heaviside, round_half_away,
+                       surrogate_grad)
 from .scan import linear_scan, scan
 
 HARD, SOFT, NONE = "hard", "soft", "none"
@@ -78,18 +82,6 @@ class NeuronConfig:
                    reset_mode=reset_mode, leak="if")
 
 
-@dataclass
-class NeuronState:
-    """Post-reset membrane potential and the current timestep."""
-
-    v: Tensor
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, batch: int, channels: int) -> "NeuronState":
-        return cls(v=nm.zeros((batch, channels)), t=0)
-
-
 def _charge(cfg: NeuronConfig, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     if cfg.leak == "if":
         return v + x
@@ -104,31 +96,11 @@ def _reset(cfg: NeuronConfig, h: np.ndarray, s: np.ndarray) -> np.ndarray:
     return h
 
 
-def lif_step(cfg: NeuronConfig, state: NeuronState, x_t,
-             sg: SurrogateKind = Rectangular()) -> tuple[Tensor, NeuronState]:
-    """One charge-fire-reset step; taped when the inputs are taped."""
-    x_t = nm._as_tensor(x_t)
-    if x_t.shape != state.v.shape:
-        raise ShapeMismatch(f"x_t {x_t.shape} vs state {state.v.shape}")
-    if cfg.leak == "if":
-        h = state.v + x_t
-    else:
-        h = nm.mul(state.v, cfg.beta) + nm.mul(x_t, 1.0 - cfg.beta)
-    s = nm.spike_threshold(h, cfg.v_th, sg)
-    if cfg.reset_mode == HARD:
-        v = nm.mul(h, nm.sub(1.0, s)) + nm.mul(s, cfg.v_reset)
-    elif cfg.reset_mode == SOFT:
-        v = h - nm.mul(s, cfg.v_th)
-    else:
-        v = h
-    return s, NeuronState(v=v, t=state.t + 1)
-
-
 def lif_trace(cfg: NeuronConfig, x: np.ndarray):
     """Raw-array fold over time returning (S, H, V) arrays of shape (B, C, T).
 
-    Arithmetic is expression-for-expression identical to ``lif_step``, so the
-    two agree bit-exactly.
+    Arithmetic is expression-for-expression identical to ``LifNeuron.step``,
+    so the two agree bit-exactly.
     """
     if x.ndim != 3:
         raise ShapeMismatch("expected (B, C, T) input")
@@ -146,15 +118,50 @@ def lif_trace(cfg: NeuronConfig, x: np.ndarray):
 
 def lif_sequence(cfg: NeuronConfig, x,
                  sg: SurrogateKind = Rectangular()) -> tuple[Tensor, Tensor, Tensor]:
-    """Fold :func:`lif_step` over the time axis of (B, C, T) input.
+    """Charge-fire-reset over the time axis of (B, C, T) input as one taped op.
 
-    Returns (spikes, pre-reset trace, post-reset trace); the traces feed the
-    control-property checkers.  Evaluation only -- use ``lif_step`` on a tape
-    when gradients are needed.
+    Returns (spikes, pre-reset trace H, post-reset trace V).  The forward is
+    :func:`lif_trace`; the spikes are taped when x is, and their backward is
+    BPTT in reverse over the saved H and S (:func:`_lif_bptt`).  The traces
+    are plain arrays for the control-property checkers.
     """
     x = nm._as_tensor(x)
     s, h, v = lif_trace(cfg, x.data)
-    return Tensor(s), Tensor(h), Tensor(v)
+    tape, node = x.tape, x._node
+
+    def backward(g):
+        tape._accumulate(node, _lif_bptt(cfg, sg, s, h, g), own=True)
+
+    spikes = nm._result(s, "lif_sequence", tape, (node,) if node is not None else (),
+                        backward if tape else None)
+    return spikes, Tensor(h), Tensor(v)
+
+
+def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray,
+              g: np.ndarray) -> np.ndarray:
+    """dL/dx from dL/dS, with the surrogate standing in for dS/dH.
+
+    dL/dH_t = g_t sg'_t + dL/dV_t dV_t/dH_t, where dV/dH is
+    (1 - s) + (v_reset - h) sg' for hard reset, 1 - v_th sg' for soft reset
+    and 1 without reset; dL/dV_{t-1} and dL/dx_t are dL/dH_t scaled by
+    beta and 1 - beta (both 1 for the pure accumulator).
+    """
+    sgp = surrogate_grad(sg, h - cfg.v_th)
+    if cfg.reset_mode == HARD:
+        dv_dh = (1.0 - s) + (cfg.v_reset - h) * sgp
+    elif cfg.reset_mode == SOFT:
+        dv_dh = 1.0 - cfg.v_th * sgp
+    else:
+        dv_dh = np.ones_like(h)
+    leak, gain = (1.0, 1.0) if cfg.leak == "if" else (cfg.beta, 1.0 - cfg.beta)
+    direct = g * sgp
+    gx = np.empty_like(h)
+    dv = np.zeros(h.shape[:2], dtype=h.dtype)
+    for t in range(h.shape[-1] - 1, -1, -1):
+        dh = direct[..., t] + dv * dv_dh[..., t]
+        gx[..., t] = dh * gain
+        dv = dh * leak
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +207,10 @@ class DsnParams:
 
     @classmethod
     def init(cls, channels: int, k: int = 4, tau: float = 0.25, n_max: int = 4,
-             bias: bool = True, mix: bool = False, seed: int = 0) -> "DsnParams":
-        # fan-in uniform init; bias starts at zero, mix at identity
+             bias: bool = True, mix: bool = False,
+             seed: int | np.random.Generator = 0) -> "DsnParams":
+        # fan-in uniform init; bias starts at zero, mix at identity.  A
+        # Generator seed is drawn from in place (default_rng returns it).
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(k)
         kernel = Tensor(rng.uniform(-bound, bound, size=(channels, k)))
@@ -307,25 +316,6 @@ def dsn_forward_parallel(params: DsnParams, x) -> tuple[Tensor, Tensor, Tensor]:
     return s, h, alpha
 
 
-def dsn_serial_trace(params: DsnParams, x: np.ndarray):
-    """Step-fold oracle returning (S, H, alpha) arrays for (B, C, T) input."""
-    if x.ndim != 3:
-        raise ShapeMismatch("expected (B, C, T) input")
-    state = DsnState.zeros(x.shape[0], x.shape[1], params.kernel_size, x.dtype)
-    s_out = np.empty_like(x)
-    h_out = np.empty_like(x)
-    a_out = np.empty_like(x)
-    for t in range(x.shape[-1]):
-        window = np.concatenate([state.window, x[..., t:t + 1]], axis=-1)
-        alpha = dsn_dynamic_decay(params, Tensor(window)).data
-        h = alpha * state.h + (1.0 - alpha) * x[..., t]
-        s_out[..., t] = np.clip(round_half_away(h), 0.0, float(params.n_max))
-        h_out[..., t] = h
-        a_out[..., t] = alpha
-        state = DsnState(h=h, window=window[..., 1:])
-    return s_out, h_out, a_out
-
-
 # ---------------------------------------------------------------------------
 # PSN family
 
@@ -397,9 +387,10 @@ class PsnParams:
             return cls.sliding(w)
         if not t_train:
             raise ValueError("full/masked PSN needs t_train")
-        i = np.arange(t_train)[:, None]
-        j = np.arange(t_train)[None, :]
-        w = np.where(j <= i, beta ** (i - j) * (1.0 - beta), 0.0)
+        # beta^lag only on the causal part: negative lags would overflow
+        lag = np.arange(t_train)[:, None] - np.arange(t_train)[None, :]
+        w = np.power(beta, lag, out=np.zeros((t_train, t_train)), where=lag >= 0)
+        w *= 1.0 - beta
         if variant == "masked":
             return cls.masked(w, k or t_train)
         return cls.full(w)
@@ -421,53 +412,57 @@ def psn_forward(params: PsnParams, x, v_th: float = 1.0,
     Full/masked variants demand T == t_train; the LengthMismatch they raise
     elsewhere is the executable form of their timestep-coupled parameters.
     """
+    return nm.spike_threshold(_psn_membrane(params, x), v_th, sg)
+
+
+def _psn_membrane(params: PsnParams, x) -> Tensor:
     x = nm._as_tensor(x)
     if x.ndim != 3:
         raise ShapeMismatch("expected (B, C, T) input")
     b, c, t = x.shape
     if params.variant == "sliding":
-        kernel = nm.tile_channels(_sliding_as_kernel(params.weight), c)
-        h = nm.depthwise_causal_conv(x, kernel)
-    else:
-        if t != params.t_train:
-            raise LengthMismatch(
-                f"{params.variant} PSN built for T={params.t_train}, got T={t}")
-        flat = nm.reshape(x, (b * c, t))
-        h2 = nm.matmul(flat, nm.transpose(params.weight, (1, 0)))
-        h = nm.reshape(h2, (b, c, t))
-    return nm.spike_threshold(h, v_th, sg)
-
-
-def _sliding_as_kernel(w: Tensor) -> Tensor:
-    # sliding weights are indexed by lag (0 = current); conv kernels put the
-    # current step last, so reverse
-    rev = nm.reverse_last(w)
-    return rev
+        # weights are indexed by lag (0 = current); conv kernels put the
+        # current step last, so reverse
+        kernel = nm.tile_channels(nm.reverse_last(params.weight), c)
+        return nm.depthwise_causal_conv(x, kernel)
+    if t != params.t_train:
+        raise LengthMismatch(
+            f"{params.variant} PSN built for T={params.t_train}, got T={t}")
+    weight = params.weight
+    if params.variant == "masked":
+        # taped band mask: entries outside the band get no gradient
+        weight = nm.mul(weight, Tensor(_band_mask(t, params.k)))
+    flat = nm.reshape(x, (b * c, t))
+    h2 = nm.matmul(flat, nm.transpose(weight, (1, 0)))
+    return nm.reshape(h2, (b, c, t))
 
 
 # ---------------------------------------------------------------------------
-# the shared four-map interface
-
-
-class ParallelUnavailable(Exception):
-    """The neuron has no offline parallel evaluation path."""
-
-
-class StepUnavailable(Exception):
-    """The neuron cannot run stepwise with bounded state."""
+# the shared interface
 
 
 class Neuron:
-    """Base class tying the four maps to concrete models.
+    """One neuron kind behind the interface every caller uses.
 
-    ``step``/``init_state`` realize online updating and firing; ``sequence``
-    is the offline parallel map; ``trace`` exposes membrane trajectories for
-    the property checkers.
+    * ``init_state``/``step`` -- serial inference: one (B, C) input frame in,
+      (spikes, membrane, new state) out, with state that does not grow in t;
+    * ``trace`` -- (S, H) arrays over (B, C, T) input with serial semantics,
+      for the property checkers; by default the fold of ``step``;
+    * ``forward`` -- taped spikes over (B, C, T) input, the training path;
+    * ``sequence`` -- the offline parallel map: ``forward`` where
+      ``supports_parallel``, otherwise ParallelUnavailable;
+    * ``weights``/``with_weights`` -- the named trainable tensors, and the
+      same neuron (hyperparameters unchanged) over given tensors, taped or
+      not, so a training loop can leaf them onto its tape.
+
+    Folding ``step`` and calling ``sequence`` give bit-identical spikes
+    wherever both exist.
     """
 
     name = "neuron"
     supports_step = True
     supports_parallel = True
+    n_max = 1  # largest spike count one step can emit
 
     def init_state(self, batch: int, channels: int):
         raise NotImplementedError
@@ -476,36 +471,47 @@ class Neuron:
         """(spike, membrane, new_state) for one input frame (B, C)."""
         raise NotImplementedError
 
-    def sequence(self, x) -> Tensor:
-        """Offline-parallel spikes for (B, C, T) input."""
-        raise ParallelUnavailable(self.name)
-
-    def trace(self, x: np.ndarray):
-        """(S, H) arrays over a (B, C, T) input, serial semantics."""
-        raise NotImplementedError
-
     def state_size(self, state) -> int:
         """Bytes of per-lane state; must not grow with t for online updatability."""
+        return state.nbytes
+
+    def weights(self) -> dict[str, Tensor]:
+        return {}
+
+    def with_weights(self, weights: dict[str, Tensor]) -> "Neuron":
+        return self
+
+    def forward(self, x) -> Tensor:
+        """Taped spikes for (B, C, T) input."""
         raise NotImplementedError
+
+    def sequence(self, x) -> Tensor:
+        """Offline-parallel spikes for (B, C, T) input."""
+        if not self.supports_parallel:
+            raise ParallelUnavailable(f"{self.name}: no parallel path registered")
+        return self.forward(x)
+
+    def trace(self, x: np.ndarray):
+        """(S, H) arrays over a (B, C, T) input: the fold of ``step``."""
+        state = self.init_state(x.shape[0], x.shape[1])
+        s_out, h_out = np.empty_like(x), np.empty_like(x)
+        for t in range(x.shape[-1]):
+            s_out[..., t], h_out[..., t], state = self.step(state, x[..., t])
+        return s_out, h_out
 
     def serial_fold(self, x: np.ndarray) -> np.ndarray:
         """Spikes from folding ``step`` over time."""
-        state = self.init_state(x.shape[0], x.shape[1])
-        out = np.empty_like(x)
-        for t in range(x.shape[-1]):
-            s, _, state = self.step(state, x[..., t])
-            out[..., t] = s
-        return out
+        return Neuron.trace(self, x)[0]
 
 
 class LifNeuron(Neuron):
-    """Classical stepper; parallel only in the reset-free linear case."""
+    """Classical stepper; trains through the taped :func:`lif_sequence`, and
+    is parallel only in the reset-free linear case."""
 
     def __init__(self, cfg: NeuronConfig, sg: SurrogateKind = Rectangular()):
         self.cfg = cfg
         self.sg = sg
-        leak = cfg.leak
-        self.name = f"{leak}-{cfg.reset_mode}"
+        self.name = f"{cfg.leak}-{cfg.reset_mode}"
         self.supports_parallel = cfg.reset_mode == NONE
         self.v_th = cfg.v_th
 
@@ -516,6 +522,9 @@ class LifNeuron(Neuron):
         h = _charge(self.cfg, state, np.asarray(x_t))
         s = heaviside(h - self.cfg.v_th)
         return s, h, _reset(self.cfg, h, s)
+
+    def forward(self, x) -> Tensor:
+        return lif_sequence(self.cfg, x, self.sg)[0]
 
     def sequence(self, x) -> Tensor:
         if not self.supports_parallel:
@@ -535,9 +544,6 @@ class LifNeuron(Neuron):
         s, h, _ = lif_trace(self.cfg, x)
         return s, h
 
-    def state_size(self, state) -> int:
-        return state.nbytes
-
 
 class DsnNeuron(Neuron):
     """Dynamic-decay neuron: scan-parallel training, ring-buffer inference."""
@@ -546,6 +552,10 @@ class DsnNeuron(Neuron):
         self.params = params
         self.name = "dsn"
         self.v_th = 1.0  # integer firing threshold between counts
+
+    @property
+    def n_max(self) -> int:
+        return self.params.n_max
 
     def init_state(self, batch: int, channels: int) -> DsnState:
         if channels != self.params.channels:
@@ -558,13 +568,18 @@ class DsnNeuron(Neuron):
         s, new_state = dsn_step(self.params, state, x_t)
         return s, new_state.h, new_state
 
-    def sequence(self, x) -> Tensor:
-        s, _, _ = dsn_forward_parallel(self.params, x)
-        return s
+    def weights(self) -> dict[str, Tensor]:
+        p = self.params
+        named = {"kernel": p.conv_kernel, "bias": p.conv_bias, "mix": p.channel_mix}
+        return {name: w for name, w in named.items() if w is not None}
 
-    def trace(self, x: np.ndarray):
-        s, h, _ = dsn_serial_trace(self.params, x)
-        return s, h
+    def with_weights(self, weights: dict[str, Tensor]) -> "DsnNeuron":
+        return DsnNeuron(replace(self.params, conv_kernel=weights["kernel"],
+                                 conv_bias=weights.get("bias"),
+                                 channel_mix=weights.get("mix")))
+
+    def forward(self, x) -> Tensor:
+        return dsn_forward_parallel(self.params, x)[0]
 
     def state_size(self, state: DsnState) -> int:
         return state.h.nbytes + state.window.nbytes
@@ -599,38 +614,38 @@ class PsnNeuron(Neuron):
         s = heaviside(h - self.v_th)
         return s, h, window
 
-    def sequence(self, x) -> Tensor:
+    def weights(self) -> dict[str, Tensor]:
+        return {"weight": self.params.weight}
+
+    def with_weights(self, weights: dict[str, Tensor]) -> "PsnNeuron":
+        return PsnNeuron(replace(self.params, weight=weights["weight"]),
+                         self.v_th, self.sg)
+
+    def forward(self, x) -> Tensor:
         return psn_forward(self.params, x, self.v_th, self.sg)
 
     def trace(self, x: np.ndarray):
-        s = psn_forward(self.params, Tensor(x), self.v_th, self.sg)
-        h = _psn_membrane(self.params, x)
-        return s.data, h
-
-    def state_size(self, state) -> int:
-        return state.nbytes
-
-
-def _psn_membrane(params: PsnParams, x: np.ndarray) -> np.ndarray:
-    if params.variant == "sliding":
-        kernel = nm.tile_channels(_sliding_as_kernel(params.weight), x.shape[1])
-        return nm.depthwise_causal_conv(Tensor(x), kernel).data
-    if x.shape[-1] != params.t_train:
-        raise LengthMismatch(
-            f"{params.variant} PSN built for T={params.t_train}, got T={x.shape[-1]}")
-    return np.einsum("tj,bcj->bct", params.weight.data, x)
+        h = _psn_membrane(self.params, x).data
+        return heaviside(h - self.v_th), h
 
 
 # ---------------------------------------------------------------------------
-# registry used by the CLI and property suite
+# the registry: the one place that maps a kind name to a model
 
 
 def make_neuron(kind: str, channels: int = 1, t_train: int | None = None,
-                k: int | None = None, seed: int = 0,
+                k: int | None = None, seed: int | np.random.Generator = 0,
                 sg: SurrogateKind = Rectangular()) -> Neuron:
-    """Build a neuron by registry name with sensible defaults."""
+    """Build a neuron by registry name with its default weights.
+
+    ``lif`` is short for ``lif-hard``.  k is the PSN weight window (default
+    32, at most t_train); the DSN kernel has 4 taps drawn from ``seed``,
+    which may be a Generator that a caller keeps drawing from.  sg is the
+    surrogate of the binary-spike neurons.
+    """
     kind = kind.lower()
     classical = {
+        "lif": NeuronConfig.lif(2.0, HARD),
         "lif-hard": NeuronConfig.lif(2.0, HARD),
         "lif-soft": NeuronConfig.lif(2.0, SOFT),
         "lif-none": NeuronConfig.lif(2.0, NONE),
@@ -642,15 +657,14 @@ def make_neuron(kind: str, channels: int = 1, t_train: int | None = None,
         return LifNeuron(classical[kind], sg)
     if kind == "dsn":
         return DsnNeuron(DsnParams.init(channels, seed=seed))
-    if kind in ("psn", "masked-psn", "sliding-psn"):
-        variant = {"psn": "full", "masked-psn": "masked",
-                   "sliding-psn": "sliding"}[kind]
-        if variant == "sliding":
-            return PsnNeuron(PsnParams.init_decay("sliding", k=k or 32))
+    if kind == "sliding-psn":
+        return PsnNeuron(PsnParams.init_decay("sliding", k=k or 32), sg=sg)
+    if kind in ("psn", "masked-psn"):
         if not t_train:
             raise ValueError(f"{kind} needs t_train")
+        variant = "full" if kind == "psn" else "masked"
         return PsnNeuron(PsnParams.init_decay(variant, t_train=t_train,
-                                              k=k or min(32, t_train)))
+                                              k=k or min(32, t_train)), sg=sg)
     raise ValueError(f"unknown neuron kind {kind!r}")
 
 

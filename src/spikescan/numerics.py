@@ -60,6 +60,8 @@ class Tape:
 
     def _record(self, op: str, parents: tuple[int, ...],
                 backward: Callable | None) -> int:
+        if self._backwards is None:
+            raise ValueError("tape already differentiated; record on a new tape")
         self._parents.append(parents)
         self._ops.append(op)
         self._backwards.append(backward)
@@ -79,18 +81,26 @@ class Tape:
             cur += value
 
     def backward(self, output: "Tensor", seed: np.ndarray | None = None) -> None:
-        """Accumulate d(output)/d(node) into every node's gradient buffer."""
+        """Accumulate d(output)/d(node) into every node's gradient buffer.
+
+        A tape is differentiated once: the recorded backward closures (which
+        hold the tape and every array they saved) are released here, so the
+        tape and its arrays are freed as soon as the caller drops them.
+        """
         if output.tape is not self:
             raise ValueError("output does not belong to this tape")
-        self._grads = [None] * len(self._ops)
+        if self._backwards is None:
+            raise ValueError("tape already differentiated")
         if seed is None:
             if output.data.size != 1:
                 raise ValueError("backward from a non-scalar needs a seed gradient")
             seed = np.ones_like(output.data)
+        backwards, self._backwards = self._backwards, None
+        self._grads = [None] * len(self._ops)
         self._grads[output._node] = np.array(seed, dtype=output.data.dtype)
         for node in range(output._node, -1, -1):
             g = self._grads[node]
-            fn = self._backwards[node]
+            fn = backwards[node]
             if g is None or fn is None:
                 continue
             fn(g)
@@ -701,28 +711,6 @@ def channel_mix(w, x) -> Tensor:
             tape._accumulate(nx, np.einsum("dc,bdt->bct", w.data, g), own=True)
 
     return _result(out, "channel_mix", tape, nodes, backward if tape else None)
-
-
-def stack_time(frames: Sequence["Tensor"]) -> Tensor:
-    """Stack (B, C) frames along a new innermost time axis -> (B, C, T)."""
-    frames = [_as_tensor(f) for f in frames]
-    if not frames:
-        raise ValueError("stack_time needs at least one frame")
-    shape = frames[0].shape
-    if any(f.shape != shape for f in frames):
-        raise ShapeMismatch("all frames must share one shape")
-    out = np.stack([f.data for f in frames], axis=-1)
-    tape = next((f.tape for f in frames if f.tape is not None), None)
-    nodes = tuple(f._node for f in frames
-                  if f.tape is tape and tape is not None and f._node is not None)
-    taped = [(i, f._node) for i, f in enumerate(frames)
-             if f.tape is tape and tape is not None and f._node is not None]
-
-    def backward(g):
-        for i, node in taped:
-            tape._accumulate(node, np.ascontiguousarray(g[..., i]), own=True)
-
-    return _result(out, "stack_time", tape, nodes, backward if tape else None)
 
 
 def tile_channels(w, channels: int) -> Tensor:

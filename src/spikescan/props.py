@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .neurons import (DsnNeuron, LifNeuron, Neuron, ParallelUnavailable,
-                      StepUnavailable)
+from .errors import (LengthMismatch, ParallelUnavailable, ReplayMismatch,
+                     StepUnavailable)
+from .neurons import DsnNeuron, LifNeuron, Neuron
 from .numerics import Tensor
 
 DEFAULT_TRIALS = 10_000
@@ -161,7 +161,8 @@ def check_short_control(neuron: Neuron, delta: int,
     x = np.concatenate([x1[:, None], smalls], axis=1)[:, None, :]  # (lanes, 1, delta+1)
     _, h = neuron.trace(x)
     h = h[:, 0, :]
-    assert np.all(h[:, 0] >= v_th), "forcing step failed to reach threshold"
+    if not np.all(h[:, 0] >= v_th):
+        raise ReplayMismatch(f"{neuron.name}: forcing step failed to reach threshold")
     bad = np.flatnonzero(h[:, -1] >= v_th)  # ties count as violations
     verdict = ControlVerdict(neuron=neuron.name, prop="short-control",
                              holds=bad.size == 0, trials=len(targets),
@@ -170,7 +171,8 @@ def check_short_control(neuron: Neuron, delta: int,
         lane = int(bad[0])
         replay_x = x[lane:lane + 1]
         _, replay_h = neuron.trace(replay_x)
-        assert replay_h[0, 0, -1] >= v_th, "witness failed to replay"
+        if not replay_h[0, 0, -1] >= v_th:
+            raise ReplayMismatch(f"{neuron.name}: short-control witness failed to replay")
         verdict.witness = Witness(
             inputs=replay_x[0, 0], trace=replay_h[0, 0], violated_t=delta,
             note=f"H after the {delta}-step window is "
@@ -319,7 +321,8 @@ def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
             t_bad = int(np.argwhere(over[lane].any(axis=0))[0][0])
             replay_x = x[lane:lane + 1]
             _, replay_h = neuron.trace(replay_x)
-            assert np.any(replay_h > bound + tol), "witness failed to replay"
+            if not np.any(replay_h > bound + tol):
+                raise ReplayMismatch(f"{neuron.name}: long-control witness failed to replay")
             first_witness = Witness(inputs=replay_x[0, 0], trace=replay_h[0, 0],
                                     violated_t=t_bad,
                                     note=f"H exceeded claimed bound {bound}")

@@ -16,16 +16,13 @@ import numpy as np
 
 from .. import numerics as nm
 from ..errors import LengthMismatch
-from ..neurons import (DsnParams, DsnState, PsnParams, dsn_alpha_sequence,
-                       dsn_step, psn_forward, _band_mask)
-from ..numerics import Rectangular, Tensor, heaviside
-from ..scan import scan
+from ..neurons import make_neuron
+from ..numerics import Tensor
 from .datasets import gen_wave_mixtures
 from .training import Adam, Param, TrainConfig, batch_indices, cosine_lr
 
-SERIAL_KINDS = ("dsn", "sliding-psn")
-LOCKED_KINDS = ("psn", "masked-psn")
-EXTRAP_KINDS = SERIAL_KINDS + LOCKED_KINDS
+# the serial-capable kinds first, then the length-locked ones
+EXTRAP_KINDS = ("dsn", "sliding-psn", "psn", "masked-psn")
 
 
 @dataclass
@@ -47,17 +44,11 @@ class _SequenceModel:
     """enc (1 -> C) -> neuron -> dec (C -> 1), next-value prediction."""
 
     def __init__(self, neuron_kind: str, channels: int, train_T: int,
-                 dsn_k: int = 4, sliding_k: int = 32, masked_k: int = 32,
-                 n_max: int = 4, tau: float = 0.25, seed: int = 0):
+                 k: int | None = None, seed: int = 0):
         if neuron_kind not in EXTRAP_KINDS:
             raise ValueError(f"extrapolation covers {EXTRAP_KINDS}, got {neuron_kind}")
         self.kind = neuron_kind
         self.channels = channels
-        self.train_T = train_T
-        self.n_max = n_max
-        self.tau = tau
-        self.v_th = 1.0
-        self.sg = Rectangular()
         rng = np.random.default_rng(seed)
         c = channels
         self.params = [
@@ -66,53 +57,25 @@ class _SequenceModel:
             Param("dec_w", rng.uniform(-1.0 / c, 1.0 / c, (1, c))),
             Param("dec_b", np.zeros(1)),
         ]
-        if neuron_kind == "dsn":
-            bound = 1.0 / np.sqrt(dsn_k)
-            self.params += [
-                Param("kernel", rng.uniform(-bound, bound, (c, dsn_k))),
-                Param("conv_bias", np.zeros(c)),
-            ]
-        elif neuron_kind == "sliding-psn":
-            init = PsnParams.init_decay("sliding", k=sliding_k).weight.data
-            self.params.append(Param("weight", init))
-        else:
-            variant = "full" if neuron_kind == "psn" else "masked"
-            init = PsnParams.init_decay(variant, t_train=train_T,
-                                        k=masked_k).weight.data
-            self.params.append(Param("weight", init))
-            self.masked_k = masked_k
-            self._mask = _band_mask(train_T, masked_k).astype(np.float64)
+        # k is the PSN weight window; the DSN draws its kernel from rng
+        self.neuron = make_neuron(neuron_kind, channels=c, t_train=train_T, k=k,
+                                  seed=rng)
+        self.params += [Param(name, w.data)
+                        for name, w in self.neuron.weights().items()]
 
     def _leaves(self, tape):
         if tape is None:
             return {p.name: Tensor(p.value) for p in self.params}
         return {p.name: p.leaf(tape) for p in self.params}
 
-    def _spikes(self, w, h: Tensor) -> Tensor:
-        if self.kind == "dsn":
-            params = DsnParams(conv_kernel=w["kernel"], conv_bias=w["conv_bias"],
-                               tau=self.tau, n_max=self.n_max)
-            alpha = dsn_alpha_sequence(params, h)
-            return nm.clip_round(scan(alpha, h), self.n_max)
-        if self.kind == "sliding-psn":
-            params = PsnParams(weight=w["weight"], variant="sliding",
-                               k=w["weight"].shape[0])
-            return psn_forward(params, h, self.v_th, self.sg)
-        weight = w["weight"]
-        if self.kind == "masked-psn":
-            weight = nm.mul(weight, Tensor(self._mask))
-            params = PsnParams(weight=weight, variant="masked",
-                               k=self.masked_k, t_train=self.train_T)
-        else:
-            params = PsnParams(weight=weight, variant="full",
-                               t_train=self.train_T)
-        return psn_forward(params, h, self.v_th, self.sg)
+    def _neuron(self, w):
+        return self.neuron.with_weights({name: w[name] for name in self.neuron.weights()})
 
     def forward(self, x: Tensor, tape=None) -> Tensor:
         """Predicted next values, shape (B, 1, T)."""
         w = self._leaves(tape)
         h = nm.add_channel_bias(nm.channel_mix(w["enc_w"], x), w["enc_b"])
-        s = self._spikes(w, h)
+        s = self._neuron(w).forward(h)
         return nm.add_channel_bias(nm.channel_mix(w["dec_w"], s), w["dec_b"])
 
     def loss(self, x: Tensor, tape=None) -> Tensor:
@@ -125,33 +88,18 @@ class _SequenceModel:
 
     def eval_serial(self, x: np.ndarray) -> float:
         """Stepwise next-value loss on (B, 1, T) input of any length."""
-        if self.kind not in SERIAL_KINDS:
+        if not self.neuron.supports_step:
             raise LengthMismatch(f"{self.kind} has no serial mode")
         vals = {p.name: p.value for p in self.params}
+        neuron = self._neuron(self._leaves(None))
         b, _, T = x.shape
-        c = self.channels
+        state = neuron.init_state(b, self.channels)
         preds = np.empty((b, T))
-        if self.kind == "dsn":
-            params = DsnParams(conv_kernel=Tensor(vals["kernel"]),
-                               conv_bias=Tensor(vals["conv_bias"]),
-                               tau=self.tau, n_max=self.n_max)
-            state = DsnState.zeros(b, c, params.kernel_size)
-            for t in range(T):
-                h_t = vals["enc_w"][:, 0][None, :] * x[:, 0, t][:, None] \
-                    + vals["enc_b"][None, :]
-                s, state = dsn_step(params, state, h_t)
-                preds[:, t] = s @ vals["dec_w"][0] + vals["dec_b"][0]
-        else:
-            k = vals["weight"].shape[0]
-            w_rev = vals["weight"][::-1]
-            window = np.zeros((b, c, k))
-            for t in range(T):
-                h_t = vals["enc_w"][:, 0][None, :] * x[:, 0, t][:, None] \
-                    + vals["enc_b"][None, :]
-                window = np.concatenate([window[..., 1:], h_t[..., None]], axis=-1)
-                mem = np.einsum("k,bck->bc", w_rev, window)
-                s = heaviside(mem - self.v_th)
-                preds[:, t] = s @ vals["dec_w"][0] + vals["dec_b"][0]
+        for t in range(T):
+            h_t = vals["enc_w"][:, 0][None, :] * x[:, 0, t][:, None] \
+                + vals["enc_b"][None, :]
+            s, _, state = neuron.step(state, h_t)
+            preds[:, t] = s @ vals["dec_w"][0] + vals["dec_b"][0]
         return float(np.mean((preds[:, :-1] - x[:, 0, 1:]) ** 2))
 
 
@@ -192,7 +140,7 @@ def run_extrapolation(neuron_kind: str, train_T: int = 256,
     for eval_T in eval_Ts:
         x_eval = gen_wave_mixtures(n_eval, eval_T, seed=cfg.seed + 7).data
         try:
-            if neuron_kind in SERIAL_KINDS:
+            if model.neuron.supports_step:
                 result.eval_losses[eval_T] = model.eval_serial(x_eval)
             else:
                 result.eval_losses[eval_T] = model.loss(Tensor(x_eval)).item()

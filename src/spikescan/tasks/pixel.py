@@ -15,10 +15,8 @@ import numpy as np
 from .. import layers as ly
 from .. import numerics as nm
 from ..errors import NonFiniteError
-from ..neurons import (DsnParams, NeuronConfig, NeuronState, PsnParams,
-                       dsn_alpha_sequence, lif_step, psn_forward)
+from ..neurons import make_neuron
 from ..numerics import ArcTangent, Tensor
-from ..scan import scan
 from .datasets import gen_shape_images
 from .training import Adam, Param, TrainConfig, batch_indices, cosine_lr
 
@@ -61,15 +59,11 @@ class PixelModel:
     """Two column-conv blocks with spiking neurons and a spike-count head."""
 
     def __init__(self, neuron_kind: str, size: int = 16, width: int = 8,
-                 dsn_k: int = 4, sliding_k: int = 8, seed: int = 0):
+                 k: int = 8, seed: int = 0):
         if neuron_kind not in PIXEL_KINDS:
             raise ValueError(f"pixel task covers {PIXEL_KINDS}, got {neuron_kind}")
-        self.kind = neuron_kind
         self.size = size
         self.width = width
-        # heavy-tailed surrogate keeps sub-threshold units trainable
-        self.sg = ArcTangent(2.0)
-        self.lif_cfg = NeuronConfig.lif(2.0, "hard")
         rng = np.random.default_rng(seed)
         h1, h2 = size, size // 2
         self.heights = (h1, h2)
@@ -83,21 +77,20 @@ class PixelModel:
             Param("head_w", rng.uniform(-1.0, 1.0, (feat, 4)) / np.sqrt(feat)),
             Param("head_b", np.zeros(4)),
         ]
-        shift = 0.0 if neuron_kind == "dsn" else 0.5
+        # k is the PSN weight window; a heavy-tailed surrogate keeps
+        # sub-threshold units trainable
+        self.neurons = [make_neuron(neuron_kind, channels=c, k=k, seed=rng,
+                                    sg=ArcTangent(2.0))
+                        for c in self.neuron_channels]
+        # binary spikes need the shift; integer counts already fire from H = 0.5
+        shift = 0.5 if self.neurons[0].n_max == 1 else 0.0
         self.bn1 = _BatchNorm("bn1", width * h1, shift)
         self.bn2 = _BatchNorm("bn2", width * h2, shift)
         self.params += [self.bn1.gamma, self.bn1.beta,
                         self.bn2.gamma, self.bn2.beta]
-        for i, c in enumerate(self.neuron_channels, start=1):
-            if neuron_kind == "dsn":
-                bound = 1.0 / np.sqrt(dsn_k)
-                self.params += [
-                    Param(f"n{i}_kernel", rng.uniform(-bound, bound, (c, dsn_k))),
-                    Param(f"n{i}_bias", np.zeros(c)),
-                ]
-            elif neuron_kind == "sliding-psn":
-                init = PsnParams.init_decay("sliding", k=sliding_k).weight.data
-                self.params.append(Param(f"n{i}_weight", init))
+        for i, neuron in enumerate(self.neurons, start=1):
+            self.params += [Param(f"n{i}_{name}", w.data)
+                            for name, w in neuron.weights().items()]
 
     def _leaves(self, tape):
         if tape is None:
@@ -105,24 +98,9 @@ class PixelModel:
         return {p.name: p.leaf(tape) for p in self.params}
 
     def _neuron(self, idx: int, w, x: Tensor) -> Tensor:
-        if self.kind == "dsn":
-            params = DsnParams(conv_kernel=w[f"n{idx}_kernel"],
-                               conv_bias=w[f"n{idx}_bias"], tau=0.25, n_max=4)
-            alpha = dsn_alpha_sequence(params, x)
-            return nm.clip_round(scan(alpha, x), 4)
-        if self.kind == "sliding-psn":
-            params = PsnParams(weight=w[f"n{idx}_weight"], variant="sliding",
-                               k=w[f"n{idx}_weight"].shape[0])
-            return psn_forward(params, x, 1.0, self.sg)
-        # taped serial fold of the classical neuron
-        b, c, T = x.shape
-        state = NeuronState(v=nm.zeros((b, c)))
-        spikes = []
-        for t in range(T):
-            x_t = nm.reshape(nm.time_slice(x, t, t + 1), (b, c))
-            s, state = lif_step(self.lif_cfg, state, x_t, self.sg)
-            spikes.append(s)
-        return nm.stack_time(spikes)
+        neuron = self.neurons[idx - 1]
+        mine = {name: w[f"n{idx}_{name}"] for name in neuron.weights()}
+        return neuron.with_weights(mine).forward(x)
 
     def forward(self, x: Tensor, tape=None, training: bool = False,
                 collect=None) -> Tensor:

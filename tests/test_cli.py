@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from spikescan import cli as cli_module
 from spikescan.cli import cli
+from spikescan.numerics import Tape
 from spikescan.serialize import load_tensors
 
 
@@ -140,3 +142,51 @@ def test_approx_untrained_baseline(runner, tmp_path):
     assert 0.0 <= payload["binary"]["average_accuracy"] <= 1.0
     csv = (out / "approx.csv").read_text()
     assert csv.startswith("mode,channel,reset,tau_m,accuracy_pct")
+
+
+# spike digests of ``bench --lengths 16,64 --batch 2 --channels 4 --seed 3``,
+# recorded before the neurons moved behind the registry interface
+BENCH_DIGESTS = {
+    "dsn": ("fe419bddf6da3b3d0da126160c5cd6bc0cf11c59a458f857c62e22258ba5e0b6",
+            "444e9093c50761bdc762579e1ee67e448fff407af65d31b4d1d68ab9a2cde6c6"),
+    "psn": ("d78bc8588441bfbe94262e6b9861683736914cec56907b04abae7cf7d0c780ce",
+            "227e9f68bfdaa017564e9f6957aa298cb380d8ac9259c68f822771b98a68d76d"),
+    "masked-psn": ("d78bc8588441bfbe94262e6b9861683736914cec56907b04abae7cf7d0c780ce",
+                   "227e9f68bfdaa017564e9f6957aa298cb380d8ac9259c68f822771b98a68d76d"),
+    "sliding-psn": ("d78bc8588441bfbe94262e6b9861683736914cec56907b04abae7cf7d0c780ce",
+                    "227e9f68bfdaa017564e9f6957aa298cb380d8ac9259c68f822771b98a68d76d"),
+    "lif": ("94bc762b432a105514c331b77aa303bdf96ee3f2a1a63a9cb547b7a48505ee09",
+            "45e5d9ce3b06e48413c79cec0ad375281f5dcce08bd557479b33aba21d555174"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BENCH_DIGESTS))
+def test_bench_digests_match_golden(runner, tmp_path, kind):
+    res = runner.invoke(cli, ["bench", "--neurons", kind, "--lengths", "16,64",
+                              "--batch", "2", "--channels", "4", "--reps", "1",
+                              "--seed", "3", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    digests = json.loads((tmp_path / "bench.json").read_text())["digests"][kind]
+    assert (digests["16"], digests["64"]) == BENCH_DIGESTS[kind]
+
+
+def test_bench_unknown_neuron_is_a_usage_error(runner, tmp_path):
+    res = runner.invoke(cli, ["bench", "--neurons", "telepathic", "--lengths", "8",
+                              "--out", str(tmp_path)])
+    assert res.exit_code == 2
+
+
+def test_lif_bench_pass_tape_size_is_independent_of_length(monkeypatch):
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(cli_module, "Tape", RecordingTape)
+    for length in (16, 64):
+        x, neuron = cli_module._bench_inputs("lif", length, 2, 4, 0)
+        cli_module._bench_pass(neuron, x)
+    assert len(tapes) == 2
+    assert len(tapes[0]) == len(tapes[1])

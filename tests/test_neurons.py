@@ -1,26 +1,31 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import dsn_serial_trace, lif_step_fold
 from spikescan import numerics as nm
 from spikescan.errors import LengthMismatch, ShapeMismatch
-from spikescan.neurons import (DsnNeuron, DsnParams, DsnState, LifNeuron,
-                               NeuronConfig, NeuronState, PsnNeuron,
-                               PsnParams, dsn_dynamic_decay,
-                               dsn_forward_parallel, dsn_serial_trace,
-                               dsn_step, lif_sequence, lif_step, lif_trace,
-                               make_neuron, psn_forward)
-from spikescan.numerics import Rectangular, Tensor
+from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
+                               LifNeuron, NeuronConfig, PsnNeuron, PsnParams,
+                               dsn_dynamic_decay, dsn_forward_parallel,
+                               dsn_step, lif_sequence, lif_trace, make_neuron,
+                               psn_forward)
+from spikescan.numerics import ArcTangent, Rectangular, Tensor
 from spikescan.scan import ScanProblem, matrix_form
 
 
 def test_lif_step_hand_evaluated():
-    cfg = NeuronConfig(beta=0.5, v_th=1.0, reset_mode="hard")
-    state = NeuronState.zeros(1, 2)
-    s, new = lif_step(cfg, state, Tensor([[2.0, 0.6]]))
-    np.testing.assert_array_equal(s.data, [[1.0, 0.0]])
+    neuron = LifNeuron(NeuronConfig(beta=0.5, v_th=1.0, reset_mode="hard"))
+    s, _, v = neuron.step(neuron.init_state(1, 2), np.array([[2.0, 0.6]]))
+    np.testing.assert_array_equal(s, [[1.0, 0.0]])
     # hard reset clears the firing lane, keeps the other at H
-    np.testing.assert_allclose(new.v.data, [[0.0, 0.3]])
-    assert new.t == 1
+    np.testing.assert_allclose(v, [[0.0, 0.3]])
+    # the taped sequence op over that one step agrees
+    s_seq, _, v_seq = lif_sequence(neuron.cfg, Tensor([[[2.0], [0.6]]]))
+    assert s_seq.shape == (1, 2, 1)
+    np.testing.assert_array_equal(s_seq.data[..., 0], s)
+    np.testing.assert_array_equal(v_seq.data[..., 0], v)
 
 
 def test_if_soft_burst_spikes_four_steps():
@@ -58,11 +63,13 @@ def test_sequence_matches_step_fold_bit_exactly():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 3, 40)) * 2.0
     s_seq, h_seq, v_seq = lif_sequence(cfg, Tensor(x))
-    state = NeuronState.zeros(2, 3)
+    neuron = LifNeuron(cfg)
+    state = neuron.init_state(2, 3)
     for t in range(40):
-        s, state = lif_step(cfg, state, Tensor(x[..., t]))
-        np.testing.assert_array_equal(s.data, s_seq.data[..., t])
-        np.testing.assert_array_equal(state.v.data, v_seq.data[..., t])
+        s, h, state = neuron.step(state, x[..., t])
+        np.testing.assert_array_equal(s, s_seq.data[..., t])
+        np.testing.assert_array_equal(h, h_seq.data[..., t])
+        np.testing.assert_array_equal(state, v_seq.data[..., t])
 
 
 def test_config_validation():
@@ -128,6 +135,10 @@ def test_dsn_serial_equals_parallel():
     params = DsnParams.init(channels=4, k=4, seed=2)
     x = rng.normal(size=(2, 4, 1024)) * 2.0
     s_ser, h_ser, a_ser = dsn_serial_trace(params, x)
+    # the neuron's own trace is the step fold, equal to the oracle bit for bit
+    s_trace, h_trace = DsnNeuron(params).trace(x)
+    np.testing.assert_array_equal(s_trace, s_ser)
+    np.testing.assert_array_equal(h_trace, h_ser)
     s_par, h_par, a_par = dsn_forward_parallel(params, Tensor(x))
     np.testing.assert_array_equal(a_ser, a_par.data)
     assert np.max(np.abs(h_ser - h_par.data)) <= 1e-10
@@ -317,3 +328,126 @@ def test_lif_none_gains_parallel_path():
     x = rng.normal(size=(1, 2, 50))
     s_par = neuron.sequence(Tensor(x)).data
     np.testing.assert_array_equal(s_par, neuron.serial_fold(x))
+
+
+# ---------------------------------------------------------------------------
+# the taped LIF sequence op and the registry-wide interface
+
+
+def _lif_cfg(leak: str, reset: str) -> NeuronConfig:
+    if leak == "if":
+        return NeuronConfig.integrate_fire(reset)
+    return NeuronConfig.lif(2.0, reset)
+
+
+def _fold_input_grad(cfg, x, w, sg):
+    """Spikes and dL/dx of L = sum(w * S) through the per-step taped fold."""
+    tape = nm.Tape()
+    xt = tape.leaf(x)
+    frames = lif_step_fold(cfg, xt, sg)
+    loss = nm.sum_all(nm.mul(frames[0], Tensor(w[..., 0])))
+    for t in range(1, len(frames)):
+        loss = loss + nm.sum_all(nm.mul(frames[t], Tensor(w[..., t])))
+    tape.backward(loss)
+    return np.stack([f.data for f in frames], axis=-1), tape.grad(xt)
+
+
+@pytest.mark.parametrize("sg", [Rectangular(), ArcTangent()], ids=["rect", "atan"])
+@pytest.mark.parametrize("reset", ["hard", "soft", "none"])
+@pytest.mark.parametrize("leak", ["lif", "if"])
+def test_lif_sequence_gradient_matches_step_fold(leak, reset, sg):
+    cfg = _lif_cfg(leak, reset)
+    rng = np.random.default_rng(21)
+    for steps in (1, 7, 64):
+        x = rng.normal(size=(2, 3, steps)) * 1.5
+        w = rng.normal(size=x.shape)
+        tape = nm.Tape()
+        xt = tape.leaf(x)
+        s, _, _ = lif_sequence(cfg, xt, sg)
+        tape.backward(nm.sum_all(nm.mul(s, Tensor(w))))
+        s_fold, g_fold = _fold_input_grad(cfg, x, w, sg)
+        np.testing.assert_array_equal(s.data, s_fold)
+        scale = max(1.0, float(np.max(np.abs(g_fold))))
+        assert np.max(np.abs(tape.grad(xt) - g_fold)) <= 1e-12 * scale
+
+
+def _taped_forward(neuron, x, w):
+    """Spikes and dL/dx of L = sum(w * S) through ``with_weights(...).forward``."""
+    tape = nm.Tape()
+    leaves = {name: tape.leaf(t.data) for name, t in neuron.weights().items()}
+    xt = tape.leaf(x)
+    rebuilt = neuron.with_weights(leaves)
+    assert rebuilt.weights() == leaves  # every given tensor is used as is
+    s = rebuilt.forward(xt)
+    tape.backward(nm.sum_all(nm.mul(s, Tensor(w))))
+    return s.data, tape.grad(xt)
+
+
+def _central_differences(f, x, eps=1e-6):
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        hi, lo = x.copy(), x.copy()
+        hi[idx] += eps
+        lo[idx] -= eps
+        g[idx] = (f(hi) - f(lo)) / (2.0 * eps)
+    return g
+
+
+@pytest.mark.parametrize("kind", NEURON_KINDS)
+def test_registry_forward_matches_trace_and_gradient(kind):
+    rng = np.random.default_rng(22)
+    steps = 16
+    neuron = make_neuron(kind, channels=3, t_train=steps, k=5, seed=1)
+    x = rng.normal(size=(2, 3, steps)) * 2.0
+    w = rng.normal(size=x.shape)
+    s, gx = _taped_forward(neuron, x, w)
+    s_trace, h = neuron.trace(x)
+    np.testing.assert_array_equal(s, s_trace)
+    if neuron.supports_step:
+        np.testing.assert_array_equal(s, neuron.serial_fold(x))
+    if neuron.supports_parallel:
+        # reset-free: S = g(H(x)) with H smooth in x, so the taped gradient is
+        # the membrane's Jacobian applied to w * g'(H), with g' the surrogate
+        # (binary spikes) or the straight-through mask (integer counts)
+        if neuron.n_max == 1:
+            fire_grad = nm.surrogate_grad(neuron.sg, h - neuron.v_th)
+        else:
+            r = nm.round_half_away(h)
+            fire_grad = ((r >= 0.0) & (r <= neuron.n_max)).astype(float)
+        v = w * fire_grad
+        ref = _central_differences(lambda xv: float(np.sum(v * neuron.trace(xv)[1])), x)
+        assert np.max(np.abs(gx - ref)) <= 1e-6 * max(1.0, float(np.max(np.abs(ref))))
+    else:
+        _, g_fold = _fold_input_grad(neuron.cfg, x, w, neuron.sg)
+        assert np.max(np.abs(gx - g_fold)) <= 1e-12 * max(1.0, float(np.max(np.abs(g_fold))))
+
+
+def test_masked_psn_gradient_stays_in_band():
+    rng = np.random.default_rng(23)
+    neuron = make_neuron("masked-psn", channels=2, t_train=12, k=3)
+    tape = nm.Tape()
+    wt = tape.leaf(neuron.weights()["weight"].data)
+    s = neuron.with_weights({"weight": wt}).forward(Tensor(rng.normal(size=(2, 2, 12)) * 2.0))
+    tape.backward(nm.sum_all(s))
+    g = tape.grad(wt)
+    i, j = np.indices(g.shape)
+    band = (j <= i) & (j > i - 3)
+    assert not g[~band].any()
+    assert g[band].any()
+
+
+def test_init_decay_long_lengths_fill_only_the_causal_part():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masked = PsnParams.init_decay("masked", t_train=2048, k=32).weight.data
+        full = PsnParams.init_decay("full", t_train=2048).weight.data
+    i, j = np.indices(full.shape)
+    lag = i - j
+    assert not full[lag < 0].any()
+    assert not masked[(lag < 0) | (lag >= 32)].any()
+    np.testing.assert_array_equal(full[lag == 0], 0.5)
+    np.testing.assert_array_equal(masked[lag == 31], 0.5 ** 32)
+    # lengths the old full-matrix formula handled keep their exact weights
+    small = PsnParams.init_decay("full", t_train=64).weight.data
+    i, j = np.indices(small.shape)
+    np.testing.assert_array_equal(small, np.where(j <= i, 0.5 ** (i - j) * 0.5, 0.0))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +43,7 @@ def test_division_by_zero_rejected():
         nm.div(Tensor([1.0]), Tensor([0.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_non_finite_result_rejected():
     with pytest.raises(NonFiniteError):
         nm.div(Tensor([1.0]), Tensor([1e-320]))  # overflows to inf
@@ -211,6 +215,34 @@ def test_gradient_accumulates_across_reuse():
     y = nm.add(nm.mul(x, x), nm.mul(x, 3.0))  # x^2 + 3x -> dy/dx = 2x + 3
     tape.backward(nm.sum_all(y))
     np.testing.assert_allclose(tape.grad(x), [7.0])
+
+
+def test_second_backward_on_a_tape_raises():
+    tape = Tape()
+    x = tape.leaf(np.array([2.0]))
+    y = nm.sum_all(nm.mul(x, x))
+    tape.backward(y)
+    with pytest.raises(ValueError):
+        tape.backward(y)
+    with pytest.raises(ValueError):
+        nm.mul(x, 2.0)  # nothing more can be recorded either
+    np.testing.assert_allclose(tape.grad(x), [4.0])  # gradients stay readable
+
+
+def test_used_tape_is_freed_without_the_cycle_collector():
+    from spikescan.neurons import make_neuron
+
+    neuron = make_neuron("dsn", channels=3)
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(np.random.default_rng(0).normal(size=(2, 3, 16)))
+        tape.backward(nm.mean_all(neuron.forward(x)))
+        ref = weakref.ref(tape)
+        del tape, x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_tensor_operator_sugar():

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spikescan.neurons import DsnParams, DsnNeuron, make_neuron
+from spikescan.errors import ReplayMismatch, SpikescanError
+from spikescan.neurons import DsnParams, DsnNeuron, LifNeuron, make_neuron
 from spikescan.props import (EXPECTED_CONDITIONS, EXPECTED_CONTROL,
                              alpha_duration_schedule, alpha_window_condition,
                              check_conditions_table, check_long_control,
@@ -132,7 +133,7 @@ def test_dsn_long_control_bound_max_zero_c():
 
 def test_dsn_convex_interval_bound():
     # inputs in [m, M] keep the membrane inside [min(0, m), max(0, M)]
-    from spikescan.neurons import dsn_serial_trace
+    from oracles import dsn_serial_trace
     rng = np.random.default_rng(0)
     params = DsnParams.init(channels=3, seed=2)
     for m, M in ((-2.0, 3.0), (0.5, 1.5), (-4.0, -1.0)):
@@ -203,6 +204,30 @@ def test_duration_schedule_full_window():
             assert h >= 1.0
     assert h < 1.0
     del h_prev
+
+
+class _ShiftingReplay(LifNeuron):
+    """A classical neuron whose reported membrane moves between trace calls."""
+
+    def __init__(self, kind: str, offsets):
+        super().__init__(make_neuron(kind).cfg)
+        self.offsets = list(offsets)
+
+    def trace(self, x):
+        s, h = super().trace(x)
+        return s, h + self.offsets.pop(0)
+
+
+@pytest.mark.parametrize("check, kind, offsets", [
+    (lambda n: check_short_control(n, 4, 200, rng_seed=0), "lif-hard", [-100.0]),
+    (lambda n: check_short_control(n, 4, 200, rng_seed=0), "if-soft", [0.0, -100.0]),
+    (lambda n: check_long_control(n, 2.0, T=16, trials=50, rng_seed=0), "lif-hard",
+     [100.0, 0.0]),
+], ids=["short-forcing", "short-witness", "long-witness"])
+def test_replay_disagreement_raises(check, kind, offsets):
+    assert issubclass(ReplayMismatch, SpikescanError)
+    with pytest.raises(ReplayMismatch):
+        check(_ShiftingReplay(kind, offsets))
 
 
 # ---------------------------------------------------------------------------

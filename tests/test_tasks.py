@@ -191,8 +191,7 @@ def test_locked_psn_raises_off_length():
 
 def test_masked_psn_stays_banded_through_training():
     cfg = TrainConfig(lr=2e-3, epochs=2, batch_size=16, seed=0)
-    model = _SequenceModel("masked-psn", channels=4, train_T=16, masked_k=4,
-                           seed=0)
+    model = _SequenceModel("masked-psn", channels=4, train_T=16, k=4, seed=0)
     from spikescan.tasks.datasets import gen_wave_mixtures as gw
     from spikescan.tasks.training import batch_indices
     x = gw(16, 16, seed=0).data
@@ -204,7 +203,8 @@ def test_masked_psn_stays_banded_through_training():
         tape.backward(loss)
         opt.step(tape, 1e-3)
     w = next(p for p in model.params if p.name == "weight").value
-    assert not w[~model._mask.astype(bool)].any()
+    i, j = np.indices(w.shape)
+    assert not w[(j > i) | (j <= i - 4)].any()
 
 
 def test_serial_eval_equals_parallel_loss_at_train_length():
