@@ -10,12 +10,11 @@ __version__ = "0.1.0"
 
 from .errors import (DivisionByZero, LengthMismatch, MissingFiringRate,
                      NonFiniteError, ParallelUnavailable, ReplayMismatch,
-                     ShapeMismatch, SpikescanError, StabilityGuard,
-                     StepUnavailable)
+                     ShapeMismatch, SpikescanError, StepUnavailable)
 from .numerics import (ArcTangent, Rectangular, StraightThrough,
-                       SurrogateKind, Tape, Tensor, clip_round, elementwise,
-                       grad_check, matmul, spike_threshold, tensor, zeros)
-from .scan import ScanProblem, matrix_form, scan, scan_backward, scan_parallel, scan_serial
+                       SurrogateKind, Tape, Tensor, clip_round, grad_check,
+                       matmul, spike_threshold, tensor, zeros)
+from .scan import scan
 from .neurons import (DsnNeuron, DsnParams, DsnState, LifNeuron, Neuron,
                       NeuronConfig, PsnNeuron, PsnParams, dsn_dynamic_decay,
                       dsn_forward_parallel, dsn_step, lif_sequence,

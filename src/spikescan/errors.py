@@ -26,15 +26,6 @@ class LengthMismatch(SpikescanError):
     """
 
 
-class StabilityGuard(SpikescanError):
-    """The matrix-form cross-check was asked to run outside its safe band.
-
-    The cumulative-product factorization divides by a running product of
-    decay factors, which under- or overflows for long sequences or decays
-    near 0/1.  The guard refuses instead of returning garbage.
-    """
-
-
 class MissingFiringRate(SpikescanError):
     """A spike-input layer has no firing rate to weight its energy."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .numerics import Tensor, _as_tensor, _result
+from .numerics import Tensor, _as_tensor, _result, _shared_tape
 
 
 def _unfold(x: np.ndarray, channels: int, height: int) -> np.ndarray:
@@ -61,12 +61,8 @@ def column_conv(x, weight, bias=None, height: int | None = None) -> Tensor:
         out4 += b_arr[None, :, None, None]
     out = out4.reshape(x4.shape[0], c_out * height, x4.shape[3])
 
-    tape = x.tape or weight.tape or (bias.tape if bias is not None else None)
-    nx = x._node if x.tape is tape and tape is not None else None
-    nw = weight._node if weight.tape is tape and tape is not None else None
-    nb = (bias._node if bias is not None and bias.tape is tape and tape is not None
-          else None)
-    nodes = tuple(n for n in (nx, nw, nb) if n is not None)
+    tape, nodes = _shared_tape(x, weight, bias)
+    nx, nw, nb = nodes
 
     def backward(g):
         g4 = _unfold(g, c_out, height)
@@ -104,8 +100,7 @@ def column_avg_pool(x, channels: int, height: int, factor: int = 2) -> Tensor:
         gx = np.broadcast_to(g4, (b, c, h // factor, factor, t))
         tape._accumulate(node, gx.reshape(x.data.shape).copy(), own=True)
 
-    return _result(out, "column_avg_pool", tape,
-                   (node,) if node is not None else (), backward if tape else None)
+    return _result(out, "column_avg_pool", tape, (node,), backward if tape else None)
 
 
 def sum_time(x) -> Tensor:
@@ -118,8 +113,7 @@ def sum_time(x) -> Tensor:
         tape._accumulate(node, np.broadcast_to(g[..., None], x.data.shape).copy(),
                          own=True)
 
-    return _result(out, "sum_time", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "sum_time", tape, (node,), backward if tape else None)
 
 
 def add_bias_rows(x, bias) -> Tensor:
@@ -129,9 +123,8 @@ def add_bias_rows(x, bias) -> Tensor:
     if x.ndim != 2 or bias.shape != (x.shape[1],):
         raise ShapeMismatch(f"bias rows: x {x.shape} vs bias {bias.shape}")
     out = x.data + bias.data[None, :]
-    tape = x.tape or bias.tape
-    nx = x._node if x.tape is tape and tape is not None else None
-    nb = bias._node if bias.tape is tape and tape is not None else None
+    tape, nodes = _shared_tape(x, bias)
+    nx, nb = nodes
 
     def backward(g):
         if nx is not None:
@@ -139,9 +132,7 @@ def add_bias_rows(x, bias) -> Tensor:
         if nb is not None:
             tape._accumulate(nb, np.sum(g, axis=0), own=True)
 
-    return _result(out, "add_bias_rows", tape,
-                   tuple(n for n in (nx, nb) if n is not None),
-                   backward if tape else None)
+    return _result(out, "add_bias_rows", tape, nodes, backward if tape else None)
 
 
 def batch_norm_train(x, gamma, beta, eps: float = 1e-5):
@@ -162,11 +153,8 @@ def batch_norm_train(x, gamma, beta, eps: float = 1e-5):
     xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
     out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
 
-    tape = x.tape or gamma.tape or beta.tape
-    nx = x._node if x.tape is tape and tape is not None else None
-    ng = gamma._node if gamma.tape is tape and tape is not None else None
-    nb = beta._node if beta.tape is tape and tape is not None else None
-    nodes = tuple(n for n in (nx, ng, nb) if n is not None)
+    tape, nodes = _shared_tape(x, gamma, beta)
+    nx, ng, nb = nodes
 
     def backward(g):
         if ng is not None:
@@ -174,12 +162,10 @@ def batch_norm_train(x, gamma, beta, eps: float = 1e-5):
         if nb is not None:
             tape._accumulate(nb, np.sum(g, axis=(0, 2)), own=True)
         if nx is not None:
-            m = x.data.shape[0] * x.data.shape[2]
             gy = g * gamma.data[None, :, None]
             mean_gy = gy.mean(axis=(0, 2))[None, :, None]
             mean_gy_xhat = (gy * xhat).mean(axis=(0, 2))[None, :, None]
             gx = inv[None, :, None] * (gy - mean_gy - xhat * mean_gy_xhat)
-            del m
             tape._accumulate(nx, gx, own=True)
 
     y = _result(out, "batch_norm", tape, nodes, backward if tape else None)
@@ -200,8 +186,7 @@ def batch_norm_eval(x, gamma, beta, mean: np.ndarray, var: np.ndarray,
     def backward(g):
         tape._accumulate(node, g * scale[None, :, None], own=True)
 
-    return _result(out, "batch_norm_eval", tape,
-                   (node,) if node is not None else (), backward if tape else None)
+    return _result(out, "batch_norm_eval", tape, (node,), backward if tape else None)
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
@@ -224,4 +209,4 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
         tape._accumulate(node, grad * (g / n), own=True)
 
     return _result(out, "softmax_cross_entropy", tape,
-                   (node,) if node is not None else (), backward if tape else None)
+                   (node,), backward if tape else None)

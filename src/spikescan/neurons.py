@@ -132,8 +132,7 @@ def lif_sequence(cfg: NeuronConfig, x,
     def backward(g):
         tape._accumulate(node, _lif_bptt(cfg, sg, s, h, g), own=True)
 
-    spikes = nm._result(s, "lif_sequence", tape, (node,) if node is not None else (),
-                        backward if tape else None)
+    spikes = nm._result(s, "lif_sequence", tape, (node,), backward if tape else None)
     return spikes, Tensor(h), Tensor(v)
 
 
@@ -245,10 +244,9 @@ class DsnState:
     window: np.ndarray  # (B, C, k-1) ring, oldest first
 
     @classmethod
-    def zeros(cls, batch: int, channels: int, kernel_size: int,
-              dtype=np.float64) -> "DsnState":
-        return cls(h=np.zeros((batch, channels), dtype=dtype),
-                   window=np.zeros((batch, channels, kernel_size - 1), dtype=dtype))
+    def zeros(cls, batch: int, channels: int, kernel_size: int) -> "DsnState":
+        return cls(h=np.zeros((batch, channels)),
+                   window=np.zeros((batch, channels, kernel_size - 1)))
 
 
 def _sharp_sigmoid(pre: np.ndarray, tau: float) -> np.ndarray:
@@ -516,7 +514,7 @@ class LifNeuron(Neuron):
         self.v_th = cfg.v_th
 
     def init_state(self, batch: int, channels: int) -> np.ndarray:
-        return np.zeros((batch, channels), dtype=nm.default_dtype())
+        return np.zeros((batch, channels))
 
     def step(self, state, x_t):
         h = _charge(self.cfg, state, np.asarray(x_t))
@@ -561,8 +559,7 @@ class DsnNeuron(Neuron):
         if channels != self.params.channels:
             raise ShapeMismatch(
                 f"neuron built for {self.params.channels} channels, got {channels}")
-        return DsnState.zeros(batch, channels, self.params.kernel_size,
-                              dtype=nm.default_dtype())
+        return DsnState.zeros(batch, channels, self.params.kernel_size)
 
     def step(self, state: DsnState, x_t):
         s, new_state = dsn_step(self.params, state, x_t)
@@ -602,7 +599,7 @@ class PsnNeuron(Neuron):
             raise StepUnavailable(
                 f"{self.name}: weights are coupled to absolute timesteps")
         k = self.params.weight.shape[0]
-        return np.zeros((batch, channels, k), dtype=nm.default_dtype())
+        return np.zeros((batch, channels, k))
 
     def step(self, state, x_t):
         # state holds the last k inputs, oldest first

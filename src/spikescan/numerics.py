@@ -1,7 +1,7 @@
 """Dense rank-<=3 arrays with a reverse-mode gradient tape.
 
-Tensors wrap contiguous float64 numpy buffers (float32 via
-:func:`set_default_dtype`) shaped batch x channel x time, time innermost.
+Tensors wrap contiguous float64 numpy buffers shaped batch x channel x
+time, time innermost.
 Every library operation validates finiteness of its result: NaN/Inf raise
 :class:`~spikescan.errors.NonFiniteError` instead of propagating.
 
@@ -24,22 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivisionByZero, NonFiniteError, ShapeMismatch
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the library to float32 or float64 (the default)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
@@ -118,8 +102,8 @@ class Tensor:
 
     __slots__ = ("data", "tape", "_node")
 
-    def __init__(self, data, dtype=None):
-        arr = np.ascontiguousarray(data, dtype=dtype or _DEFAULT_DTYPE)
+    def __init__(self, data):
+        arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ShapeMismatch(f"rank {arr.ndim} exceeds the rank-3 data model")
         _ensure_finite(arr, "tensor")
@@ -177,16 +161,34 @@ def _scalar_err():
     raise ValueError("item() requires a single-element tensor")
 
 
-def tensor(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype)
+def tensor(data) -> Tensor:
+    return Tensor(data)
 
 
 def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE))
+    return Tensor(np.zeros(shape))
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _shared_tape(*operands):
+    """(tape, nodes) for the operands of one op.
+
+    ``tape`` is the tape every taped operand lives on (None if none is
+    taped); ``nodes`` holds each operand's node on it, None for constants,
+    untaped tensors and absent (None) operands.  Operands on two different
+    tapes raise ValueError: an op records on one tape, so the other
+    operand's gradient would be lost.
+    """
+    tape = None
+    for t in operands:
+        if isinstance(t, Tensor) and t.tape is not None:
+            if tape is not None and t.tape is not tape:
+                raise ValueError("operands live on different tapes")
+            tape = t.tape
+    return tape, tuple(t._node if isinstance(t, Tensor) else None for t in operands)
 
 
 def _binary_operands(a, b, op: str):
@@ -195,27 +197,21 @@ def _binary_operands(a, b, op: str):
     Only scalar-vs-array and equal-shape pairs are legal; anything else is a
     ShapeMismatch.  Scalars passed as python numbers are untracked constants.
     """
-    ta = isinstance(a, Tensor)
-    tb = isinstance(b, Tensor)
-    da = a.data if ta else np.asarray(a, dtype=_DEFAULT_DTYPE)
-    db = b.data if tb else np.asarray(b, dtype=_DEFAULT_DTYPE)
+    da = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
+    db = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
     if da.shape != db.shape and da.size != 1 and db.size != 1:
         raise ShapeMismatch(f"'{op}' needs equal shapes or a scalar, "
                             f"got {da.shape} and {db.shape}")
-    tape = None
-    for t in (a, b):
-        if isinstance(t, Tensor) and t.tape is not None:
-            if tape is not None and t.tape is not tape:
-                raise ValueError("operands live on different tapes")
-            tape = t.tape
-    na = a._node if ta and a.tape is tape and tape is not None else None
-    nb = b._node if tb and b.tape is tape and tape is not None else None
+    tape, (na, nb) = _shared_tape(a, b)
     return da, db, tape, na, nb
 
 
 def _result(arr: np.ndarray, op: str, tape: Tape | None,
-            parents: tuple[int, ...], backward: Callable | None) -> Tensor:
+            parents: tuple[int | None, ...], backward: Callable | None) -> Tensor:
+    """Wrap an op's output, recording it on the tape when it has a parent
+    there (``None`` entries in ``parents`` are untaped operands)."""
     _ensure_finite(arr, op)
+    parents = tuple(p for p in parents if p is not None)
     if tape is None or not parents:
         return Tensor._attach(arr, None, None)
     node = tape._record(op, parents, backward)
@@ -243,8 +239,7 @@ def add(a, b) -> Tensor:
         if nb is not None:
             tape._accumulate(nb, _reduce_to(db.shape, g), own=db.shape != g.shape)
 
-    return _result(out, "add", tape, tuple(n for n in (na, nb) if n is not None),
-                   backward if tape else None)
+    return _result(out, "add", tape, (na, nb), backward if tape else None)
 
 
 def sub(a, b) -> Tensor:
@@ -257,8 +252,7 @@ def sub(a, b) -> Tensor:
         if nb is not None:
             tape._accumulate(nb, _reduce_to(db.shape, -g), own=True)
 
-    return _result(out, "sub", tape, tuple(n for n in (na, nb) if n is not None),
-                   backward if tape else None)
+    return _result(out, "sub", tape, (na, nb), backward if tape else None)
 
 
 def mul(a, b) -> Tensor:
@@ -271,8 +265,7 @@ def mul(a, b) -> Tensor:
         if nb is not None:
             tape._accumulate(nb, _reduce_to(db.shape, g * da), own=True)
 
-    return _result(out, "mul", tape, tuple(n for n in (na, nb) if n is not None),
-                   backward if tape else None)
+    return _result(out, "mul", tape, (na, nb), backward if tape else None)
 
 
 def div(a, b) -> Tensor:
@@ -287,8 +280,7 @@ def div(a, b) -> Tensor:
         if nb is not None:
             tape._accumulate(nb, _reduce_to(db.shape, -g * da / (db * db)), own=True)
 
-    return _result(out, "div", tape, tuple(n for n in (na, nb) if n is not None),
-                   backward if tape else None)
+    return _result(out, "div", tape, (na, nb), backward if tape else None)
 
 
 def sigmoid(a) -> Tensor:
@@ -300,8 +292,7 @@ def sigmoid(a) -> Tensor:
     def backward(g):
         tape._accumulate(node, g * out * (1.0 - out), own=True)
 
-    return _result(out, "sigmoid", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "sigmoid", tape, (node,), backward if tape else None)
 
 
 def relu(a) -> Tensor:
@@ -312,8 +303,7 @@ def relu(a) -> Tensor:
     def backward(g):
         tape._accumulate(node, g * (a.data > 0.0), own=True)
 
-    return _result(out, "relu", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "relu", tape, (node,), backward if tape else None)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -326,21 +316,7 @@ def power(a, exponent: float) -> Tensor:
     def backward(g):
         tape._accumulate(node, g * exponent * a.data ** (exponent - 1.0), own=True)
 
-    return _result(out, "pow", tape, (node,) if node is not None else (),
-                   backward if tape else None)
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "div": div,
-                "sigmoid": sigmoid, "relu": relu, "pow": power}
-
-
-def elementwise(op: str, a, b=None) -> Tensor:
-    """Dispatch an elementwise op by name (add/sub/mul/div/sigmoid/relu/pow)."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op '{op}'") from None
-    return fn(a) if b is None else fn(a, b)
+    return _result(out, "pow", tape, (node,), backward if tape else None)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +331,7 @@ def sum_all(a) -> Tensor:
     def backward(g):
         tape._accumulate(node, np.broadcast_to(g, a.data.shape).copy(), own=True)
 
-    return _result(out, "sum", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "sum", tape, (node,), backward if tape else None)
 
 
 def mean_all(a) -> Tensor:
@@ -368,8 +343,7 @@ def mean_all(a) -> Tensor:
     def backward(g):
         tape._accumulate(node, np.broadcast_to(g / n, a.data.shape).copy(), own=True)
 
-    return _result(out, "mean", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "mean", tape, (node,), backward if tape else None)
 
 
 def reshape(a, shape) -> Tensor:
@@ -381,8 +355,7 @@ def reshape(a, shape) -> Tensor:
     def backward(g):
         tape._accumulate(node, g.reshape(a.data.shape), own=False)
 
-    return _result(out, "reshape", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "reshape", tape, (node,), backward if tape else None)
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -395,8 +368,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     def backward(g):
         tape._accumulate(node, np.ascontiguousarray(np.transpose(g, inverse)), own=True)
 
-    return _result(out, "transpose", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "transpose", tape, (node,), backward if tape else None)
 
 
 def time_slice(a, start: int, stop: int) -> Tensor:
@@ -410,8 +382,7 @@ def time_slice(a, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         tape._accumulate(node, full, own=True)
 
-    return _result(out, "time_slice", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "time_slice", tape, (node,), backward if tape else None)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +396,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatch("matmul expects rank-2 operands")
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    tape = a.tape or b.tape
-    if a.tape is not None and b.tape is not None and a.tape is not b.tape:
-        raise ValueError("operands live on different tapes")
-    na = a._node if a.tape is tape else None
-    nb = b._node if b.tape is tape else None
+    tape, (na, nb) = _shared_tape(a, b)
     out = a.data @ b.data
 
     def backward(g):
@@ -438,8 +405,7 @@ def matmul(a, b) -> Tensor:
         if nb is not None:
             tape._accumulate(nb, a.data.T @ g, own=True)
 
-    return _result(out, "matmul", tape, tuple(n for n in (na, nb) if n is not None),
-                   backward if tape else None)
+    return _result(out, "matmul", tape, (na, nb), backward if tape else None)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +477,7 @@ def spike_threshold(h, v_th: float, sg: SurrogateKind) -> Tensor:
     def backward(g):
         tape._accumulate(node, g * surrogate_grad(sg, v), own=True)
 
-    return _result(out, "spike_threshold", tape,
-                   (node,) if node is not None else (), backward if tape else None)
+    return _result(out, "spike_threshold", tape, (node,), backward if tape else None)
 
 
 def round_half_away(arr: np.ndarray) -> np.ndarray:
@@ -541,7 +506,7 @@ def unit_interval_clamp(a) -> Tensor:
         tape._accumulate(node, g * mask, own=True)
 
     return _result(out, "unit_interval_clamp", tape,
-                   (node,) if node is not None else (), backward if tape else None)
+                   (node,), backward if tape else None)
 
 
 def clip_round(h, n_max: int) -> Tensor:
@@ -563,8 +528,7 @@ def clip_round(h, n_max: int) -> Tensor:
         mask = (rounded >= 0.0) & (rounded <= n_max)
         tape._accumulate(node, g * mask, own=True)
 
-    return _result(out, "clip_round", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "clip_round", tape, (node,), backward if tape else None)
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +569,8 @@ def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
     if b_arr is not None:
         out += b_arr[None, :, None]
 
-    tape = x.tape or kernel.tape or (bias.tape if bias is not None else None)
-    nodes = []
-    nx = x._node if x.tape is tape and tape is not None else None
-    nk = kernel._node if kernel.tape is tape and tape is not None else None
-    nb = (bias._node if bias is not None and bias.tape is tape and tape is not None
-          else None)
-    nodes = tuple(n for n in (nx, nk, nb) if n is not None)
+    tape, nodes = _shared_tape(x, kernel, bias)
+    nx, nk, nb = nodes
 
     def backward(g):
         if nx is not None:
@@ -662,12 +621,8 @@ def causal_conv(x, weight, bias=None) -> Tensor:
     if b_arr is not None:
         out += b_arr[None, :, None]
 
-    tape = x.tape or weight.tape or (bias.tape if bias is not None else None)
-    nx = x._node if x.tape is tape and tape is not None else None
-    nw = weight._node if weight.tape is tape and tape is not None else None
-    nb = (bias._node if bias is not None and bias.tape is tape and tape is not None
-          else None)
-    nodes = tuple(n for n in (nx, nw, nb) if n is not None)
+    tape, nodes = _shared_tape(x, weight, bias)
+    nx, nw, nb = nodes
 
     def backward(g):
         if nx is not None:
@@ -699,10 +654,8 @@ def channel_mix(w, x) -> Tensor:
     if w.ndim != 2 or x.ndim != 3 or w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"channel mix: w {w.shape} vs x {x.shape}")
     out = np.einsum("dc,bct->bdt", w.data, x.data)
-    tape = w.tape or x.tape
-    nw = w._node if w.tape is tape and tape is not None else None
-    nx = x._node if x.tape is tape and tape is not None else None
-    nodes = tuple(n for n in (nw, nx) if n is not None)
+    tape, nodes = _shared_tape(w, x)
+    nw, nx = nodes
 
     def backward(g):
         if nw is not None:
@@ -724,8 +677,7 @@ def tile_channels(w, channels: int) -> Tensor:
     def backward(g):
         tape._accumulate(node, np.sum(g, axis=0), own=True)
 
-    return _result(out, "tile_channels", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "tile_channels", tape, (node,), backward if tape else None)
 
 
 def reverse_last(a) -> Tensor:
@@ -737,8 +689,7 @@ def reverse_last(a) -> Tensor:
     def backward(g):
         tape._accumulate(node, np.ascontiguousarray(g[..., ::-1]), own=True)
 
-    return _result(out, "reverse_last", tape, (node,) if node is not None else (),
-                   backward if tape else None)
+    return _result(out, "reverse_last", tape, (node,), backward if tape else None)
 
 
 def add_channel_bias(x, bias) -> Tensor:
@@ -748,10 +699,8 @@ def add_channel_bias(x, bias) -> Tensor:
     if x.ndim != 3 or bias.shape != (x.shape[1],):
         raise ShapeMismatch(f"channel bias: x {x.shape} vs bias {bias.shape}")
     out = x.data + bias.data[None, :, None]
-    tape = x.tape or bias.tape
-    nx = x._node if x.tape is tape and tape is not None else None
-    nb = bias._node if bias.tape is tape and tape is not None else None
-    nodes = tuple(n for n in (nx, nb) if n is not None)
+    tape, nodes = _shared_tape(x, bias)
+    nx, nb = nodes
 
     def backward(g):
         if nx is not None:

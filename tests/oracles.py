@@ -1,9 +1,12 @@
 """Reference implementations kept only as test oracles.
 
-``dsn_serial_trace`` is the DSN recurrence written out step by step with the
-arithmetic inlined; ``lif_step_fold`` is the per-step taped LIF fold
-(time_slice -> reshape -> charge/fire/reset on the tape, one frame at a
-time) that the taped sequence op replaced.
+``scan_fold`` is the recurrence h_t = a_t h_{t-1} + b_t as a plain left
+fold, and ``matrix_form`` the same scan (with b_t = (1 - a_t) x_t) as one
+explicit T x T weight per lane; the chunked ``spikescan.scan`` is checked
+against both.  ``dsn_serial_trace`` is the DSN recurrence written out step
+by step with the arithmetic inlined; ``lif_step_fold`` is the per-step taped
+LIF fold (time_slice -> reshape -> charge/fire/reset on the tape, one frame
+at a time) that the taped sequence op replaced.
 """
 
 import numpy as np
@@ -14,11 +17,51 @@ from spikescan.neurons import DsnState, dsn_dynamic_decay
 from spikescan.numerics import Tensor, round_half_away
 
 
+def scan_fold(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """h_t = a_t h_{t-1} + b_t from h0, one step at a time along the last axis."""
+    out = np.empty_like(b)
+    h = h0
+    for t in range(a.shape[-1]):
+        h = a[..., t] * h + b[..., t]
+        out[..., t] = h
+    return out
+
+
+def matrix_form(alpha: np.ndarray, x: np.ndarray, h0: np.ndarray | None = None,
+                alpha_min: float = 0.05) -> np.ndarray:
+    """H_t = alpha_t H_{t-1} + (1 - alpha_t) x_t via the explicit T x T weight
+    W_ij = (prod a)(1 - a_i).
+
+    Builds W from the cumulative product P and mask M (upper-triangular in
+    (i, j)) and returns X W + P h0.  The factorization divides by the running
+    product, which under- or overflows for long sequences or decays near 0/1,
+    so it refuses (ValueError) beyond T = 512 or outside
+    [alpha_min, 1 - alpha_min], and alpha_min may not go below 0.05.
+    """
+    if alpha_min < 0.05:
+        raise ValueError("alpha_min below the 0.05 stability floor")
+    T = alpha.shape[-1]
+    if T > 512:
+        raise ValueError(f"matrix form limited to T <= 512, got {T}")
+    if np.any(alpha < alpha_min) or np.any(alpha > 1.0 - alpha_min):
+        raise ValueError(f"decay outside the [{alpha_min}, {1 - alpha_min}] guard band")
+    if h0 is None:
+        h0 = np.zeros(alpha.shape[:2])
+    prods = np.cumprod(alpha, axis=-1)
+    rows = (1.0 - alpha) / prods
+    mask = np.triu(np.ones((T, T)))
+    w = rows[..., :, None] * prods[..., None, :] * mask
+    out = np.einsum("bci,bcij->bcj", x, w) + prods * h0[..., None]
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix form produced a non-finite value")
+    return out
+
+
 def dsn_serial_trace(params, x: np.ndarray):
     """Step-fold oracle returning (S, H, alpha) arrays for (B, C, T) input."""
     if x.ndim != 3:
         raise ShapeMismatch("expected (B, C, T) input")
-    state = DsnState.zeros(x.shape[0], x.shape[1], params.kernel_size, x.dtype)
+    state = DsnState.zeros(x.shape[0], x.shape[1], params.kernel_size)
     s_out = np.empty_like(x)
     h_out = np.empty_like(x)
     a_out = np.empty_like(x)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -190,3 +191,18 @@ def test_lif_bench_pass_tape_size_is_independent_of_length(monkeypatch):
         cli_module._bench_pass(neuron, x)
     assert len(tapes) == 2
     assert len(tapes[0]) == len(tapes[1])
+
+
+def test_bench_digests_past_one_chunk_match_the_step_fold(runner, tmp_path):
+    # 300 and 1024 steps span 2 and 4 scan chunks, so the chunk carries shape
+    # every spike after step 256
+    res = runner.invoke(cli, ["bench", "--neurons", "dsn,lif-none", "--lengths",
+                              "300,1024", "--batch", "2", "--channels", "4",
+                              "--reps", "1", "--seed", "3", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    digests = json.loads((tmp_path / "bench.json").read_text())["digests"]
+    for kind in ("dsn", "lif-none"):
+        for length in (300, 1024):
+            x, neuron = cli_module._bench_inputs(kind, length, 2, 4, 3)
+            want = hashlib.sha256(neuron.serial_fold(x).tobytes()).hexdigest()
+            assert digests[kind][str(length)] == want, (kind, length)

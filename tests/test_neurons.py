@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dsn_serial_trace, lif_step_fold
+from oracles import dsn_serial_trace, lif_step_fold, matrix_form
 from spikescan import numerics as nm
 from spikescan.errors import LengthMismatch, ShapeMismatch
 from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
@@ -12,7 +12,6 @@ from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
                                dsn_step, lif_sequence, lif_trace, make_neuron,
                                psn_forward)
 from spikescan.numerics import ArcTangent, Rectangular, Tensor
-from spikescan.scan import ScanProblem, matrix_form
 
 
 def test_lif_step_hand_evaluated():
@@ -161,8 +160,8 @@ def test_dsn_matches_matrix_form_oracle():
     params = DsnParams.init(channels=3, k=4, tau=1.0, seed=4)
     x = rng.normal(size=(2, 3, 32)) * 0.5
     _, h_par, alpha = dsn_forward_parallel(params, Tensor(x))
-    h_mat = matrix_form(ScanProblem(alpha, Tensor(x)))
-    assert np.max(np.abs(h_par.data - h_mat.data)) <= 1e-8
+    h_mat = matrix_form(alpha.data, x)
+    assert np.max(np.abs(h_par.data - h_mat)) <= 1e-8
 
 
 def test_dsn_streaming_state_is_bounded():

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from spikescan import numerics as nm
 from spikescan.errors import DivisionByZero, NonFiniteError, ShapeMismatch
+from spikescan.layers import add_bias_rows, batch_norm_train, column_conv
 from spikescan.numerics import (ArcTangent, Rectangular, StraightThrough,
-                                Tape, Tensor, clip_round, elementwise,
-                                grad_check, matmul, spike_threshold,
-                                surrogate_grad)
+                                Tape, Tensor, clip_round, grad_check, matmul,
+                                spike_threshold, surrogate_grad)
+from spikescan.scan import scan
 
 
 def test_sigmoid_at_zero():
@@ -24,13 +26,8 @@ def test_pow_identity_exponent():
 
 
 def test_mul_by_scalar():
-    out = elementwise("mul", Tensor([1.0, 2.0, 3.0]), 2.0)
+    out = nm.mul(Tensor([1.0, 2.0, 3.0]), 2.0)
     np.testing.assert_array_equal(out.data, [2.0, 4.0, 6.0])
-
-
-def test_elementwise_dispatch_unknown():
-    with pytest.raises(ValueError):
-        elementwise("frobnicate", Tensor([1.0]), 1.0)
 
 
 def test_equal_shape_or_scalar_only():
@@ -254,10 +251,33 @@ def test_tensor_operator_sugar():
     np.testing.assert_array_equal((-a).data, [-1.0, -2.0])
 
 
-def test_float32_build_flag():
-    nm.set_default_dtype(np.float32)
-    try:
-        t = Tensor([1.0, 2.0])
-        assert t.data.dtype == np.float32
-    finally:
-        nm.set_default_dtype(np.float64)
+# every op that takes more than one tensor, with its operand shapes
+MULTI_OPERAND_OPS = {
+    "add": (nm.add, [(2, 3), (2, 3)]),
+    "sub": (nm.sub, [(2, 3), (2, 3)]),
+    "mul": (nm.mul, [(2, 3), (2, 3)]),
+    "div": (nm.div, [(2, 3), (2, 3)]),
+    "matmul": (matmul, [(2, 3), (3, 2)]),
+    "depthwise_causal_conv": (nm.depthwise_causal_conv, [(1, 2, 5), (2, 3), (2,)]),
+    "causal_conv": (nm.causal_conv, [(1, 2, 5), (3, 2, 2), (3,)]),
+    "channel_mix": (nm.channel_mix, [(3, 2), (1, 2, 5)]),
+    "add_channel_bias": (nm.add_channel_bias, [(1, 2, 5), (2,)]),
+    "scan": (scan, [(1, 2, 5), (1, 2, 5), (1, 2)]),
+    "column_conv": (partial(column_conv, height=2), [(1, 4, 3), (1, 2, 3), (1,)]),
+    "add_bias_rows": (add_bias_rows, [(2, 3), (3,)]),
+    "batch_norm_train": (batch_norm_train, [(2, 2, 3), (2,), (2,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+def test_operands_on_two_tapes_are_rejected(name):
+    # recording on one tape would silently drop the other operand's gradient
+    op, shapes = MULTI_OPERAND_OPS[name]
+    arrays = [np.random.default_rng(0).uniform(0.1, 0.9, size=s) for s in shapes]
+    for other in range(1, len(arrays)):
+        first, second = Tape(), Tape()
+        args = [Tensor(a) for a in arrays]
+        args[0] = first.leaf(arrays[0])
+        args[other] = second.leaf(arrays[other])
+        with pytest.raises(ValueError, match="different tapes"):
+            op(*args)

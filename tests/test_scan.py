@@ -2,35 +2,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import matrix_form, scan_fold
 from spikescan import numerics as nm
-from spikescan.errors import StabilityGuard
-from spikescan.numerics import Tensor, grad_check
-from spikescan.scan import (ScanProblem, combine, matrix_form, scan,
-                            scan_backward, scan_parallel, scan_serial)
+from spikescan.numerics import Tape, Tensor, grad_check
+from spikescan.scan import scan
 
 
 def _problem(rng, b=2, c=3, t=64, h0=True, lo=0.01, hi=0.99):
+    """(alpha, x, h0) arrays; h0 is None unless drawn."""
     alpha = rng.uniform(lo, hi, size=(b, c, t))
     x = rng.uniform(-5.0, 5.0, size=(b, c, t))
-    start = Tensor(rng.normal(size=(b, c))) if h0 else None
-    return ScanProblem(Tensor(alpha), Tensor(x), start)
+    start = rng.normal(size=(b, c)) if h0 else None
+    return alpha, x, start
+
+
+def _fold(alpha, x, h0=None):
+    """The oracle for H_t = alpha_t H_{t-1} + (1 - alpha_t) x_t."""
+    start = np.zeros(alpha.shape[:2]) if h0 is None else h0
+    return scan_fold(alpha, (1.0 - alpha) * x, start)
+
+
+def _scan_grads(alpha, x, h0, dh):
+    """H and [dAlpha, dX, dH0] of the taped scan for upstream gradient dh."""
+    tape = Tape()
+    leaves = [tape.leaf(a) for a in (alpha, x, h0)]
+    h = scan(*leaves)
+    tape.backward(h, seed=dh)
+    return h.data, [tape.grad(t) for t in leaves]
 
 
 def test_pure_carry():
     h0 = np.array([[2.0, -1.0]])
-    p = ScanProblem(Tensor(np.ones((1, 2, 5))), Tensor(np.zeros((1, 2, 5))),
-                    Tensor(h0))
+    alpha, x = np.ones((1, 2, 5)), np.zeros((1, 2, 5))
     want = np.repeat(h0[..., None], 5, axis=-1)
-    np.testing.assert_array_equal(scan_serial(p).data, want)
-    np.testing.assert_array_equal(scan_parallel(p).data, want)
+    np.testing.assert_array_equal(_fold(alpha, x, h0), want)
+    np.testing.assert_array_equal(scan(alpha, x, h0).data, want)
 
 
 def test_pure_input():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1, 2, 7))
-    p = ScanProblem(Tensor(np.zeros_like(x)), Tensor(x))
-    np.testing.assert_array_equal(scan_serial(p).data, x)
-    np.testing.assert_array_equal(scan_parallel(p).data, x)
+    np.testing.assert_array_equal(_fold(np.zeros_like(x), x), x)
+    np.testing.assert_array_equal(scan(np.zeros_like(x), x).data, x)
 
 
 def test_constant_decay_matches_geometric_expansion():
@@ -38,39 +51,30 @@ def test_constant_decay_matches_geometric_expansion():
     rng = np.random.default_rng(1)
     beta = 0.6
     x = rng.normal(size=(1, 1, 20))
-    p = ScanProblem(Tensor(np.full_like(x, beta)), Tensor(x))
+    alpha = np.full_like(x, beta)
     want = np.zeros_like(x)
     for t in range(20):
         for i in range(t + 1):
             want[0, 0, t] += beta ** (t - i) * (1 - beta) * x[0, 0, i]
-    np.testing.assert_allclose(scan_serial(p).data, want, atol=1e-12)
-    np.testing.assert_allclose(scan_parallel(p).data, want, atol=1e-10)
+    np.testing.assert_allclose(_fold(alpha, x), want, atol=1e-12)
+    np.testing.assert_allclose(scan(alpha, x).data, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 255, 256, 257, 1024])
+# 100000 steps are 391 chunks, so the carry fold runs hundreds of steps
+@pytest.mark.parametrize("t", [1, 2, 3, 255, 256, 257, 1024, 100000])
 def test_parallel_matches_serial(t):
     rng = np.random.default_rng(t)
-    p = _problem(rng, t=t)
-    diff = np.abs(scan_parallel(p).data - scan_serial(p).data)
+    alpha, x, h0 = _problem(rng, t=t)
+    diff = np.abs(scan(alpha, x, h0).data - _fold(alpha, x, h0))
     assert diff.max() <= 1e-10
 
 
 def test_parallel_bit_identical_across_runs():
     rng = np.random.default_rng(9)
-    p = _problem(rng, t=700)
-    a = scan_parallel(p).data
-    b = scan_parallel(p).data
+    alpha, x, h0 = _problem(rng, t=700)
+    a = scan(alpha, x, h0).data
+    b = scan(alpha, x, h0).data
     assert a.tobytes() == b.tobytes()
-
-
-def test_combine_associative():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        segs = [(rng.uniform(0.01, 0.99), rng.normal()) for _ in range(3)]
-        left = combine(combine(segs[0], segs[1]), segs[2])
-        right = combine(segs[0], combine(segs[1], segs[2]))
-        assert abs(left[0] - right[0]) <= 1e-14
-        assert abs(left[1] - right[1]) <= 1e-14
 
 
 @settings(max_examples=20, deadline=None)
@@ -80,8 +84,7 @@ def test_parallel_serial_property(t, seed):
     alpha = rng.uniform(0.0, 1.0, size=(1, 2, t))
     alpha = np.clip(alpha, 1e-12, 1.0 - 1e-12)
     x = rng.uniform(-1e4, 1e4, size=(1, 2, t))
-    p = ScanProblem(Tensor(alpha), Tensor(x))
-    diff = np.abs(scan_parallel(p).data - scan_serial(p).data)
+    diff = np.abs(scan(alpha, x).data - _fold(alpha, x))
     assert diff.max() <= 1e-10
 
 
@@ -91,28 +94,26 @@ def test_parallel_serial_property(t, seed):
 
 def test_backward_zero_upstream():
     rng = np.random.default_rng(3)
-    p = _problem(rng, t=17)
-    h = scan_serial(p)
-    d_alpha, d_x, d_h0 = scan_backward(p, h, Tensor(np.zeros_like(h.data)))
-    assert not d_alpha.data.any()
-    assert not d_x.data.any()
-    assert not d_h0.data.any()
+    alpha, x, h0 = _problem(rng, t=17)
+    _, grads = _scan_grads(alpha, x, h0, np.zeros_like(x))
+    for g in grads:
+        assert not g.any()
 
 
 def test_backward_t1_closed_form():
     alpha = np.array([[[0.3]]])
     x = np.array([[[2.0]]])
     h0 = np.array([[0.7]])
-    p = ScanProblem(Tensor(alpha), Tensor(x), Tensor(h0))
-    h = scan_serial(p)
     dh = np.array([[[1.5]]])
-    d_alpha, d_x, d_h0 = scan_backward(p, h, Tensor(dh))
-    np.testing.assert_allclose(d_alpha.data, dh * (h0[..., None] - x))
-    np.testing.assert_allclose(d_x.data, dh * (1 - alpha))
-    np.testing.assert_allclose(d_h0.data, (dh * alpha)[..., 0])
+    h, (d_alpha, d_x, d_h0) = _scan_grads(alpha, x, h0, dh)
+    np.testing.assert_array_equal(h, _fold(alpha, x, h0))
+    np.testing.assert_allclose(d_alpha, dh * (h0[..., None] - x))
+    np.testing.assert_allclose(d_x, dh * (1 - alpha))
+    np.testing.assert_allclose(d_h0, (dh * alpha)[..., 0])
 
 
-@pytest.mark.parametrize("t", [5, 33, 128])
+# 300 steps cross a chunk boundary, so the carry enters the gradient
+@pytest.mark.parametrize("t", [5, 33, 128, 300])
 def test_backward_matches_finite_differences(t):
     rng = np.random.default_rng(t)
     alpha = rng.uniform(0.1, 0.9, size=(1, 2, t))
@@ -131,24 +132,25 @@ def test_backward_matches_finite_differences(t):
 
 def test_taped_scan_h0_gradient():
     rng = np.random.default_rng(5)
-    alpha = rng.uniform(0.1, 0.9, size=(1, 1, 9))
-    x = rng.normal(size=(1, 1, 9))
+    for t in (9, 300):
+        alpha = rng.uniform(0.1, 0.9, size=(1, 1, t))
+        x = rng.normal(size=(1, 1, t))
 
-    def loss_h0(h0):
-        flat = nm.reshape(h0, (1, 1))
-        return nm.mean_all(scan(Tensor(alpha), Tensor(x), flat) ** 2.0)
+        def loss_h0(h0):
+            flat = nm.reshape(h0, (1, 1))
+            return nm.mean_all(scan(Tensor(alpha), Tensor(x), flat) ** 2.0)
 
-    assert grad_check(loss_h0, Tensor(np.array([[0.3]])), 1e-6) <= 1e-6
+        assert grad_check(loss_h0, Tensor(np.array([[0.3]])), 1e-6) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
-# matrix form
+# matrix form (test oracle)
 
 
 def test_matrix_form_matches_serial():
     rng = np.random.default_rng(6)
-    p = _problem(rng, b=2, c=2, t=32, lo=0.1, hi=0.9)
-    diff = np.abs(matrix_form(p).data - scan_serial(p).data)
+    alpha, x, h0 = _problem(rng, b=2, c=2, t=32, lo=0.1, hi=0.9)
+    diff = np.abs(matrix_form(alpha, x, h0) - _fold(alpha, x, h0))
     assert diff.max() <= 1e-8
 
 
@@ -157,30 +159,31 @@ def test_matrix_form_is_causal():
     # upper-triangular in (i, j)
     rng = np.random.default_rng(7)
     t = 16
-    alpha = Tensor(rng.uniform(0.1, 0.9, size=(1, 1, t)))
+    alpha = rng.uniform(0.1, 0.9, size=(1, 1, t))
     for i in (4, 11):
         x = np.zeros((1, 1, t))
         x[0, 0, i] = 1.0
-        h = matrix_form(ScanProblem(alpha, Tensor(x))).data
+        h = matrix_form(alpha, x)
         assert not h[0, 0, :i].any()
         assert h[0, 0, i:].any()
 
 
 def test_matrix_form_guard_band():
     rng = np.random.default_rng(8)
-    bad = _problem(rng, t=256, lo=1e-4, hi=2e-4)
-    with pytest.raises(StabilityGuard):
-        matrix_form(bad)
+    alpha, x, h0 = _problem(rng, t=256, lo=1e-4, hi=2e-4)
+    with pytest.raises(ValueError, match="guard band"):
+        matrix_form(alpha, x, h0)
 
 
 def test_matrix_form_guard_length():
     rng = np.random.default_rng(9)
-    long = _problem(rng, t=600, lo=0.2, hi=0.8)
-    with pytest.raises(StabilityGuard):
-        matrix_form(long)
+    alpha, x, h0 = _problem(rng, t=600, lo=0.2, hi=0.8)
+    with pytest.raises(ValueError, match="T <= 512"):
+        matrix_form(alpha, x, h0)
 
 
 def test_matrix_form_alpha_min_floor():
     rng = np.random.default_rng(10)
-    with pytest.raises(ValueError):
-        matrix_form(_problem(rng, t=8, lo=0.2, hi=0.8), alpha_min=0.01)
+    alpha, x, h0 = _problem(rng, t=8, lo=0.2, hi=0.8)
+    with pytest.raises(ValueError, match="stability floor"):
+        matrix_form(alpha, x, h0, alpha_min=0.01)
