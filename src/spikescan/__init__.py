@@ -8,9 +8,10 @@ energy per layer.
 
 __version__ = "0.1.0"
 
-from .errors import (DivisionByZero, LengthMismatch, MissingFiringRate,
-                     NonFiniteError, ParallelUnavailable, ReplayMismatch,
-                     ShapeMismatch, SpikescanError, StepUnavailable)
+from .errors import (CorruptContainer, DivisionByZero, LengthMismatch,
+                     MissingFiringRate, NonFiniteError, ParallelUnavailable,
+                     ReplayMismatch, ShapeMismatch, SpikescanError,
+                     StepUnavailable)
 from .numerics import (ArcTangent, Rectangular, StraightThrough,
                        SurrogateKind, Tape, Tensor, clip_round, grad_check,
                        matmul, spike_threshold, tensor, zeros)

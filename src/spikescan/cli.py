@@ -214,34 +214,38 @@ def cmd_bench(neurons, lengths, batch, channels, reps, seed, out_dir):
 # ---------------------------------------------------------------------------
 # props
 
+_PROPERTIES = ("short-control", "long-control", "conditions-table")
+
 
 def _core_props(config: dict, out_dir: Path):
     kind = config["neuron"]
     prop = config["property"]
+    if prop not in _PROPERTIES:
+        raise click.UsageError(f"unknown property {prop!r}")
+    if prop == "conditions-table":
+        expected = EXPECTED_CONDITIONS.get(kind)
+    else:
+        expected = EXPECTED_CONTROL.get(kind, {}).get(prop)
+    if expected is None:
+        raise click.UsageError(f"no expected {prop} outcome for neuron {kind!r}")
     neuron = make_neuron(kind, channels=config.get("channels", 3),
                          t_train=config.get("t_train", 32))
-    if prop == "short-control":
-        verdict = check_short_control(neuron, config["delta"],
-                                      config["trials"], config["seed"])
-        payload = verdict.to_dict()
-        expected = EXPECTED_CONTROL.get(kind, {}).get(prop)
-        matched = expected is not None and verdict.holds == expected
-    elif prop == "long-control":
-        verdict = check_long_control(neuron, config["c_bound"],
-                                     T=config.get("t", 128),
-                                     trials=config["trials"],
-                                     rng_seed=config["seed"])
-        payload = verdict.to_dict()
-        expected = EXPECTED_CONTROL.get(kind, {}).get(prop)
-        matched = expected is not None and verdict.holds == expected
-    elif prop == "conditions-table":
+    if prop == "conditions-table":
         table = check_conditions_table(neuron, rng_seed=config["seed"])
-        expected = EXPECTED_CONDITIONS.get(kind)
-        matched = expected is not None and table == expected
+        matched = table == expected
         payload = {"neuron": kind, "property": prop, "conditions": table,
                    "expected": expected}
     else:
-        raise click.UsageError(f"unknown property {prop!r}")
+        if prop == "short-control":
+            verdict = check_short_control(neuron, config["delta"],
+                                          config["trials"], config["seed"])
+        else:
+            verdict = check_long_control(neuron, config["c_bound"],
+                                         T=config.get("t", 128),
+                                         trials=config["trials"],
+                                         rng_seed=config["seed"])
+        payload = verdict.to_dict()
+        matched = verdict.holds == expected
     payload["matches_expected"] = matched
     path = out_dir / "verdict.json"
     _write_json(path, payload)
@@ -253,8 +257,7 @@ def _core_props(config: dict, out_dir: Path):
 @cli.command("props")
 @click.option("--neuron", required=True)
 @click.option("--property", "prop", required=True,
-              type=click.Choice(["short-control", "long-control",
-                                 "conditions-table"]))
+              type=click.Choice(_PROPERTIES))
 @click.option("--delta", default=4, show_default=True)
 @click.option("--trials", default=10000, show_default=True)
 @click.option("--c-bound", default=2.0, show_default=True)
@@ -263,7 +266,8 @@ def _core_props(config: dict, out_dir: Path):
 @click.option("--out", "out_dir", default="props-out", show_default=True)
 def cmd_props(neuron, prop, delta, trials, c_bound, t, seed, out_dir):
     """Run one property checker; exit 0 iff the verdict matches the
-    analysis-predicted outcome (a predicted failure counts as a match)."""
+    analysis-predicted outcome (a predicted failure counts as a match).
+    A neuron/property pair with no predicted outcome is a usage error."""
     config = {"neuron": neuron, "property": prop, "delta": delta,
               "trials": trials, "c_bound": c_bound, "t": t, "seed": seed}
     sys.exit(_run_command("props", config, Path(out_dir)))

@@ -41,3 +41,13 @@ class StepUnavailable(SpikescanError):
 class ReplayMismatch(SpikescanError):
     """A checker's input, replayed through the live neuron, did not reproduce
     the membrane values the checker drew its verdict from."""
+
+
+class CorruptContainer(SpikescanError, ValueError):
+    """A tensor container file is malformed; ``offset`` is the byte offset of
+    the field that could not be read.  Also a ValueError, so callers that
+    catch ValueError for a bad file keep working."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte {offset})")
+        self.offset = offset

@@ -6,7 +6,10 @@ explicit T x T weight per lane; the chunked ``spikescan.scan`` is checked
 against both.  ``dsn_serial_trace`` is the DSN recurrence written out step
 by step with the arithmetic inlined; ``lif_step_fold`` is the per-step taped
 LIF fold (time_slice -> reshape -> charge/fire/reset on the tape, one frame
-at a time) that the taped sequence op replaced.
+at a time) that the taped sequence op replaced.  ``depthwise_conv_shift``
+and ``causal_conv_shift`` are the two causal convolutions written as one
+zero-padded shifted copy of the input per tap, with their adjoints
+(``*_grads``) in the same form.
 """
 
 import numpy as np
@@ -96,3 +99,65 @@ def lif_step_fold(cfg, x: Tensor, sg) -> list[Tensor]:
             v = h
         frames.append(s)
     return frames
+
+
+def shift_right(arr: np.ndarray, lag: int) -> np.ndarray:
+    """x_{t-lag} along the last axis, with zero left-padding."""
+    out = np.zeros_like(arr)
+    if lag < arr.shape[-1]:
+        out[..., lag:] = arr[..., :arr.shape[-1] - lag]
+    return out
+
+
+def depthwise_conv_shift(x: np.ndarray, kernel: np.ndarray,
+                         bias: np.ndarray | None = None) -> np.ndarray:
+    """(B, C, T) depthwise causal conv; kernel (C, k), column k-1 on lag 0."""
+    k = kernel.shape[1]
+    out = np.zeros_like(x)
+    for j in range(k):
+        out += kernel[None, :, j:j + 1] * shift_right(x, k - 1 - j)
+    if bias is not None:
+        out += bias[None, :, None]
+    return out
+
+
+def depthwise_conv_shift_grads(x: np.ndarray, kernel: np.ndarray,
+                               g: np.ndarray):
+    """(gx, gkernel, gbias) of depthwise_conv_shift for output gradient g."""
+    k = kernel.shape[1]
+    T = x.shape[-1]
+    gx = np.zeros_like(x)
+    gk = np.empty_like(kernel)
+    for j in range(k):
+        lag = k - 1 - j
+        if lag < T:
+            gx[..., :T - lag] += kernel[None, :, j:j + 1] * g[..., lag:]
+        gk[:, j] = np.sum(g * shift_right(x, lag), axis=(0, 2))
+    return gx, gk, np.sum(g, axis=(0, 2))
+
+
+def causal_conv_shift(x: np.ndarray, weight: np.ndarray,
+                      bias: np.ndarray | None = None) -> np.ndarray:
+    """(B, C_in, T) dense causal conv; weight (C_out, C_in, k)."""
+    k = weight.shape[2]
+    out = np.zeros((x.shape[0], weight.shape[0], x.shape[2]))
+    for j in range(k):
+        out += np.einsum("oi,bit->bot", weight[:, :, j], shift_right(x, k - 1 - j))
+    if bias is not None:
+        out += bias[None, :, None]
+    return out
+
+
+def causal_conv_shift_grads(x: np.ndarray, weight: np.ndarray, g: np.ndarray):
+    """(gx, gweight, gbias) of causal_conv_shift for output gradient g."""
+    k = weight.shape[2]
+    T = x.shape[-1]
+    gx = np.zeros_like(x)
+    gw = np.empty_like(weight)
+    for j in range(k):
+        lag = k - 1 - j
+        piece = np.einsum("oi,bot->bit", weight[:, :, j], g)
+        if lag < T:
+            gx[..., :T - lag] += piece[..., lag:]
+        gw[:, :, j] = np.einsum("bot,bit->oi", g, shift_right(x, lag))
+    return gx, gw, np.sum(g, axis=(0, 2))

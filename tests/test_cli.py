@@ -84,6 +84,21 @@ def test_props_unknown_property_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("kind,prop", [("psn", "short-control"),
+                                       ("sliding-psn", "long-control"),
+                                       ("if-hard", "conditions-table"),
+                                       ("lif-none", "short-control")])
+def test_props_without_expectation_is_usage_error(runner, tmp_path, kind, prop):
+    # no checker runs: the pair is refused before a verdict is written
+    out = tmp_path / "none"
+    res = runner.invoke(cli, ["props", "--neuron", kind, "--property", prop,
+                              "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert f"Error: no expected {prop} outcome for neuron '{kind}'" in res.output
+    assert not (out / "verdict.json").exists()
+
+
 def test_energy_command_reconciles(runner, tmp_path):
     out = tmp_path / "e"
     res = runner.invoke(cli, ["energy", "--out", str(out)])

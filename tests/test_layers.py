@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import (causal_conv_shift, causal_conv_shift_grads,
+                     depthwise_conv_shift, depthwise_conv_shift_grads)
 from spikescan import layers as ly
 from spikescan import numerics as nm
 from spikescan.numerics import Tape, Tensor, grad_check
@@ -59,6 +62,86 @@ def test_dense_causal_conv_gradients():
 
     assert _fd(loss_x, x0) <= 1e-6
     assert _fd(loss_w, w0) <= 1e-6
+
+
+def _rel_err(got, want):
+    # largest deviation relative to the largest oracle magnitude
+    return float(np.max(np.abs(got - want), initial=0.0)
+                 / max(np.max(np.abs(want), initial=0.0), 1e-300))
+
+
+def _taped_conv(op, x, w, b, g):
+    tape = Tape()
+    xt, wt, bt = tape.leaf(x), tape.leaf(w), tape.leaf(b)
+    y = op(xt, wt, bt)
+    tape.backward(y, seed=g)
+    return y.data, tape.grad(xt), tape.grad(wt), tape.grad(bt)
+
+
+def _check_depthwise_against_oracle(rng, B, C, T, k):
+    x = rng.normal(size=(B, C, T))
+    kern = rng.normal(size=(C, k))
+    bias = rng.normal(size=C)
+    g = rng.normal(size=(B, C, T))
+    out, gx, gk, gb = _taped_conv(nm.depthwise_causal_conv, x, kern, bias, g)
+    want_gx, want_gk, want_gb = depthwise_conv_shift_grads(x, kern, g)
+    assert np.array_equal(out, depthwise_conv_shift(x, kern, bias))
+    assert np.array_equal(gx, want_gx)
+    assert _rel_err(gk, want_gk) <= 1e-12
+    assert _rel_err(gb, want_gb) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 700),
+       st.integers(1, 40), st.integers(1, 9), st.integers(0, 2 ** 31 - 1))
+def test_convs_match_shifted_copy_oracles(B, C, T, k, c_out, seed):
+    # k > T is drawn too: the taps that fall off the start contribute nothing
+    rng = np.random.default_rng(seed)
+    _check_depthwise_against_oracle(rng, B, C, T, k)
+    x = rng.normal(size=(B, C, T))
+    w = rng.normal(size=(c_out, C, k))
+    bias = rng.normal(size=c_out)
+    g = rng.normal(size=(B, c_out, T))
+    got = _taped_conv(nm.causal_conv, x, w, bias, g)
+    want = (causal_conv_shift(x, w, bias),) + causal_conv_shift_grads(x, w, g)
+    for a, b in zip(got, want):
+        assert _rel_err(a, b) <= 1e-12
+
+
+def test_depthwise_conv_ragged_lane_blocks_match_oracle():
+    # 210 lanes of T=1024 make six full 32-lane blocks and a ragged 18-lane one
+    assert nm._block_rows(1024) == 32
+    _check_depthwise_against_oracle(np.random.default_rng(3), 3, 70, 1024, 32)
+
+
+def test_conv_gradients_across_lane_blocks(monkeypatch):
+    # shrink the block to 4 lanes of T=9 so the 6 lanes split 4 + 2
+    monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", 8 * 9 * 4)
+    assert nm._block_rows(9) == 4
+    test_depthwise_conv_gradients()
+    # k > T: the oldest taps never reach the sequence
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(size=(2, 3, 4))
+    k0 = rng.normal(size=(3, 6))
+    w0 = rng.normal(size=(2, 3, 6))
+    assert _fd(lambda x: nm.mean_all(nm.power(
+        nm.depthwise_causal_conv(x, Tensor(k0)), 2.0)), x0) <= 1e-6
+    assert _fd(lambda k: nm.mean_all(nm.power(
+        nm.depthwise_causal_conv(Tensor(x0), k), 2.0)), k0) <= 1e-6
+    assert _fd(lambda x: nm.mean_all(nm.power(
+        nm.causal_conv(x, Tensor(w0)), 2.0)), x0) <= 1e-6
+    assert _fd(lambda w: nm.mean_all(nm.power(
+        nm.causal_conv(Tensor(x0), w), 2.0)), w0) <= 1e-6
+
+
+def test_depthwise_kernel_gradient_one_lane_per_block():
+    # T > 32768 puts every lane in a block of its own
+    assert nm._block_rows(40000) == 1
+    rng = np.random.default_rng(5)
+    x0 = rng.normal(size=(1, 2, 40000))
+    k0 = rng.normal(size=(2, 3))
+    assert _fd(lambda k: nm.mean_all(nm.power(
+        nm.depthwise_causal_conv(Tensor(x0), k), 2.0)), k0) <= 1e-6
 
 
 def test_channel_mix_and_bias_gradients():

@@ -275,6 +275,24 @@ def test_full_psn_flag_and_sliding_step_matches_sequence():
                                   sliding.sequence(Tensor(x)).data)
 
 
+def test_sliding_psn_window_matches_step_fold_and_banded_matrix():
+    # random weights past lag 32 matter, so a dropped or shifted tap shows
+    rng = np.random.default_rng(17)
+    k, T = 37, 300
+    w = rng.normal(size=k)
+    x = rng.normal(size=(2, 3, T))
+    sliding = PsnNeuron(PsnParams.sliding(Tensor(w)))
+    s = sliding.sequence(Tensor(x)).data
+    assert 0.1 < s.mean() < 0.9
+    np.testing.assert_array_equal(s, sliding.serial_fold(x))
+    lag = np.arange(T)[:, None] - np.arange(T)[None, :]
+    toeplitz = np.where((lag >= 0) & (lag < k), w[np.clip(lag, 0, k - 1)], 0.0)
+    banded = PsnNeuron(PsnParams.masked(Tensor(toeplitz), k))
+    h = sliding.trace(x)[1]
+    h_band = banded.trace(x)[1]
+    assert np.max(np.abs(h - h_band)) <= 1e-12 * np.max(np.abs(h_band))
+
+
 # ---------------------------------------------------------------------------
 # nonlinearity witnesses
 

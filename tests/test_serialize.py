@@ -2,7 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from spikescan.errors import CorruptContainer, SpikescanError
 from spikescan.serialize import MAGIC, load_tensors, save_tensors
 
 
@@ -70,3 +72,73 @@ def test_params_roundtrip_through_container(tmp_path):
                                   params.channel_mix.data)
     assert restored.tau == params.tau
     assert restored.n_max == params.n_max
+
+
+def _valid_container(tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "valid.spkn"
+    # the first header spans bytes 5-29: name length, "m", rank, two extents
+    save_tensors(path, {"m": rng.normal(size=(2, 2)), "scalar": np.array(1.5),
+                        "vec": rng.normal(size=3), "é": np.zeros((2, 0, 3))})
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [7, 10, 14, 20])
+def test_cut_inside_a_header_is_corrupt(tmp_path, cut):
+    path, raw = _valid_container(tmp_path)
+    path.write_bytes(raw[:cut])
+    with pytest.raises(CorruptContainer) as err:
+        load_tensors(path)
+    assert 5 <= err.value.offset <= cut
+
+
+def test_overflowing_extents_are_corrupt(tmp_path):
+    # 2^32 * 2^32 * 2^32 wraps to 0 in int64; with Python ints it is huge
+    path = tmp_path / "huge.spkn"
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + b"h" + struct.pack("<I", 3)
+                     + struct.pack("<3Q", 2 ** 32, 2 ** 32, 2 ** 32))
+    with pytest.raises(CorruptContainer) as err:
+        load_tensors(path)
+    assert err.value.offset == 5 + 4 + 1 + 4
+    # an empty tensor with a huge extent is still beyond what numpy can hold
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + b"h" + struct.pack("<I", 2)
+                     + struct.pack("<2Q", 0, 2 ** 62))
+    with pytest.raises(CorruptContainer):
+        load_tensors(path)
+
+
+def test_non_utf8_name_is_corrupt(tmp_path):
+    path = tmp_path / "name.spkn"
+    path.write_bytes(MAGIC + struct.pack("<I", 2) + b"\xff\xfe"
+                     + struct.pack("<I", 0) + struct.pack("<d", 1.0))
+    with pytest.raises(CorruptContainer) as err:
+        load_tensors(path)
+    assert err.value.offset == 9
+    assert isinstance(err.value, SpikescanError)
+
+
+def _roundtrips_or_corrupt(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        loaded = load_tensors(path)
+    except CorruptContainer:
+        return
+    again = path.with_name("again.spkn")
+    save_tensors(again, loaded)
+    assert again.read_bytes() == data
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_container_roundtrips_or_is_corrupt(tmp_path, data):
+    path, raw = _valid_container(tmp_path)
+    cut = data.draw(st.integers(0, len(raw)))
+    _roundtrips_or_corrupt(path, raw[:cut])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                         st.integers(1, 255)),
+                               min_size=1, max_size=3))
+    damaged = bytearray(raw)
+    for pos, mask in flips:
+        damaged[pos] ^= mask
+    _roundtrips_or_corrupt(path, bytes(damaged))
