@@ -97,9 +97,19 @@ def _fmt(v) -> str:
 
 
 def _run_command(name: str, config: dict, out_dir: Path) -> int:
+    # the directories this call creates, deepest first; a core that refuses
+    # its config (UsageError) leaves them as they were: absent
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    outputs, code = _CORES[name](config, out_dir)
+    try:
+        outputs, code = _CORES[name](config, out_dir)
+    except click.UsageError:
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     _write_manifest(out_dir, name, config, outputs, time.perf_counter() - t0)
     return code
 

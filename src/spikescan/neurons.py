@@ -18,7 +18,7 @@ Models:
 * ``DsnNeuron`` -- reset-free neuron whose decay is produced per step from
   the last k inputs by a depthwise causal convolution and a sharpened
   sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via the
-  scan, serial via an O(C*k) ring buffer.
+  scan, serial via an O(C*k) window of the last k-1 inputs.
 * ``PsnNeuron`` -- the learnable time-by-time weight family: full (dense,
   non-causal), masked (banded lower-triangular) and sliding (k shared
   weights).  Full/masked are locked to their training length and raise
@@ -28,13 +28,14 @@ Models:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import LengthMismatch, ParallelUnavailable, ShapeMismatch, StepUnavailable
-from .numerics import (SurrogateKind, Rectangular, Tensor, heaviside, round_half_away,
-                       surrogate_grad)
+from .errors import (LengthMismatch, NonFiniteError, ParallelUnavailable, ShapeMismatch,
+                     StepUnavailable)
+from .numerics import SurrogateKind, Rectangular, Tensor, heaviside, surrogate_grad
 from .scan import linear_scan, scan
 
 HARD, SOFT, NONE = "hard", "soft", "none"
@@ -204,6 +205,19 @@ class DsnParams:
     def kernel_size(self) -> int:
         return self.conv_kernel.shape[1]
 
+    @cached_property
+    def _step_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays the serial step reads every call: -kernel as (k, 1, C)
+        columns, oldest tap first; -bias as (1, C), or 0.0; and n_max.
+
+        The step sums the negated pre-activation, which is exact (negation
+        commutes with every rounding), so its sigmoid needs no negation of
+        its own.
+        """
+        bias = _ZERO if self.conv_bias is None else -self.conv_bias.data[None, :]
+        return (-self.conv_kernel.data.T[:, None, :], bias,
+                _constant(float(self.n_max)))
+
     @classmethod
     def init(cls, channels: int, k: int = 4, tau: float = 0.25, n_max: int = 4,
              bias: bool = True, mix: bool = False,
@@ -236,23 +250,106 @@ class DsnParams:
                    tau=float(d["tau"][0]), n_max=int(d["n_max"][0]))
 
 
-@dataclass
+@dataclass(slots=True)
 class DsnState:
-    """Streaming state: membrane potential (B, C) and the last k-1 inputs."""
+    """Streaming state: membrane potential (B, C) and the last k-1 inputs.
+
+    window is (B, C, k-1), oldest first.  ``dsn_step`` returns it as a view
+    of tap-major (k-1, B, C) memory, so the next step shifts it in one
+    contiguous copy; any layout is accepted.
+    """
 
     h: np.ndarray
-    window: np.ndarray  # (B, C, k-1) ring, oldest first
+    window: np.ndarray
 
     @classmethod
     def zeros(cls, batch: int, channels: int, kernel_size: int) -> "DsnState":
         return cls(h=np.zeros((batch, channels)),
-                   window=np.zeros((batch, channels, kernel_size - 1)))
+                   window=np.zeros((kernel_size - 1, batch, channels)).transpose(1, 2, 0))
 
 
-def _sharp_sigmoid(pre: np.ndarray, tau: float) -> np.ndarray:
-    # same saturation clip and open-interval pinning as the taped path
-    sig = 1.0 / (1.0 + np.exp(-np.clip(pre, -500.0, 500.0)))
-    return np.clip(sig ** (1.0 / tau), nm.UNIT_OPEN_LO, nm.UNIT_OPEN_HI)
+def _constant(value: float) -> np.ndarray:
+    c = np.array(value)
+    c.flags.writeable = False
+    return c
+
+
+# Scalar operands of the serial steps as read-only 0-d float64 arrays: a
+# ufunc converts a Python float operand on every call, which costs about a
+# third of a call at 16 lanes (0.9 against 1.3 us, 2-core Xeon).
+_ZERO, _HALF, _ONE, _EXP_CAP = (_constant(v) for v in (0.0, 0.5, 1.0, 500.0))
+_UNIT_LO, _UNIT_HI = _constant(nm.UNIT_OPEN_LO), _constant(nm.UNIT_OPEN_HI)
+
+
+def _finite_input(x: np.ndarray) -> None:
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        raise NonFiniteError("non-finite input")
+
+
+# Lanes (B*C) from which a serial step forms an ordered sum as a loop of
+# row-wise multiply-adds instead of one multiply and one accumulate.  The
+# accumulate walks its terms lane by lane, so its cost grows with lanes x
+# terms; the loop costs two ufunc calls per term.  Measured per ``step`` on
+# a 2-core Xeon, float64, one BLAS thread, median of 5 folds, accumulate
+# against loop, in us:
+#
+# * dsn (k=4): 16 lanes 19 vs 35, 64 lanes 18 vs 20, 256 lanes 35 vs 41,
+#   512 lanes 54 vs 50, 1024 lanes 65 vs 61;
+# * sliding-psn (k=32): 16 lanes 16 vs 83, 64 lanes 18 vs 57, 256 lanes 54
+#   vs 82, 512 lanes 124 vs 85, 1024 lanes 228 vs 120.
+STEP_LOOP_LANES = 512
+
+
+def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+    """sum over j of a[j] * b[j], a (B, C)-shaped sum added in the order
+    j = 0, 1, ... of the leading axis.
+
+    That is the order in which ``depthwise_causal_conv`` adds its taps
+    (oldest first) into each output element and in which the taped
+    ``channel_mix`` adds its channels, so every partial sum rounds as it
+    does there and a step reproduces ``sequence`` bit for bit.  Those ops
+    start from +0.0; this sum starts from the first term, which changes
+    only the sign of a sum whose every term is -0.0 (adding +0.0 to the
+    result undoes that).  Below ``STEP_LOOP_LANES`` lanes the sum is one
+    multiply and one in-place ``np.add.accumulate`` down the leading axis;
+    from there on it is a loop of row-wise multiply-adds.
+    """
+    if shape[0] * shape[1] < STEP_LOOP_LANES:
+        terms = np.multiply(a, b)
+        np.add.accumulate(terms, axis=0, out=terms)
+        return terms[-1]
+    acc, term = np.multiply(a[0], b[0]), np.empty(shape)
+    for j in range(1, a.shape[0]):
+        np.multiply(a[j], b[j], out=term)
+        np.add(acc, term, out=acc)
+    return acc
+
+
+def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
+    """Decays (B, C) from a tap-major (k, B, C) window, oldest first.
+
+    This is the arithmetic of ``dsn_alpha_sequence`` at one step, run in
+    place on the negated pre-activation (``DsnParams._step_operands``):
+    unit_interval_clamp(sigmoid(pre) ** (1/tau)).  The taped sigmoid takes
+    exp(-clip(pre, -500, 500)); here the exponent is min(-pre, 500), which
+    differs only where pre > 500, and there both exponentials are below
+    1e-217, so 1 + exp rounds to 1.0 either way.  The clamp is
+    np.maximum/np.minimum, which agree with np.clip on a power (never -0.0).
+    """
+    shape = window.shape[1:]
+    taps, bias, _ = params._step_operands
+    npre = _ordered_sum(window, taps, shape)
+    np.add(npre, bias, out=npre)
+    if params.channel_mix is not None:
+        npre = _ordered_sum(params.channel_mix.data.T[:, None, :], npre.T[:, :, None],
+                            shape)
+    np.minimum(npre, _EXP_CAP, out=npre)
+    np.exp(npre, out=npre)
+    np.add(npre, _ONE, out=npre)
+    np.divide(_ONE, npre, out=npre)
+    npre **= 1.0 / params.tau
+    np.maximum(npre, _UNIT_LO, out=npre)
+    return np.minimum(npre, _UNIT_HI, out=npre)
 
 
 def dsn_dynamic_decay(params: DsnParams, x_window) -> Tensor:
@@ -265,30 +362,54 @@ def dsn_dynamic_decay(params: DsnParams, x_window) -> Tensor:
     k = params.kernel_size
     if x_window.ndim != 3 or x_window.shape[1:] != (params.channels, k):
         raise ShapeMismatch(f"window must be (B, {params.channels}, {k})")
-    kern = params.conv_kernel.data
-    pre = np.zeros(x_window.shape[:2], dtype=x_window.data.dtype)
-    for j in range(k):  # accumulation order matches the sequence convolution
-        pre += kern[None, :, j] * x_window.data[..., j]
-    if params.conv_bias is not None:
-        pre += params.conv_bias.data[None, :]
-    if params.channel_mix is not None:
-        pre = np.einsum("dc,bc->bd", params.channel_mix.data, pre)
-    return Tensor(_sharp_sigmoid(pre, params.tau))
+    return Tensor(_dsn_decay(params, x_window.data.transpose(2, 0, 1)))
 
 
 def dsn_step(params: DsnParams, state: DsnState, x_t) -> tuple[np.ndarray, DsnState]:
-    """Serial inference step: advance the ring buffer, decay, fire.
+    """Serial inference step: advance the window, decay, fire.
 
-    Returns the integer spike array (B, C) and the new state.
+    Returns the integer spike array (B, C) and the new state; the state
+    passed in is never modified, and a non-finite frame raises
+    NonFiniteError.
+
+    Tap order: the window is shifted oldest first, and the pre-activation
+    is the sum over taps j = 0 (oldest) .. k-1 (current) of
+    kernel[:, j] * x_{t-k+1+j}, added in that order (``_ordered_sum``), then
+    the bias, then the channel mix in channel order.  That is the order in
+    which ``depthwise_causal_conv`` and ``channel_mix`` add, so spikes,
+    membranes and decays equal ``dsn_serial_trace``, and spikes and decays
+    equal ``sequence``, bit for bit.  The decay chain runs in place.
+
+    Measured per ``Neuron.step`` call on a 2-core Xeon, float64, one BLAS
+    thread, kinds interleaved, median of 11 runs (``BENCH_serial_step.json``),
+    at 1x16 and 4x256 lanes:
+
+    * lif-hard: 11.6 and 20 us;
+    * dsn (k=4): 28 and 70 us, from 58 and 108 us with a Python loop over
+      taps, a Tensor-wrapped window and np.clip; 2.4x lif-hard at 1x16;
+    * sliding-psn (k=32): 17 and 133 us, from 106 and 193 us with a Python
+      loop over taps; 1.5x lif-hard at 1x16.
     """
-    x_arr = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=state.h.dtype)
-    if x_arr.shape != state.h.shape:
-        raise ShapeMismatch(f"x_t {x_arr.shape} vs state {state.h.shape}")
-    window = np.concatenate([state.window, x_arr[..., None]], axis=-1)
-    alpha = dsn_dynamic_decay(params, Tensor(window)).data
-    h = alpha * state.h + (1.0 - alpha) * x_arr
-    s = np.clip(round_half_away(h), 0.0, float(params.n_max))
-    return s, DsnState(h=h, window=window[..., 1:])
+    x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=state.h.dtype)
+    if x.shape != state.h.shape:
+        raise ShapeMismatch(f"x_t {x.shape} vs state {state.h.shape}")
+    window = np.concatenate((state.window.transpose(2, 0, 1), x[None]))
+    x = window[-1]  # contiguous
+    _finite_input(x)
+    alpha = _dsn_decay(params, window)
+    h = np.multiply(alpha, state.h)
+    np.subtract(_ONE, alpha, out=alpha)
+    np.multiply(alpha, x, out=alpha)
+    np.add(h, alpha, out=h)
+    # clip(round_half_away(h), 0, n_max) as clip_round takes it: h + 0.5
+    # away from zero, truncated, is round_half_away(h); negative counts
+    # become +0.0 and a -0.0 stays, as np.clip leaves it
+    s = np.copysign(_HALF, h)
+    np.add(s, h, out=s)
+    np.trunc(s, out=s)
+    np.minimum(s, params._step_operands[2], out=s)
+    s[s < _ZERO] = 0.0
+    return s, DsnState(h=h, window=window[1:].transpose(1, 2, 0))
 
 
 def dsn_alpha_sequence(params: DsnParams, x) -> Tensor:
@@ -491,15 +612,24 @@ class Neuron:
 
     def trace(self, x: np.ndarray):
         """(S, H) arrays over a (B, C, T) input: the fold of ``step``."""
-        state = self.init_state(x.shape[0], x.shape[1])
-        s_out, h_out = np.empty_like(x), np.empty_like(x)
-        for t in range(x.shape[-1]):
-            s_out[..., t], h_out[..., t], state = self.step(state, x[..., t])
-        return s_out, h_out
+        return self._fold(x, membranes=True)
 
     def serial_fold(self, x: np.ndarray) -> np.ndarray:
-        """Spikes from folding ``step`` over time."""
-        return Neuron.trace(self, x)[0]
+        """Spikes from folding ``step`` over time; the membranes are not kept."""
+        return self._fold(x, membranes=False)[0]
+
+    def _fold(self, x: np.ndarray, membranes: bool):
+        _finite_input(x)
+        frames = np.ascontiguousarray(x.transpose(2, 0, 1))  # (T, B, C)
+        state = self.init_state(x.shape[0], x.shape[1])
+        s_out = np.empty_like(frames)
+        h_out = np.empty_like(frames) if membranes else None
+        for t in range(frames.shape[0]):
+            s_out[t], h, state = self.step(state, frames[t])
+            if membranes:
+                h_out[t] = h
+        s_out = s_out.transpose(1, 2, 0)
+        return (s_out, h_out.transpose(1, 2, 0)) if membranes else (s_out, None)
 
 
 class LifNeuron(Neuron):
@@ -539,12 +669,13 @@ class LifNeuron(Neuron):
         return nm.spike_threshold(Tensor(h), cfg.v_th, self.sg)
 
     def trace(self, x: np.ndarray):
+        _finite_input(x)
         s, h, _ = lif_trace(self.cfg, x)
         return s, h
 
 
 class DsnNeuron(Neuron):
-    """Dynamic-decay neuron: scan-parallel training, ring-buffer inference."""
+    """Dynamic-decay neuron: scan-parallel training, windowed serial inference."""
 
     def __init__(self, params: DsnParams):
         self.params = params
@@ -599,15 +730,32 @@ class PsnNeuron(Neuron):
             raise StepUnavailable(
                 f"{self.name}: weights are coupled to absolute timesteps")
         k = self.params.weight.shape[0]
-        return np.zeros((batch, channels, k))
+        return np.zeros((k, batch, channels))
 
     def step(self, state, x_t):
-        # state holds the last k inputs, oldest first
-        window = np.concatenate([state[..., 1:], np.asarray(x_t)[..., None]], axis=-1)
-        w = self.params.weight.data[::-1]  # lag order -> window order
-        h = np.zeros(window.shape[:2], dtype=window.dtype)
-        for j in range(w.shape[0]):
-            h += w[j] * window[..., j]
+        """Shift the window, take its weighted sum, fire.
+
+        The state is the last k inputs, tap-major (k, B, C) and oldest
+        first; it is not modified.  A non-finite frame raises
+        NonFiniteError.
+
+        Tap order: the membrane is the sum over taps j = 0 (oldest) .. k-1
+        (current) of weight[k-1-j] * x_{t-k+1+j}, added in that order from
+        +0.0 (``_ordered_sum``), the order of the depthwise conv that
+        ``sequence`` runs, so membranes and spikes equal it bit for bit.
+
+        Measured as for ``dsn_step`` (k=32): 17 us at 1x16 and 133 us at
+        4x256 lanes, from 106 and 193 us with a Python loop over taps,
+        against 11.6 and 20 us for lif-hard.
+        """
+        x = np.asarray(x_t, dtype=float)
+        _finite_input(x)
+        window = np.empty_like(state)
+        window[:-1] = state[1:]
+        window[-1] = x
+        taps = self.params.weight.data[::-1, None, None]  # lag order -> window order
+        h = _ordered_sum(window, taps, x.shape)
+        np.add(h, _ZERO, out=h)  # the conv's sum starts at +0.0
         s = heaviside(h - self.v_th)
         return s, h, window
 
@@ -622,6 +770,7 @@ class PsnNeuron(Neuron):
         return psn_forward(self.params, x, self.v_th, self.sg)
 
     def trace(self, x: np.ndarray):
+        _finite_input(x)
         h = _psn_membrane(self.params, x).data
         return heaviside(h - self.v_th), h
 

@@ -87,19 +87,22 @@ class _SequenceModel:
     # -- serial inference ---------------------------------------------------
 
     def eval_serial(self, x: np.ndarray) -> float:
-        """Stepwise next-value loss on (B, 1, T) input of any length."""
+        """Stepwise next-value loss on (B, 1, T) input of any length.
+
+        Every frame is encoded in one elementwise op, the neuron's ``step``
+        is folded over time (``serial_fold``) and the spikes are decoded
+        after the fold, as one (B, C) @ (C,) product per step in time-major
+        order, which rounds as a product per step does.
+        """
         if not self.neuron.supports_step:
             raise LengthMismatch(f"{self.kind} has no serial mode")
         vals = {p.name: p.value for p in self.params}
         neuron = self._neuron(self._leaves(None))
-        b, _, T = x.shape
-        state = neuron.init_state(b, self.channels)
-        preds = np.empty((b, T))
-        for t in range(T):
-            h_t = vals["enc_w"][:, 0][None, :] * x[:, 0, t][:, None] \
-                + vals["enc_b"][None, :]
-            s, _, state = neuron.step(state, h_t)
-            preds[:, t] = s @ vals["dec_w"][0] + vals["dec_b"][0]
+        # (T, B, C) frames, viewed as (B, C, T): the fold steps along T
+        frames = vals["enc_w"][:, 0] * x[:, 0, :].T[:, :, None] + vals["enc_b"]
+        s = neuron.serial_fold(frames.transpose(1, 2, 0))
+        s = np.ascontiguousarray(s.transpose(2, 0, 1))
+        preds = np.ascontiguousarray((s @ vals["dec_w"][0] + vals["dec_b"][0]).T)
         return float(np.mean((preds[:, :-1] - x[:, 0, 1:]) ** 2))
 
 

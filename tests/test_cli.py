@@ -192,6 +192,23 @@ def test_bench_unknown_neuron_is_a_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["props", "--neuron", "psn", "--property", "short-control"],
+    ["bench", "--neurons", "nosuch", "--lengths", "8"]], ids=["props", "bench"])
+def test_usage_error_leaves_no_new_out_directory(runner, tmp_path, args):
+    out = tmp_path / "new" / "out"
+    res = runner.invoke(cli, args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "new").exists()
+    # a directory that existed before stays, with what it held
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "note.txt").write_text("mine")
+    res = runner.invoke(cli, args + ["--out", str(kept)])
+    assert res.exit_code == 2, res.output
+    assert [p.name for p in kept.iterdir()] == ["note.txt"]
+
+
 def test_lif_bench_pass_tape_size_is_independent_of_length(monkeypatch):
     tapes = []
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import dsn_serial_trace, lif_step_fold, matrix_form
+from spikescan import neurons
 from spikescan import numerics as nm
-from spikescan.errors import LengthMismatch, ShapeMismatch
+from spikescan.errors import LengthMismatch, NonFiniteError, ShapeMismatch
 from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
-                               LifNeuron, NeuronConfig, PsnNeuron, PsnParams,
-                               dsn_dynamic_decay, dsn_forward_parallel,
+                               LifNeuron, Neuron, NeuronConfig, PsnNeuron,
+                               PsnParams, dsn_dynamic_decay, dsn_forward_parallel,
                                dsn_step, lif_sequence, lif_trace, make_neuron,
                                psn_forward)
 from spikescan.numerics import ArcTangent, Rectangular, Tensor
@@ -175,6 +176,36 @@ def test_dsn_streaming_state_is_bounded():
         sizes.add(neuron.state_size(state))
     assert len(sizes) == 1
     assert state.window.shape[-1] == params.kernel_size - 1
+
+
+@pytest.mark.parametrize("loop_lanes", [10 ** 9, 1], ids=["accumulate", "loop"])
+def test_step_sums_match_sequence_in_both_forms(monkeypatch, loop_lanes):
+    # the step's ordered sums (taps, and channels of a mix) as one accumulate
+    # and as a loop over terms; both must round as the taped ops do
+    monkeypatch.setattr(neurons, "STEP_LOOP_LANES", loop_lanes)
+    rng = np.random.default_rng(24)
+    c = 6
+    base = DsnParams.init(channels=c, k=5, seed=8)
+    params = DsnParams(conv_kernel=base.conv_kernel,
+                       conv_bias=Tensor(rng.normal(size=c)),
+                       channel_mix=Tensor(rng.normal(size=(c, c)) / np.sqrt(c)),
+                       tau=0.5, n_max=3)
+    x = rng.normal(size=(2, c, 300)) * 2.0
+    s_par, _, a_par = dsn_forward_parallel(params, Tensor(x))
+    s_fold = DsnNeuron(params).serial_fold(x)
+    assert 0.1 < np.mean(s_fold > 0) < 0.9
+    np.testing.assert_array_equal(s_fold, s_par.data)
+    _, _, a_ser = dsn_serial_trace(params, x)
+    np.testing.assert_array_equal(a_ser, a_par.data)
+    sliding = PsnNeuron(PsnParams.sliding(Tensor(rng.normal(size=37))))
+    s_step, h_step = Neuron.trace(sliding, x)
+    s_conv, h_conv = sliding.trace(x)
+    assert s_step.tobytes() == s_conv.tobytes()
+    assert h_step.tobytes() == h_conv.tobytes()
+    # negative weights over zeros: every term is -0.0, the conv's sum +0.0
+    negative = PsnNeuron(PsnParams.sliding(Tensor(-np.ones(4))))
+    zeros = np.zeros((2, 3, 6))
+    assert Neuron.trace(negative, zeros)[1].tobytes() == negative.trace(zeros)[1].tobytes()
 
 
 def test_dsn_params_validation():
@@ -468,3 +499,56 @@ def test_init_decay_long_lengths_fill_only_the_causal_part():
     small = PsnParams.init_decay("full", t_train=64).weight.data
     i, j = np.indices(small.shape)
     np.testing.assert_array_equal(small, np.where(j <= i, 0.5 ** (i - j) * 0.5, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the serial step contract
+
+
+def _state_arrays(state):
+    if isinstance(state, DsnState):
+        return [state.h, state.window]
+    return [state]
+
+
+STEP_KINDS = [k for k in NEURON_KINDS if make_neuron(k, t_train=16).supports_step]
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_step_is_a_function_of_its_state(kind):
+    neuron = make_neuron(kind, channels=3, t_train=16, k=5, seed=2)
+    rng = np.random.default_rng(25)
+    state = neuron.init_state(2, 3)
+    for _ in range(7):  # a state that is not all zeros
+        _, _, state = neuron.step(state, rng.normal(size=(2, 3)) * 2.0)
+    before = [a.copy() for a in _state_arrays(state)]
+    x_t = rng.normal(size=(2, 3)) * 2.0
+    first = neuron.step(state, x_t)
+    second = neuron.step(state, x_t)
+    for a, b in zip(_state_arrays(state), before):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(first[:2] + tuple(_state_arrays(first[2])),
+                    second[:2] + tuple(_state_arrays(second[2]))):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", NEURON_KINDS)
+def test_non_finite_input_is_rejected(kind, bad):
+    neuron = make_neuron(kind, channels=3, t_train=16, k=5, seed=2)
+    x = np.random.default_rng(26).normal(size=(2, 3, 16))
+    x[1, 2, 9] = bad
+    with pytest.raises(NonFiniteError):
+        neuron.trace(x)
+    if neuron.supports_step:
+        with pytest.raises(NonFiniteError):
+            neuron.serial_fold(x)
+
+
+@pytest.mark.parametrize("kind", ["dsn", "sliding-psn"])
+def test_non_finite_frame_is_rejected_by_step(kind):
+    neuron = make_neuron(kind, channels=3, k=5, seed=2)
+    state = neuron.init_state(1, 3)
+    _, _, state = neuron.step(state, np.ones((1, 3)))
+    with pytest.raises(NonFiniteError):
+        neuron.step(state, np.array([[0.0, np.nan, 1.0]]))
