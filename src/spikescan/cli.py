@@ -61,7 +61,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a NaN or infinity raises instead of writing a bare token
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -143,16 +145,34 @@ def _bench_pass(neuron, x: np.ndarray):
     return t1 - t0, t3 - t2, digest
 
 
-def _fit_slope(lengths: list[int], seconds: list[float]) -> float:
+def _fit_slope(lengths: list[int], seconds: list[float]) -> float | None:
     if len(lengths) < 2:
-        return float("nan")
+        return None
     logs = np.log2(np.asarray(lengths, dtype=float))
     logt = np.log2(np.asarray(seconds, dtype=float))
     coeffs = np.polyfit(logs, logt, 1)
     return float(coeffs[0])
 
 
+def _check_bench_config(config: dict) -> None:
+    lengths = config["lengths"]
+    for key in ("batch", "channels", "reps"):
+        if config[key] < 1:
+            raise click.UsageError(f"bench --{key} must be at least 1, "
+                                   f"got {config[key]}")
+    if not lengths or min(lengths) < 1:
+        raise click.UsageError(f"bench --lengths must be positive, "
+                               f"got {lengths}")
+    if len(set(lengths)) != len(lengths):
+        raise click.UsageError(f"bench --lengths must be distinct, "
+                               f"got {lengths}")
+    if config["seed"] < 0:
+        raise click.UsageError(f"bench --seed must be non-negative, "
+                               f"got {config['seed']}")
+
+
 def _core_bench(config: dict, out_dir: Path):
+    _check_bench_config(config)
     neurons = config["neurons"]
     lengths = config["lengths"]
     reps = config["reps"]
@@ -181,9 +201,9 @@ def _core_bench(config: dict, out_dir: Path):
                 "bwd_ms_mean": float(np.mean(bwd) * 1e3),
             })
             totals.append(np.median(fwd) + np.median(bwd))
-        slopes[kind] = _fit_slope(lengths, totals)
+        slope = slopes[kind] = _fit_slope(lengths, totals)
         click.echo(f"{kind}: log-log slope of fwd+bwd vs length = "
-                   f"{slopes[kind]:.3f}")
+                   + ("n/a" if slope is None else f"{slope:.3f}"))
     csv_path = out_dir / "bench.csv"
     _write_text(csv_path, _csv(rows, ["neuron", "length", "fwd_ms", "bwd_ms",
                                       "fwd_ms_mean", "bwd_ms_mean"]))
@@ -214,7 +234,11 @@ def cmd_bench(neurons, lengths, batch, channels, reps, seed, out_dir):
     Full/masked PSN cost grows quadratically in length -- budget accordingly
     at the default batch/channel sizes.
     """
-    lengths = sorted(int(v) for v in lengths.split(","))
+    try:
+        lengths = sorted(int(v) for v in lengths.split(","))
+    except ValueError:
+        raise click.UsageError(f"bench --lengths must be a comma list of "
+                               f"integers, got {lengths!r}") from None
     config = {"neurons": [n.strip() for n in neurons.split(",")],
               "lengths": lengths, "batch": batch, "channels": channels,
               "reps": reps, "seed": seed}

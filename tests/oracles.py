@@ -3,7 +3,10 @@
 ``scan_fold`` is the recurrence h_t = a_t h_{t-1} + b_t as a plain left
 fold, and ``matrix_form`` the same scan (with b_t = (1 - a_t) x_t) as one
 explicit T x T weight per lane; the chunked ``spikescan.scan`` is checked
-against both.  ``dsn_serial_trace`` is the DSN recurrence written out step
+against both within a tolerance.  ``scan_moveaxis`` and
+``scan_moveaxis_grads`` are that chunked scan and its adjoint computed on
+whole-array ``moveaxis`` and reversed copies, which ``spikescan.scan`` must
+match bit for bit.  ``dsn_serial_trace`` is the DSN recurrence written out step
 by step with the arithmetic inlined; ``lif_step_fold`` is the per-step taped
 LIF fold (time_slice -> reshape -> charge/fire/reset on the tape, one frame
 at a time) that the taped sequence op replaced.  ``depthwise_conv_shift``
@@ -161,3 +164,54 @@ def causal_conv_shift_grads(x: np.ndarray, weight: np.ndarray, g: np.ndarray):
             gx[..., :T - lag] += piece[..., lag:]
         gw[:, :, j] = np.einsum("bot,bit->oi", g, shift_right(x, lag))
     return gx, gw, np.sum(g, axis=(0, 2))
+
+
+def scan_moveaxis(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """h_t = a_t h_{t-1} + b_t by the two-stage chunked scan, folding on
+    whole-array ``moveaxis`` copies: the end-padded chunks are folded from
+    zero with the chunk position leading, then a left fold over the chunk
+    summaries gives each chunk its carry, spread as prods * carry + local."""
+    T = a.shape[-1]
+    lanes = a.shape[:-1]
+    chunk = min(256, max(T, 1))
+    nc = -(-T // chunk)
+    pad = nc * chunk - T
+    if pad:
+        a = np.concatenate([a, np.ones(lanes + (pad,), a.dtype)], axis=-1)
+        b = np.concatenate([b, np.zeros(lanes + (pad,), b.dtype)], axis=-1)
+    ac = a.reshape(lanes + (nc, chunk))
+    bc = b.reshape(lanes + (nc, chunk))
+    prods = np.cumprod(ac, axis=-1)
+    ac_t = np.ascontiguousarray(np.moveaxis(ac, -1, 0))
+    bc_t = np.ascontiguousarray(np.moveaxis(bc, -1, 0))
+    local_t = np.empty_like(bc_t)
+    acc = np.zeros(lanes + (nc,), dtype=b.dtype)
+    for j in range(chunk):
+        acc = ac_t[j] * acc + bc_t[j]
+        local_t[j] = acc
+    local = np.moveaxis(local_t, 0, -1)
+    sa, sb = prods[..., -1], local_t[-1]
+    carries = np.empty_like(sb)
+    h = h0
+    for i in range(nc):
+        carries[..., i] = h
+        h = sa[..., i] * h + sb[..., i]
+    out = prods * carries[..., None] + local
+    return np.ascontiguousarray(out.reshape(lanes + (nc * chunk,))[..., :T])
+
+
+def scan_moveaxis_grads(alpha: np.ndarray, x: np.ndarray, h0: np.ndarray,
+                        H: np.ndarray, dH: np.ndarray):
+    """(d_alpha, d_x, d_h0) of H = scan(alpha, x, h0) for upstream dH: the
+    adjoint g_t = dH_t + alpha_{t+1} g_{t+1} as ``scan_moveaxis`` over
+    reversed copies of the arrays."""
+    a_rev = alpha[..., ::-1]
+    shifted = np.concatenate(
+        [np.ones(a_rev.shape[:-1] + (1,), a_rev.dtype), a_rev[..., :-1]], axis=-1)
+    zeros = np.zeros(alpha.shape[:-1], dtype=alpha.dtype)
+    g = scan_moveaxis(shifted, np.ascontiguousarray(dH[..., ::-1]), zeros)[..., ::-1]
+    h_prev = np.concatenate([h0[..., None], H[..., :-1]], axis=-1)
+    d_alpha = g * (h_prev - x)
+    d_x = g * (1.0 - alpha)
+    d_h0 = g[..., 0] * alpha[..., 0]
+    return np.ascontiguousarray(d_alpha), np.ascontiguousarray(d_x), d_h0

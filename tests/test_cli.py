@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from spikescan import cli as cli_module
+from spikescan import numerics as nm
 from spikescan.cli import cli
 from spikescan.numerics import Tape
 from spikescan.serialize import load_tensors
@@ -238,3 +239,66 @@ def test_bench_digests_past_one_chunk_match_the_step_fold(runner, tmp_path):
             x, neuron = cli_module._bench_inputs(kind, length, 2, 4, 3)
             want = hashlib.sha256(neuron.serial_fold(x).tobytes()).hexdigest()
             assert digests[kind][str(length)] == want, (kind, length)
+
+
+# sha256 of the spikes and of the input, kernel and bias gradients of one
+# taped DSN bench pass (mean spike loss) at batch 2, 8 channels, seed 3,
+# recorded with the scan that folded on whole-array moveaxis copies; 300
+# and 1024 steps span 2 and 4 scan chunks, so the forward and adjoint
+# carries reach every digest
+BENCH_GRAD_DIGESTS = {
+    300: ("f26c3dfb861874f1d4a8f49ca2be6d59e3cc9fcc936ce492d6651cc649cfe013",
+          "239bd97691c26d57a72a166a983ae560ed3b0036498d7c99a1c4a9a1c8eb9f31",
+          "02c8f316efcd9fe0e77630d9e0295269ed4adfee09d4a02858371bee36186de2",
+          "cf5486d2c75dc61baa773c9838e9c803553c12233005b846545975d7989bbf80"),
+    1024: ("8bc24fcc9af93293566fc4c819e2f4f13b6366933a3fa3c4207792d70b074e6e",
+           "3605146af6e7e5a7f737b132a88597769f62250bd1d91549c1671e314b3c91d0",
+           "fe7273e94927da9f3b217131242e6625c9c5647b43690cd93809e8d37610d0e9",
+           "842c7e22c4f68e2e32a742fc654853daa1d6a82b9841fa5f194a9716ccf22577"),
+}
+
+
+@pytest.mark.parametrize("length", list(BENCH_GRAD_DIGESTS))
+def test_dsn_bench_pass_gradient_digests_match_golden(length):
+    x, neuron = cli_module._bench_inputs("dsn", length, 2, 8, 3)
+    tape = Tape()
+    leaves = {name: tape.leaf(w.data) for name, w in neuron.weights().items()}
+    xt = tape.leaf(x)
+    s = neuron.with_weights(leaves).forward(xt)
+    tape.backward(nm.mean_all(s))
+    arrays = (s.data, tape.grad(xt), tape.grad(leaves["kernel"]),
+              tape.grad(leaves["bias"]))
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in arrays)
+    assert got == BENCH_GRAD_DIGESTS[length]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lengths", "0"], ["--batch", "0"], ["--channels", "0"],
+    ["--lengths", "-5"], ["--lengths", "1,a"], ["--lengths", "1,1"],
+    ["--reps", "0"], ["--seed", "-1"]],
+    ids=lambda flags: " ".join(flags))
+def test_bench_malformed_config_is_a_usage_error(runner, tmp_path, flags):
+    out = tmp_path / "new" / "out"
+    args = ["bench", "--neurons", "dsn", "--lengths", "8", "--batch", "1",
+            "--channels", "2", "--reps", "1"]
+    res = runner.invoke(cli, args + flags + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Error: bench --" in res.output
+    assert not (tmp_path / "new").exists()
+
+
+def test_bench_json_is_strict_json_with_one_length(runner, tmp_path):
+    res = runner.invoke(cli, ["bench", "--neurons", "dsn,lif", "--lengths", "16",
+                              "--batch", "1", "--channels", "2", "--reps", "1",
+                              "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "log-log slope of fwd+bwd vs length = n/a" in res.output
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    payload = json.loads((tmp_path / "bench.json").read_text(),
+                         parse_constant=refuse)
+    assert payload["slopes"] == {"dsn": None, "lif": None}

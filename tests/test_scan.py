@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import matrix_form, scan_fold
+from oracles import (matrix_form, scan_fold, scan_moveaxis,
+                     scan_moveaxis_grads)
 from spikescan import numerics as nm
 from spikescan.numerics import Tape, Tensor, grad_check
 from spikescan.scan import scan
@@ -86,6 +87,29 @@ def test_parallel_serial_property(t, seed):
     x = rng.uniform(-1e4, 1e4, size=(1, 2, t))
     diff = np.abs(scan(alpha, x).data - _fold(alpha, x))
     assert diff.max() <= 1e-10
+
+
+# bit for bit against the scan that folds on whole-array moveaxis copies:
+# lengths around one and several 256-step chunks, lane counts that are not
+# multiples of the transpose tile, a drawn start h0
+@pytest.mark.parametrize("t", [1, 7, 255, 256, 257, 300, 1000, 4096])
+@pytest.mark.parametrize("lanes", [(1, 1), (1, 5), (3, 11), (2, 35)],
+                         ids=lambda lanes: f"{lanes[0] * lanes[1]}lanes")
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       band=st.sampled_from([(0.0, 1.0), (0.9, 1.0), (1e-6, 0.1)]))
+def test_scan_bits_match_moveaxis_oracle(t, lanes, seed, band):
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(*band, size=lanes + (t,))
+    x = rng.normal(scale=3.0, size=lanes + (t,))
+    h0 = rng.normal(size=lanes)
+    dh = rng.normal(size=lanes + (t,))
+    want_h = scan_moveaxis(alpha, (1.0 - alpha) * x, h0)
+    h, grads = _scan_grads(alpha, x, h0, dh)
+    assert h.tobytes() == want_h.tobytes()
+    want = scan_moveaxis_grads(alpha, x, h0, want_h, dh)
+    for name, got, ref in zip(("d_alpha", "d_x", "d_h0"), grads, want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
