@@ -122,11 +122,7 @@ def _run_command(name: str, config: dict, out_dir: Path) -> int:
 
 def _bench_inputs(kind: str, length: int, batch: int, channels: int, seed: int):
     x = np.random.default_rng(seed).normal(size=(batch, channels, length))
-    try:
-        neuron = make_neuron(kind, channels=channels, t_train=length, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(f"bench neuron: {exc}") from None
-    return x, neuron
+    return x, make_neuron(kind, channels=channels, t_train=length, seed=seed)
 
 
 def _bench_pass(neuron, x: np.ndarray):
@@ -156,6 +152,9 @@ def _fit_slope(lengths: list[int], seconds: list[float]) -> float | None:
 
 def _check_bench_config(config: dict) -> None:
     lengths = config["lengths"]
+    unknown = [k for k in config["neurons"] if k.lower() not in ("lif", *NEURON_KINDS)]
+    if unknown:
+        raise click.UsageError(f"bench neuron: unknown neuron kind {unknown[0]!r}")
     for key in ("batch", "channels", "reps"):
         if config[key] < 1:
             raise click.UsageError(f"bench --{key} must be at least 1, "

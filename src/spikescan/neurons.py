@@ -582,6 +582,7 @@ class Neuron:
     supports_step = True
     supports_parallel = True
     n_max = 1  # largest spike count one step can emit
+    channels: int | None = None  # the input width it is built for; None: any
 
     def init_state(self, batch: int, channels: int):
         raise NotImplementedError
@@ -679,6 +680,7 @@ class DsnNeuron(Neuron):
 
     def __init__(self, params: DsnParams):
         self.params = params
+        self.channels = params.channels
         self.name = "dsn"
         self.v_th = 1.0  # integer firing threshold between counts
 

@@ -305,7 +305,7 @@ def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
         return _check_divergence(neuron, c_bound, divergence_factor, max_steps)
 
     tol = 1e-9 * max(1.0, abs(bound))
-    channels = neuron.params.channels if isinstance(neuron, DsnNeuron) else 1
+    channels = neuron.channels or 1
     done = 0
     first_witness = None
     # the adversarial constant rides along as lane 0 of the first chunk
@@ -338,7 +338,7 @@ def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
 
 def _check_divergence(neuron: Neuron, c_bound: float, divergence_factor: float,
                       max_steps: int) -> ControlVerdict:
-    channels = neuron.params.channels if isinstance(neuron, DsnNeuron) else 1
+    channels = neuron.channels or 1
     bar = divergence_factor * max(neuron.v_th, c_bound)
     state = neuron.init_state(1, channels)
     x_t = np.full((1, channels), c_bound)
@@ -405,7 +405,7 @@ def check_conditions_table(neuron: Neuron, rng_seed: int = 0) -> dict[str, bool]
     rng = np.random.default_rng(rng_seed)
     t_lock = getattr(getattr(neuron, "params", None), "t_train", None)
     t_full = t_lock if t_lock else 32
-    channels = neuron.params.channels if isinstance(neuron, DsnNeuron) else 3
+    channels = neuron.channels or 3
     x = rng.normal(size=(2, channels, t_full)) * 2.0
     prefix = t_full // 2
 

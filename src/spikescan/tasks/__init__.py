@@ -1,10 +1,10 @@
 """Desk-scale experiments: membrane approximation, pixel classification,
-length extrapolation, plus the shared training machinery."""
+length extrapolation, plus the one training loop they share (``fit``)."""
 
-from .training import Adam, TrainConfig, Param, cosine_lr
+from .training import Adam, TrainConfig, Param, cosine_lr, fit, leaves
 from .datasets import (SignalSpec, gen_dataset_a, gen_dataset_b,
                        gen_shape_images, gen_wave_mixtures)
-from .approx import (ApproxResult, ApproxTarget, build_approx_model,
+from .approx import (ApproxModel, ApproxResult, ApproxTarget,
                      run_approx_experiment)
 from .extrapolate import run_extrapolation
 from .pixel import run_pixel_task

@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import numerics as nm
-from ..errors import NonFiniteError
 from ..neurons import NeuronConfig, lif_trace
 from ..numerics import Tensor, heaviside, round_half_away
 from ..scan import scan
 from .datasets import gen_dataset_a, gen_dataset_b, split_train_test
-from .training import Adam, Param, TrainConfig, batch_indices, cosine_lr
+from .training import Param, TrainConfig, fit, leaves
 
 HARD_TAUS = ((("hard", 4.0 / 3.0)), ("hard", 2.0), ("hard", 4.0))
 SOFT_TAUS = (("soft", 4.0 / 3.0), ("soft", 2.0), ("soft", 4.0))
@@ -95,25 +94,15 @@ class ApproxModel:
     def param_count(self) -> int:
         return sum(p.value.size for p in self.params)
 
-    def _leaves(self, tape):
-        if tape is None:
-            return {p.name: Tensor(p.value) for p in self.params}
-        return {p.name: p.leaf(tape) for p in self.params}
-
     def forward(self, x: Tensor, tape=None) -> tuple[Tensor, Tensor]:
         """(H, alpha) for (B, C, T) input; taped when a tape is given."""
-        w = self._leaves(tape)
+        w = leaves(self.params, tape)
         pre = nm.causal_conv(x, w["w_up"], w["b_up"])
         hidden = nm.relu(pre)
         mixed = nm.causal_conv(hidden, w["w_down"], w["b_down"])
         alpha = nm.power(nm.sigmoid(mixed), 1.0 / self.tau)
         h = scan(alpha, x)
         return h, alpha
-
-
-def build_approx_model(C: int = 6, k: int = 8, e: int = 8, tau: float = 0.5,
-                       seed: int = 0) -> ApproxModel:
-    return ApproxModel(channels=C, k=k, expand=e, tau=tau, seed=seed)
 
 
 @dataclass
@@ -177,36 +166,21 @@ def run_approx_experiment(dataset: str = "a", targets: ApproxTarget | None = Non
     x_test = np.repeat(test_sig, channels, axis=1)
 
     model = ApproxModel(channels=channels, seed=cfg.seed)
-    opt = Adam(model.params, cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
-    n = x_train.shape[0]
-    steps_per_epoch = -(-n // cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
+
+    def batch_loss(idx, tape):
+        h_pred, _ = model.forward(Tensor(x_train[idx]), tape)
+        diff = nm.sub(h_pred, Tensor(h_train[idx]))
+        return nm.mean_all(nm.mul(diff, diff))
 
     result = ApproxResult(dataset=dataset, integer=integer,
                           channel_specs=list(targets.channels),
                           per_channel_accuracy=[], average_accuracy=0.0)
-    step = 0
-    for epoch in range(cfg.epochs):
-        epoch_loss = 0.0
-        for idx in batch_indices(n, cfg.batch_size, rng):
-            tape = nm.Tape()
-            h_pred, _ = model.forward(Tensor(x_train[idx]), tape)
-            diff = nm.sub(h_pred, Tensor(h_train[idx]))
-            loss = nm.mean_all(nm.mul(diff, diff))
-            if not np.isfinite(loss.item()):
-                raise NonFiniteError(
-                    f"training diverged at epoch {epoch} (loss={loss.item()!r})")
-            tape.backward(loss)
-            lr = (cosine_lr(step, total_steps, cfg.lr)
-                  if cfg.schedule == "cosine" else cfg.lr)
-            opt.step(tape, lr)
-            epoch_loss += loss.item() * len(idx)
-            step += 1
-        result.epoch_losses.append(epoch_loss / n)
-        if (epoch + 1) in eval_at:
+    epochs = fit(model.params, x_train.shape[0], cfg, batch_loss)
+    for epoch, loss in enumerate(epochs, start=1):
+        result.epoch_losses.append(loss)
+        if epoch in eval_at:
             acc = _spike_accuracy(model, x_test, s_test, integer, n_max, targets.v_th)
-            result.accuracy_at[epoch + 1] = float(np.mean(acc))
+            result.accuracy_at[epoch] = float(np.mean(acc))
 
     acc = _spike_accuracy(model, x_test, s_test, integer, n_max, targets.v_th)
     result.per_channel_accuracy = [float(a) for a in acc]

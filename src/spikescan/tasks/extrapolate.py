@@ -19,7 +19,7 @@ from ..errors import LengthMismatch
 from ..neurons import make_neuron
 from ..numerics import Tensor
 from .datasets import gen_wave_mixtures
-from .training import Adam, Param, TrainConfig, batch_indices, cosine_lr
+from .training import Param, TrainConfig, fit, leaves
 
 # the serial-capable kinds first, then the length-locked ones
 EXTRAP_KINDS = ("dsn", "sliding-psn", "psn", "masked-psn")
@@ -63,17 +63,12 @@ class _SequenceModel:
         self.params += [Param(name, w.data)
                         for name, w in self.neuron.weights().items()]
 
-    def _leaves(self, tape):
-        if tape is None:
-            return {p.name: Tensor(p.value) for p in self.params}
-        return {p.name: p.leaf(tape) for p in self.params}
-
     def _neuron(self, w):
         return self.neuron.with_weights({name: w[name] for name in self.neuron.weights()})
 
     def forward(self, x: Tensor, tape=None) -> Tensor:
         """Predicted next values, shape (B, 1, T)."""
-        w = self._leaves(tape)
+        w = leaves(self.params, tape)
         h = nm.add_channel_bias(nm.channel_mix(w["enc_w"], x), w["enc_b"])
         s = self._neuron(w).forward(h)
         return nm.add_channel_bias(nm.channel_mix(w["dec_w"], s), w["dec_b"])
@@ -97,7 +92,7 @@ class _SequenceModel:
         if not self.neuron.supports_step:
             raise LengthMismatch(f"{self.kind} has no serial mode")
         vals = {p.name: p.value for p in self.params}
-        neuron = self._neuron(self._leaves(None))
+        neuron = self._neuron(leaves(self.params, None))
         # (T, B, C) frames, viewed as (B, C, T): the fold steps along T
         frames = vals["enc_w"][:, 0] * x[:, 0, :].T[:, :, None] + vals["enc_b"]
         s = neuron.serial_fold(frames.transpose(1, 2, 0))
@@ -118,27 +113,11 @@ def run_extrapolation(neuron_kind: str, train_T: int = 256,
     """
     cfg = cfg or TrainConfig(lr=2e-3, epochs=15, batch_size=32)
     model = _SequenceModel(neuron_kind, channels, train_T, seed=cfg.seed)
-    opt = Adam(model.params, cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
     x_train = gen_wave_mixtures(n_train, train_T, seed=cfg.seed).data
-
-    steps_per_epoch = -(-n_train // cfg.batch_size)
-    total = cfg.epochs * steps_per_epoch
+    losses = fit(model.params, n_train, cfg,
+                 lambda idx, tape: model.loss(Tensor(x_train[idx]), tape))
     result = ExtrapolationResult(neuron=neuron_kind, train_T=train_T,
-                                 train_losses=[])
-    step = 0
-    for _ in range(cfg.epochs):
-        running = 0.0
-        for idx in batch_indices(n_train, cfg.batch_size, rng):
-            tape = nm.Tape()
-            loss = model.loss(Tensor(x_train[idx]), tape)
-            tape.backward(loss)
-            lr = (cosine_lr(step, total, cfg.lr)
-                  if cfg.schedule == "cosine" else cfg.lr)
-            opt.step(tape, lr)
-            running += loss.item() * len(idx)
-            step += 1
-        result.train_losses.append(running / n_train)
+                                 train_losses=list(losses))
 
     for eval_T in eval_Ts:
         x_eval = gen_wave_mixtures(n_eval, eval_T, seed=cfg.seed + 7).data

@@ -14,11 +14,10 @@ import numpy as np
 
 from .. import layers as ly
 from .. import numerics as nm
-from ..errors import NonFiniteError
 from ..neurons import make_neuron
 from ..numerics import ArcTangent, Tensor
 from .datasets import gen_shape_images
-from .training import Adam, Param, TrainConfig, batch_indices, cosine_lr
+from .training import Param, TrainConfig, fit, leaves
 
 PIXEL_KINDS = ("lif", "sliding-psn", "dsn")
 
@@ -92,11 +91,6 @@ class PixelModel:
             self.params += [Param(f"n{i}_{name}", w.data)
                             for name, w in neuron.weights().items()]
 
-    def _leaves(self, tape):
-        if tape is None:
-            return {p.name: Tensor(p.value) for p in self.params}
-        return {p.name: p.leaf(tape) for p in self.params}
-
     def _neuron(self, idx: int, w, x: Tensor) -> Tensor:
         neuron = self.neurons[idx - 1]
         mine = {name: w[f"n{idx}_{name}"] for name in neuron.weights()}
@@ -104,7 +98,7 @@ class PixelModel:
 
     def forward(self, x: Tensor, tape=None, training: bool = False,
                 collect=None) -> Tensor:
-        w = self._leaves(tape)
+        w = leaves(self.params, tape)
         h1, h2 = self.heights
         y = ly.column_conv(x, w["conv1"], w["conv1_b"], height=h1)
         y = self.bn1(y, w, training)
@@ -141,30 +135,14 @@ def run_pixel_task(neuron_kind: str, cfg: TrainConfig | None = None,
     x_train, y_train = imgs[n_test:], labels[n_test:]
 
     model = PixelModel(neuron_kind, size=size, seed=cfg.seed)
-    opt = Adam(model.params, cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
-    n = len(y_train)
-    total = cfg.epochs * -(-n // cfg.batch_size)
 
-    result = PixelResult(neuron=neuron_kind, accuracy=0.0)
-    step = 0
-    for epoch in range(cfg.epochs):
-        running = 0.0
-        for idx in batch_indices(n, cfg.batch_size, rng):
-            tape = nm.Tape()
-            logits = model.forward(Tensor(x_train[idx]), tape, training=True)
-            loss = ly.softmax_cross_entropy(logits, y_train[idx])
-            if not np.isfinite(loss.item()):
-                raise NonFiniteError(f"training diverged at epoch {epoch}")
-            tape.backward(loss)
-            lr = (cosine_lr(step, total, cfg.lr)
-                  if cfg.schedule == "cosine" else cfg.lr)
-            opt.step(tape, lr)
-            running += loss.item() * len(idx)
-            step += 1
-        result.train_losses.append(running / n)
+    def batch_loss(idx, tape):
+        logits = model.forward(Tensor(x_train[idx]), tape, training=True)
+        return ly.softmax_cross_entropy(logits, y_train[idx])
 
-    result.accuracy = model.accuracy(x_test, y_test)
+    losses = list(fit(model.params, len(y_train), cfg, batch_loss))
+    result = PixelResult(neuron=neuron_kind, train_losses=losses,
+                         accuracy=model.accuracy(x_test, y_test))
     traces = model.spike_traces(x_test)
     result.firing_rates = {k: float(np.mean(v)) for k, v in traces.items()}
     return result

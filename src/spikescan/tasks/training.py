@@ -1,4 +1,5 @@
-"""Shared training loop machinery: parameters, Adam, schedules.
+"""The one training loop, :func:`fit`, and its parts: Adam, lr schedules,
+and parameters read through :func:`leaves`; a task supplies a batch loss.
 
 Training is deterministic given (config, seed): parameter init, batch order
 and every update are driven by seeded generators, and gradient accumulation
@@ -96,3 +97,34 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
+
+
+def leaves(params: list[Param], tape: Tape | None) -> dict[str, Tensor]:
+    """The params by name: leaves on ``tape``, or plain tensors without one."""
+    if tape is None:
+        return {p.name: Tensor(p.value) for p in params}
+    return {p.name: p.leaf(tape) for p in params}
+
+
+def fit(params: list[Param], n: int, cfg: TrainConfig, batch_loss):
+    """Adam on n samples, batches from ``default_rng(cfg.seed + 1)``; yields
+    each epoch's mean loss, and runs the next epoch only when asked.
+
+    ``batch_loss(idx, tape)`` is the scalar loss of samples ``idx`` on ``tape``.
+    """
+    opt = Adam(params, cfg)
+    rng = np.random.default_rng(cfg.seed + 1)
+    total = cfg.epochs * -(-n // cfg.batch_size)
+    step = 0
+    for _ in range(cfg.epochs):
+        running = 0.0
+        for idx in batch_indices(n, cfg.batch_size, rng):
+            tape = Tape()
+            loss = batch_loss(idx, tape)
+            tape.backward(loss)
+            lr = (cosine_lr(step, total, cfg.lr)
+                  if cfg.schedule == "cosine" else cfg.lr)
+            opt.step(tape, lr)
+            running += loss.item() * len(idx)
+            step += 1
+        yield running / n

@@ -289,6 +289,45 @@ def test_bench_malformed_config_is_a_usage_error(runner, tmp_path, flags):
     assert not (tmp_path / "new").exists()
 
 
+def test_bench_unknown_kind_is_refused_before_any_pass(runner, tmp_path,
+                                                     monkeypatch):
+    passes = []
+    real = cli_module._bench_pass
+
+    def counting(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "_bench_pass", counting)
+    out = tmp_path / "new" / "out"
+    res = runner.invoke(cli, ["bench", "--neurons", "dsn,nosuch", "--lengths", "8",
+                              "--batch", "1", "--channels", "2", "--reps", "1",
+                              "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "unknown neuron kind 'nosuch'" in res.output
+    assert passes == []
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["approx", "--scale", "smoke", "--epochs", "1"],
+    ["extrapolate", "--neuron", "dsn", "--train-t", "32", "--eval-t", "32,64",
+     "--epochs", "1"]], ids=["approx", "extrapolate"])
+def test_task_rerun_is_byte_identical(runner, tmp_path, args):
+    first = tmp_path / "first"
+    res = runner.invoke(cli, args + ["--out", str(first)])
+    assert res.exit_code == 0, res.output
+    second = tmp_path / "second"
+    res = runner.invoke(cli, ["rerun", str(first / "manifest.json"),
+                              "--out", str(second)])
+    assert res.exit_code == 0, res.output
+    outputs = json.loads((first / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == 2
+    for name in outputs:
+        assert _files_identical(first / name, second / name), name
+    assert json.loads((second / "manifest.json").read_text())["outputs"] == outputs
+
+
 def test_bench_json_is_strict_json_with_one_length(runner, tmp_path):
     res = runner.invoke(cli, ["bench", "--neurons", "dsn,lif", "--lengths", "16",
                               "--batch", "1", "--channels", "2", "--reps", "1",

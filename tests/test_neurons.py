@@ -370,6 +370,13 @@ def test_make_neuron_registry():
         make_neuron("psn")  # needs t_train
 
 
+@pytest.mark.parametrize("kind", NEURON_KINDS)
+def test_channels_is_fixed_only_for_dsn(kind):
+    neuron = make_neuron(kind, channels=5, t_train=16)
+    assert neuron.channels == (5 if kind == "dsn" else None)
+    assert neuron.with_weights(neuron.weights()).channels == neuron.channels
+
+
 def test_lif_none_gains_parallel_path():
     neuron = make_neuron("lif-none")
     rng = np.random.default_rng(18)

@@ -1,11 +1,14 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from spikescan import numerics as nm
-from spikescan.errors import LengthMismatch
+from spikescan.errors import NonFiniteError
 from spikescan.numerics import Tensor
 from spikescan.tasks import TrainConfig
-from spikescan.tasks.approx import (ApproxTarget, build_approx_model,
+from spikescan.tasks.approx import (ApproxModel, ApproxTarget,
                                     run_approx_experiment, target_traces)
 from spikescan.tasks.datasets import (dataset_b_specs, gen_dataset_a,
                                       gen_dataset_b, gen_shape_images,
@@ -13,7 +16,7 @@ from spikescan.tasks.datasets import (dataset_b_specs, gen_dataset_a,
                                       split_train_test)
 from spikescan.tasks.extrapolate import _SequenceModel, run_extrapolation
 from spikescan.tasks.pixel import run_pixel_task
-from spikescan.tasks.training import Adam, Param, cosine_lr
+from spikescan.tasks.training import Adam, Param, cosine_lr, fit
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +107,12 @@ def test_split_train_test_partition():
 
 
 def test_approx_param_count():
-    model = build_approx_model(C=6, k=8, e=8)
+    model = ApproxModel(channels=6, k=8, expand=8)
     assert model.param_count() == 8 * 6 * 48 * 2 + 48 + 6
 
 
 def test_zero_weights_give_quarter_decay():
-    model = build_approx_model(C=2, tau=0.5, seed=0)
+    model = ApproxModel(channels=2, tau=0.5, seed=0)
     for p in model.params:
         p.value[:] = 0.0
     _, alpha = model.forward(Tensor(np.zeros((1, 2, 10))))
@@ -117,7 +120,7 @@ def test_zero_weights_give_quarter_decay():
 
 
 def test_forward_on_zeros_is_silent():
-    model = build_approx_model(C=2, seed=0)
+    model = ApproxModel(channels=2, seed=0)
     h, _ = model.forward(Tensor(np.zeros((1, 2, 16))))
     np.testing.assert_array_equal(h.data, 0.0)
 
@@ -189,36 +192,37 @@ def test_locked_psn_raises_off_length():
     assert "LengthMismatch" in res.eval_errors[64]
 
 
+def _train(model, n: int, T: int, cfg: TrainConfig) -> list[float]:
+    """Train a sequence model through ``fit`` on wave mixtures of length T."""
+    x = gen_wave_mixtures(n, T, seed=cfg.seed).data
+    return list(fit(model.params, n, cfg,
+                    lambda idx, tape: model.loss(Tensor(x[idx]), tape)))
+
+
 def test_masked_psn_stays_banded_through_training():
     cfg = TrainConfig(lr=2e-3, epochs=2, batch_size=16, seed=0)
     model = _SequenceModel("masked-psn", channels=4, train_T=16, k=4, seed=0)
-    from spikescan.tasks.datasets import gen_wave_mixtures as gw
-    from spikescan.tasks.training import batch_indices
-    x = gw(16, 16, seed=0).data
-    opt = Adam(model.params, cfg)
-    rng = np.random.default_rng(1)
-    for idx in batch_indices(16, 16, rng):
-        tape = nm.Tape()
-        loss = model.loss(Tensor(x[idx]), tape)
-        tape.backward(loss)
-        opt.step(tape, 1e-3)
-    w = next(p for p in model.params if p.name == "weight").value
-    i, j = np.indices(w.shape)
-    assert not w[(j > i) | (j <= i - 4)].any()
+    w = next(p for p in model.params if p.name == "weight")
+    start = w.value.copy()
+    assert len(_train(model, 16, 16, cfg)) == 2
+    assert not np.array_equal(w.value, start)  # the band itself did train
+    i, j = np.indices(w.value.shape)
+    assert not w.value[(j > i) | (j <= i - 4)].any()
 
 
 def test_serial_eval_equals_parallel_loss_at_train_length():
     cfg = TrainConfig(lr=2e-3, epochs=2, batch_size=16, seed=0)
-    res = run_extrapolation("dsn", train_T=64, eval_Ts=(64,), cfg=cfg,
-                            n_train=32, n_eval=16, channels=8)
-    model = _SequenceModel("dsn", channels=8, train_T=64, seed=cfg.seed)
-    # rebuild the trained model state is heavy; instead check the identity on
-    # an untrained model directly
     x = gen_wave_mixtures(8, 64, seed=11).data
-    parallel = model.loss(Tensor(x)).item()
-    serial = model.eval_serial(x)
-    assert abs(parallel - serial) <= 1e-8
-    assert 64 in res.eval_losses
+    for kind in ("dsn", "sliding-psn"):
+        model = _SequenceModel(kind, channels=8, train_T=64, seed=cfg.seed)
+        start = [p.value.copy() for p in model.params]
+        losses = _train(model, 32, 64, cfg)
+        assert losses[-1] < losses[0]
+        # every weight, the neuron's included, left its initial value
+        for p, before in zip(model.params, start):
+            assert not np.array_equal(p.value, before), (kind, p.name)
+        parallel = model.loss(Tensor(x)).item()
+        assert abs(parallel - model.eval_serial(x)) <= 1e-8, kind
 
 
 def test_sliding_psn_serial_matches_parallel_loss():
@@ -254,3 +258,68 @@ def test_pixel_task_deterministic():
                         n_test_per_class=10)
     assert r1.accuracy == r2.accuracy
     assert r1.train_losses == r2.train_losses
+
+
+# ---------------------------------------------------------------------------
+# the shared training loop
+
+# one sha256 over the ``to_dict()`` outputs below, recorded while each task
+# still ran a training loop of its own
+TASK_DIGEST = "86b0ecaeda43e311b320c226f1d787da39593e68cee13151eb1a4ab24806d439"
+
+
+def test_task_outputs_match_golden_digest():
+    outs = [run_approx_experiment("a", cfg=TrainConfig(epochs=2, seed=0),
+                                  n_train=120, n_test=40, integer=integer,
+                                  eval_at=(1,)).to_dict()
+            for integer in (False, True)]
+    cfg = TrainConfig(lr=2e-3, epochs=2, batch_size=16, seed=0)
+    outs += [run_extrapolation(kind, train_T=64, eval_Ts=(64, 256), cfg=cfg,
+                               n_train=32, n_eval=8, channels=8).to_dict()
+             for kind in ("dsn", "sliding-psn", "psn")]
+    cfg = TrainConfig(lr=3e-3, epochs=1, batch_size=32, seed=0)
+    outs += [run_pixel_task(kind, cfg, n_train_per_class=15,
+                            n_test_per_class=10).to_dict()
+             for kind in ("lif", "dsn")]
+    blob = json.dumps(outs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == TASK_DIGEST
+
+
+def test_fit_yields_one_mean_loss_per_epoch_and_resumes_on_demand():
+    p = Param("w", np.array([3.0]))
+    x = np.arange(5.0)
+    seen = []
+
+    def batch_loss(idx, tape):
+        seen.append(sorted(idx))
+        leaf = p.leaf(tape)
+        diff = nm.sub(nm.mul(leaf, Tensor(x[idx])), Tensor(x[idx]))
+        return nm.mean_all(nm.mul(diff, diff))
+
+    cfg = TrainConfig(lr=0.1, epochs=3, batch_size=2, seed=0)
+    epochs = fit([p], 5, cfg, batch_loss)
+    assert seen == []  # nothing trains until the first epoch is asked for
+    first = next(epochs)
+    assert len(seen) == 3 and sorted(sum(seen, [])) == list(range(5))
+    assert first > 0 and len(list(epochs)) == 2 and len(seen) == 9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+@pytest.mark.parametrize("task", ["approx", "extrapolate", "pixel"])
+def test_diverging_training_raises_non_finite(task):
+    runs = {
+        "approx": lambda: run_approx_experiment(
+            "a", cfg=TrainConfig(lr=1e200, epochs=2, seed=0), n_train=120,
+            n_test=40),
+        "extrapolate": lambda: run_extrapolation(
+            "dsn", train_T=64, eval_Ts=(64,), n_train=32, n_eval=8, channels=8,
+            cfg=TrainConfig(lr=1e200, epochs=2, batch_size=16, seed=0)),
+        "pixel": lambda: run_pixel_task(
+            "lif", TrainConfig(lr=1e200, epochs=1, batch_size=32, seed=0),
+            n_train_per_class=15, n_test_per_class=10),
+    }
+    with pytest.raises(NonFiniteError, match="non-finite value produced by"):
+        runs[task]()
