@@ -99,6 +99,7 @@ def _fmt(v) -> str:
 
 
 def _run_command(name: str, config: dict, out_dir: Path) -> int:
+    _check_config(name, config)
     # the directories this call creates, deepest first; a core that refuses
     # its config (UsageError) leaves them as they were: absent
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
@@ -150,28 +151,7 @@ def _fit_slope(lengths: list[int], seconds: list[float]) -> float | None:
     return float(coeffs[0])
 
 
-def _check_bench_config(config: dict) -> None:
-    lengths = config["lengths"]
-    unknown = [k for k in config["neurons"] if k.lower() not in ("lif", *NEURON_KINDS)]
-    if unknown:
-        raise click.UsageError(f"bench neuron: unknown neuron kind {unknown[0]!r}")
-    for key in ("batch", "channels", "reps"):
-        if config[key] < 1:
-            raise click.UsageError(f"bench --{key} must be at least 1, "
-                                   f"got {config[key]}")
-    if not lengths or min(lengths) < 1:
-        raise click.UsageError(f"bench --lengths must be positive, "
-                               f"got {lengths}")
-    if len(set(lengths)) != len(lengths):
-        raise click.UsageError(f"bench --lengths must be distinct, "
-                               f"got {lengths}")
-    if config["seed"] < 0:
-        raise click.UsageError(f"bench --seed must be non-negative, "
-                               f"got {config['seed']}")
-
-
 def _core_bench(config: dict, out_dir: Path):
-    _check_bench_config(config)
     neurons = config["neurons"]
     lengths = config["lengths"]
     reps = config["reps"]
@@ -211,6 +191,14 @@ def _core_bench(config: dict, out_dir: Path):
     return [csv_path, json_path], EXIT_OK
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise click.UsageError(f"{flag} must be a comma list of integers, "
+                               f"got {text!r}") from None
+
+
 @click.group()
 @click.version_option(__version__)
 def cli():
@@ -233,14 +221,9 @@ def cmd_bench(neurons, lengths, batch, channels, reps, seed, out_dir):
     Full/masked PSN cost grows quadratically in length -- budget accordingly
     at the default batch/channel sizes.
     """
-    try:
-        lengths = sorted(int(v) for v in lengths.split(","))
-    except ValueError:
-        raise click.UsageError(f"bench --lengths must be a comma list of "
-                               f"integers, got {lengths!r}") from None
     config = {"neurons": [n.strip() for n in neurons.split(",")],
-              "lengths": lengths, "batch": batch, "channels": channels,
-              "reps": reps, "seed": seed}
+              "lengths": sorted(_int_list("bench --lengths", lengths)),
+              "batch": batch, "channels": channels, "reps": reps, "seed": seed}
     sys.exit(_run_command("bench", config, Path(out_dir)))
 
 
@@ -253,14 +236,7 @@ _PROPERTIES = ("short-control", "long-control", "conditions-table")
 def _core_props(config: dict, out_dir: Path):
     kind = config["neuron"]
     prop = config["property"]
-    if prop not in _PROPERTIES:
-        raise click.UsageError(f"unknown property {prop!r}")
-    if prop == "conditions-table":
-        expected = EXPECTED_CONDITIONS.get(kind)
-    else:
-        expected = EXPECTED_CONTROL.get(kind, {}).get(prop)
-    if expected is None:
-        raise click.UsageError(f"no expected {prop} outcome for neuron {kind!r}")
+    expected = _props_expectation(kind, prop)
     neuron = make_neuron(kind, channels=config.get("channels", 3),
                          t_train=config.get("t_train", 32))
     if prop == "conditions-table":
@@ -274,7 +250,7 @@ def _core_props(config: dict, out_dir: Path):
                                           config["trials"], config["seed"])
         else:
             verdict = check_long_control(neuron, config["c_bound"],
-                                         T=config.get("t", 128),
+                                         T=config["t"],
                                          trials=config["trials"],
                                          rng_seed=config["seed"])
         payload = verdict.to_dict()
@@ -285,6 +261,12 @@ def _core_props(config: dict, out_dir: Path):
     click.echo(f"{kind} / {prop}: "
                f"{'as expected' if matched else 'UNEXPECTED OUTCOME'}")
     return [path], EXIT_OK if matched else EXIT_UNEXPECTED
+
+
+def _props_expectation(kind: str, prop: str):
+    if prop == "conditions-table":
+        return EXPECTED_CONDITIONS.get(kind)
+    return EXPECTED_CONTROL.get(kind, {}).get(prop)
 
 
 @cli.command("props")
@@ -398,7 +380,7 @@ def cmd_extrapolate(neuron, train_t, eval_ts, epochs, seed, out_dir):
     neuron rejected an off-length sequence -- the documented outcome for
     full/masked PSN."""
     config = {"neuron": neuron, "train_t": train_t,
-              "eval_ts": [int(v) for v in eval_ts.split(",")],
+              "eval_ts": _int_list("extrapolate --eval-t", eval_ts),
               "epochs": epochs, "seed": seed}
     sys.exit(_run_command("extrapolate", config, Path(out_dir)))
 
@@ -502,14 +484,102 @@ _CORES = {"bench": _core_bench, "props": _core_props, "approx": _core_approx,
           "gen-data": _core_gen_data}
 
 
+def _is_int(v, lo: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+# A rule maps a config value to what is wrong with it, or None.
+
+def _integer(lo: int):
+    return lambda v: None if _is_int(v, lo) else f"must be an integer >= {lo}"
+
+
+def _integers(lo: int):
+    def rule(v):
+        if (isinstance(v, list) and v and len(set(v)) == len(v)
+                and all(_is_int(i, lo) for i in v)):
+            return None
+        return f"must be distinct integers >= {lo}"
+    return rule
+
+
+def _one_of(choices):
+    return lambda v: None if v in choices else "must be one of " + ", ".join(choices)
+
+
+def _kinds(choices, fold=str):
+    def rule(v):
+        if not isinstance(v, list) or not v:
+            return "must be a comma list of neuron kinds"
+        unknown = [k for k in v if not isinstance(k, str) or fold(k) not in choices]
+        return f"names an unknown neuron kind {unknown[0]!r}" if unknown else None
+    return rule
+
+
+_SEED = _integer(0)
+
+# each command's config keys and their rules; the command's flags and a
+# replayed manifest both pass through these
+_CONFIG_RULES = {
+    # make_neuron takes a kind in any case
+    "bench": {"neurons": _kinds(("lif", *NEURON_KINDS), fold=str.lower),
+              "lengths": _integers(1), "batch": _integer(1),
+              "channels": _integer(1), "reps": _integer(1), "seed": _SEED},
+    "props": {"neuron": _one_of(NEURON_KINDS), "property": _one_of(_PROPERTIES),
+              "delta": _integer(1), "trials": _integer(1), "t": _integer(1),
+              "c_bound": lambda v: (None if isinstance(v, (int, float)) and 0 <= v < np.inf
+                                    else "must be a finite number >= 0"),
+              "seed": _SEED},
+    "approx": {"dataset": _one_of(("a", "b")), "scale": _one_of(tuple(_APPROX_SCALES)),
+               "mode": _one_of(("binary", "integer", "both")),
+               "epochs": lambda v: None if v is None else _integer(0)(v),
+               "seed": _SEED},
+    # each step is predicted from the one before it, so a length needs two
+    "extrapolate": {"neuron": _one_of(EXTRAP_KINDS), "train_t": _integer(2),
+                    "eval_ts": _integers(2), "epochs": _integer(0), "seed": _SEED},
+    # "neurons" is checked against the table of the dataset, below
+    "energy": {"dataset": _one_of(tuple(REFERENCE_ENERGY_TOTALS)), "seed": _SEED},
+    "gen-data": {"dataset": _one_of(("a", "b")), "n": _integer(1), "t": _integer(1),
+                 "seed": _SEED},
+}
+
+
+def _require(name: str, config: dict, key: str, rule) -> None:
+    if key not in config:
+        raise click.UsageError(f"{name} config lacks {key!r}")
+    problem = rule(config[key])
+    if problem:
+        raise click.UsageError(f"{name} --{key.replace('_', '-')} {problem}, "
+                               f"got {config[key]!r}")
+
+
+def _check_config(name: str, config: dict) -> None:
+    """Refuse a config its command cannot run with click.UsageError (exit 2),
+    before anything is written."""
+    for key, rule in _CONFIG_RULES[name].items():
+        _require(name, config, key, rule)
+    if name == "energy":
+        _require(name, config, "neurons",
+                 _kinds(tuple(REFERENCE_ENERGY_TOTALS[config["dataset"]])))
+    if name == "props" and _props_expectation(config["neuron"],
+                                              config["property"]) is None:
+        raise click.UsageError(f"no expected {config['property']} outcome for "
+                               f"neuron {config['neuron']!r}")
+
+
 @cli.command("rerun")
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", required=True,
               help="directory for the replayed outputs")
 def cmd_rerun(manifest, out_dir):
     """Replay a manifest; outputs are byte-identical to the original run."""
-    spec = json.loads(Path(manifest).read_text())
-    name = spec["command"]
+    try:
+        spec = json.loads(Path(manifest).read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise click.UsageError(f"manifest is not JSON: {exc}") from None
+    if not isinstance(spec, dict) or not isinstance(spec.get("config"), dict):
+        raise click.UsageError("manifest is not an object with a config object")
+    name = spec.get("command")
     if name not in _CORES:
         raise click.UsageError(f"manifest names unknown command {name!r}")
     sys.exit(_run_command(name, spec["config"], Path(out_dir)))

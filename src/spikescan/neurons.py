@@ -35,7 +35,8 @@ import numpy as np
 from . import numerics as nm
 from .errors import (LengthMismatch, NonFiniteError, ParallelUnavailable, ShapeMismatch,
                      StepUnavailable)
-from .numerics import SurrogateKind, Rectangular, Tensor, heaviside, surrogate_grad
+from .numerics import (_ONE, _ZERO, SurrogateKind, Rectangular, Tensor, heaviside,
+                       surrogate_grad)
 from .scan import linear_scan, scan
 
 HARD, SOFT, NONE = "hard", "soft", "none"
@@ -208,15 +209,12 @@ class DsnParams:
     @cached_property
     def _step_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays the serial step reads every call: -kernel as (k, 1, C)
-        columns, oldest tap first; -bias as (1, C), or 0.0; and n_max.
-
-        The step sums the negated pre-activation, which is exact (negation
-        commutes with every rounding), so its sigmoid needs no negation of
-        its own.
-        """
+        columns, oldest tap first; -bias as (1, C), or 0.0; and n_max.  It
+        sums the negated pre-activation ``decay_chain`` takes, which is exact
+        (negation commutes with every rounding)."""
         bias = _ZERO if self.conv_bias is None else -self.conv_bias.data[None, :]
         return (-self.conv_kernel.data.T[:, None, :], bias,
-                _constant(float(self.n_max)))
+                nm._constant(float(self.n_max)))
 
     @classmethod
     def init(cls, channels: int, k: int = 4, tau: float = 0.25, n_max: int = 4,
@@ -268,19 +266,6 @@ class DsnState:
                    window=np.zeros((kernel_size - 1, batch, channels)).transpose(1, 2, 0))
 
 
-def _constant(value: float) -> np.ndarray:
-    c = np.array(value)
-    c.flags.writeable = False
-    return c
-
-
-# Scalar operands of the serial steps as read-only 0-d float64 arrays: a
-# ufunc converts a Python float operand on every call, which costs about a
-# third of a call at 16 lanes (0.9 against 1.3 us, 2-core Xeon).
-_ZERO, _HALF, _ONE, _EXP_CAP = (_constant(v) for v in (0.0, 0.5, 1.0, 500.0))
-_UNIT_LO, _UNIT_HI = _constant(nm.UNIT_OPEN_LO), _constant(nm.UNIT_OPEN_HI)
-
-
 def _finite_input(x: np.ndarray) -> None:
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NonFiniteError("non-finite input")
@@ -326,16 +311,9 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
-    """Decays (B, C) from a tap-major (k, B, C) window, oldest first.
-
-    This is the arithmetic of ``dsn_alpha_sequence`` at one step, run in
-    place on the negated pre-activation (``DsnParams._step_operands``):
-    unit_interval_clamp(sigmoid(pre) ** (1/tau)).  The taped sigmoid takes
-    exp(-clip(pre, -500, 500)); here the exponent is min(-pre, 500), which
-    differs only where pre > 500, and there both exponentials are below
-    1e-217, so 1 + exp rounds to 1.0 either way.  The clamp is
-    np.maximum/np.minimum, which agree with np.clip on a power (never -0.0).
-    """
+    """Decays (B, C) from a tap-major (k, B, C) window, oldest first: the
+    negated pre-activation summed in the order ``dsn_alpha_sequence`` adds
+    it, through the ``numerics.decay_chain`` of its ``sharpened_sigmoid``."""
     shape = window.shape[1:]
     taps, bias, _ = params._step_operands
     npre = _ordered_sum(window, taps, shape)
@@ -343,13 +321,7 @@ def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
     if params.channel_mix is not None:
         npre = _ordered_sum(params.channel_mix.data.T[:, None, :], npre.T[:, :, None],
                             shape)
-    np.minimum(npre, _EXP_CAP, out=npre)
-    np.exp(npre, out=npre)
-    np.add(npre, _ONE, out=npre)
-    np.divide(_ONE, npre, out=npre)
-    npre **= 1.0 / params.tau
-    np.maximum(npre, _UNIT_LO, out=npre)
-    return np.minimum(npre, _UNIT_HI, out=npre)
+    return nm.decay_chain(npre, 1.0 / params.tau)[2]
 
 
 def dsn_dynamic_decay(params: DsnParams, x_window) -> Tensor:
@@ -375,10 +347,10 @@ def dsn_step(params: DsnParams, state: DsnState, x_t) -> tuple[np.ndarray, DsnSt
     Tap order: the window is shifted oldest first, and the pre-activation
     is the sum over taps j = 0 (oldest) .. k-1 (current) of
     kernel[:, j] * x_{t-k+1+j}, added in that order (``_ordered_sum``), then
-    the bias, then the channel mix in channel order.  That is the order in
-    which ``depthwise_causal_conv`` and ``channel_mix`` add, so spikes,
-    membranes and decays equal ``dsn_serial_trace``, and spikes and decays
-    equal ``sequence``, bit for bit.  The decay chain runs in place.
+    the bias, then the channel mix in channel order, as
+    ``depthwise_causal_conv`` and ``channel_mix`` add.  Decay and fire are
+    the taped ops' own kernels (``numerics.decay_chain``, ``fire_counts``),
+    so spikes and decays equal ``sequence`` bit for bit.
 
     Measured per ``Neuron.step`` call on a 2-core Xeon, float64, one BLAS
     thread, kinds interleaved, median of 11 runs (``BENCH_serial_step.json``),
@@ -401,14 +373,7 @@ def dsn_step(params: DsnParams, state: DsnState, x_t) -> tuple[np.ndarray, DsnSt
     np.subtract(_ONE, alpha, out=alpha)
     np.multiply(alpha, x, out=alpha)
     np.add(h, alpha, out=h)
-    # clip(round_half_away(h), 0, n_max) as clip_round takes it: h + 0.5
-    # away from zero, truncated, is round_half_away(h); negative counts
-    # become +0.0 and a -0.0 stays, as np.clip leaves it
-    s = np.copysign(_HALF, h)
-    np.add(s, h, out=s)
-    np.trunc(s, out=s)
-    np.minimum(s, params._step_operands[2], out=s)
-    s[s < _ZERO] = 0.0
+    s = nm.fire_counts(h, params._step_operands[2])[1]
     return s, DsnState(h=h, window=window[1:].transpose(1, 2, 0))
 
 
@@ -417,7 +382,7 @@ def dsn_alpha_sequence(params: DsnParams, x) -> Tensor:
     pre = nm.depthwise_causal_conv(x, params.conv_kernel, params.conv_bias)
     if params.channel_mix is not None:
         pre = nm.channel_mix(params.channel_mix, pre)
-    return nm.unit_interval_clamp(nm.power(nm.sigmoid(pre), 1.0 / params.tau))
+    return nm.sharpened_sigmoid(pre, params.tau)
 
 
 def dsn_forward_parallel(params: DsnParams, x) -> tuple[Tensor, Tensor, Tensor]:
@@ -595,6 +560,11 @@ class Neuron:
         """Bytes of per-lane state; must not grow with t for online updatability."""
         return state.nbytes
 
+    def long_control_bound(self, c_bound: float) -> float | None:
+        """Claimed membrane bound under inputs |x| <= c_bound; None where the
+        membrane is expected to diverge."""
+        raise ValueError(f"long control undefined for {self.name}")
+
     def weights(self) -> dict[str, Tensor]:
         return {}
 
@@ -674,6 +644,14 @@ class LifNeuron(Neuron):
         s, h, _ = lif_trace(self.cfg, x)
         return s, h
 
+    def long_control_bound(self, c_bound: float) -> float | None:
+        # leak alone bounds the convex update, and hard reset can pin
+        # v_reset; a pure accumulator is bounded (at C + v_th) by hard reset
+        cfg = self.cfg
+        if cfg.reset_mode == HARD:
+            return max(c_bound, cfg.v_reset) if cfg.leak == "lif" else c_bound + cfg.v_th
+        return c_bound if cfg.leak == "lif" else None
+
 
 class DsnNeuron(Neuron):
     """Dynamic-decay neuron: scan-parallel training, windowed serial inference."""
@@ -713,6 +691,10 @@ class DsnNeuron(Neuron):
 
     def state_size(self, state: DsnState) -> int:
         return state.h.nbytes + state.window.nbytes
+
+    def long_control_bound(self, c_bound: float) -> float:
+        # from H = 0, each step mixes H convexly with an input in [-C, C]
+        return max(0.0, c_bound)
 
 
 class PsnNeuron(Neuron):

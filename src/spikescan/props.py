@@ -268,23 +268,6 @@ def alpha_duration_schedule(h_start: float, inputs, v_th: float,
 # long control
 
 
-def _claimed_long_bound(neuron: Neuron, c_bound: float) -> float | None:
-    """Model-specific membrane bound under inputs <= c_bound, or None when
-    the model is expected to diverge."""
-    if isinstance(neuron, DsnNeuron):
-        return max(0.0, c_bound)
-    if isinstance(neuron, LifNeuron):
-        cfg = neuron.cfg
-        if cfg.leak == "lif":
-            # leak alone bounds the convex update; hard reset can pin v_reset
-            bound = max(c_bound, cfg.v_reset) if cfg.reset_mode == "hard" else c_bound
-            return bound
-        # pure accumulator: hard reset bounds at C + v_th; soft reset and
-        # no reset accumulate without bound
-        return c_bound + cfg.v_th if cfg.reset_mode == "hard" else None
-    raise ValueError(f"long control undefined for {neuron.name}")
-
-
 def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
                        trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                        divergence_factor: float = DIVERGENCE_FACTOR,
@@ -292,14 +275,15 @@ def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
     """Bounded inputs in, bounded membrane out -- or a diverging witness.
 
     Random |x| <= c_bound sequences plus the adversarial constant x = c_bound
-    are checked against the model's claimed bound.  Models without a bound
+    are checked against the model's claimed bound
+    (``Neuron.long_control_bound``).  Models without a bound
     (soft-reset accumulators, reset-free neurons) are driven by the constant
     input until the membrane passes divergence_factor * max(v_th, c_bound).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    bound = _claimed_long_bound(neuron, c_bound)
+    bound = neuron.long_control_bound(c_bound)
     v_th = neuron.v_th
     if bound is None:
         return _check_divergence(neuron, c_bound, divergence_factor, max_steps)

@@ -7,13 +7,13 @@ by spike firing accuracy: the fraction of test timesteps whose predicted
 spike equals the target neuron's spike.
 
 The decay generator is wider than the inference-path one: an expansion
-causal conv, ReLU, contraction causal conv, then the sharpened sigmoid
-(k = expand = 8, tau = 0.5).
+causal conv, ReLU, contraction causal conv, then the DSN's own
+``sharpened_sigmoid`` (k = expand = 8, tau = 0.5), decays in (0, 1).
 
 The integer variant fits only the soft-reset channels; the membrane targets
 are unchanged, and both sides are read out as integer spike counts
-clip(round(H), 0, N) instead of the binary threshold.  Matches are counted
-by exact count equality.
+(the DSN's ``fire_counts``) instead of the binary threshold.  Matches are
+counted by exact count equality.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import numerics as nm
 from ..neurons import NeuronConfig, lif_trace
-from ..numerics import Tensor, heaviside, round_half_away
+from ..numerics import Tensor, fire_counts, heaviside
 from ..scan import scan
 from .datasets import gen_dataset_a, gen_dataset_b, split_train_test
 from .training import Param, TrainConfig, fit, leaves
@@ -63,11 +63,7 @@ def target_traces(target: ApproxTarget, signal: np.ndarray,
         cfg = NeuronConfig.lif(tau_m, reset_mode, v_th=target.v_th)
         s3, h3, _ = lif_trace(cfg, signal)
         h_all[:, c, :] = h3[:, 0, :]
-        if integer:
-            s_all[:, c, :] = np.clip(round_half_away(h3[:, 0, :]), 0.0,
-                                     float(n_max))
-        else:
-            s_all[:, c, :] = s3[:, 0, :]
+        s_all[:, c, :] = fire_counts(h3[:, 0, :], n_max)[1] if integer else s3[:, 0, :]
     return h_all, s_all
 
 
@@ -100,7 +96,7 @@ class ApproxModel:
         pre = nm.causal_conv(x, w["w_up"], w["b_up"])
         hidden = nm.relu(pre)
         mixed = nm.causal_conv(hidden, w["w_down"], w["b_down"])
-        alpha = nm.power(nm.sigmoid(mixed), 1.0 / self.tau)
+        alpha = nm.sharpened_sigmoid(mixed, self.tau)
         h = scan(alpha, x)
         return h, alpha
 
@@ -128,7 +124,7 @@ def _spike_accuracy(model: ApproxModel, x: np.ndarray, s_target: np.ndarray,
                     integer: bool, n_max: int, v_th: float) -> np.ndarray:
     h_pred, _ = model.forward(Tensor(x))
     if integer:
-        s_pred = np.clip(round_half_away(h_pred.data), 0.0, float(n_max))
+        s_pred = fire_counts(h_pred.data, n_max)[1]
     else:
         s_pred = heaviside(h_pred.data - v_th)
     return np.mean(s_pred == s_target, axis=(0, 2))

@@ -12,7 +12,12 @@ LIF fold (time_slice -> reshape -> charge/fire/reset on the tape, one frame
 at a time) that the taped sequence op replaced.  ``depthwise_conv_shift``
 and ``causal_conv_shift`` are the two causal convolutions written as one
 zero-padded shifted copy of the input per tap, with their adjoints
-(``*_grads``) in the same form.
+(``*_grads``) in the same form.  ``round_half_away`` is the integer fire's
+rounding written as floor(|x| + 0.5) with the sign put back, and
+``sigmoid_power_clamp`` is the sharpened-sigmoid decay as the three taped
+ops it used to be (sigmoid, power, unit-interval clamp, each with its own
+backward), which ``numerics.fire_counts`` and ``numerics.sharpened_sigmoid``
+must match bit for bit.
 """
 
 import numpy as np
@@ -20,7 +25,10 @@ import numpy as np
 from spikescan import numerics as nm
 from spikescan.errors import ShapeMismatch
 from spikescan.neurons import DsnState, dsn_dynamic_decay
-from spikescan.numerics import Tensor, round_half_away
+from spikescan.numerics import Tensor
+
+UNIT_OPEN_LO = 1e-300
+UNIT_OPEN_HI = float(np.nextafter(1.0, 0.0))
 
 
 def scan_fold(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> np.ndarray:
@@ -80,6 +88,43 @@ def dsn_serial_trace(params, x: np.ndarray):
         a_out[..., t] = alpha
         state = DsnState(h=h, window=window[..., 1:])
     return s_out, h_out, a_out
+
+
+def round_half_away(arr: np.ndarray) -> np.ndarray:
+    """Round to nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1)."""
+    return np.copysign(np.floor(np.abs(arr) + 0.5), arr)
+
+
+def sigmoid(a) -> Tensor:
+    a = nm._as_tensor(a)
+    # clip the exponent so extreme logits saturate instead of overflowing
+    out = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500.0, 500.0)))
+    tape, node = a.tape, a._node
+
+    def backward(g):
+        tape._accumulate(node, g * out * (1.0 - out), own=True)
+
+    return nm._result(out, "sigmoid", tape, (node,), backward if tape else None)
+
+
+def unit_interval_clamp(a) -> Tensor:
+    """Pin values into the open interval (0, 1); gradients pass only where
+    nothing was clamped."""
+    a = nm._as_tensor(a)
+    out = np.clip(a.data, UNIT_OPEN_LO, UNIT_OPEN_HI)
+    tape, node = a.tape, a._node
+
+    def backward(g):
+        mask = (a.data >= UNIT_OPEN_LO) & (a.data <= UNIT_OPEN_HI)
+        tape._accumulate(node, g * mask, own=True)
+
+    return nm._result(out, "unit_interval_clamp", tape,
+                      (node,), backward if tape else None)
+
+
+def sigmoid_power_clamp(pre, tau: float) -> Tensor:
+    """unit_interval_clamp(sigmoid(pre) ** (1/tau)) as three taped ops."""
+    return unit_interval_clamp(nm.power(sigmoid(pre), 1.0 / tau))
 
 
 def lif_step_fold(cfg, x: Tensor, sg) -> list[Tensor]:

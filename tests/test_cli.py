@@ -289,6 +289,40 @@ def test_bench_malformed_config_is_a_usage_error(runner, tmp_path, flags):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["props", "--neuron", "dsn", "--property", "short-control", "--delta", "0"],
+    ["props", "--neuron", "dsn", "--property", "long-control", "--t", "0"],
+    ["props", "--neuron", "dsn", "--property", "long-control", "--trials", "0"],
+    ["props", "--neuron", "dsn", "--property", "long-control", "--c-bound", "nan"],
+    ["extrapolate", "--neuron", "dsn", "--eval-t", "32,abc"],
+    ["extrapolate", "--neuron", "dsn", "--eval-t", "1"],
+    ["extrapolate", "--neuron", "dsn", "--eval-t", "0"],
+    ["extrapolate", "--neuron", "dsn", "--train-t", "1"],
+    ["extrapolate", "--neuron", "dsn", "--train-t", "0"],
+    ["extrapolate", "--neuron", "dsn", "--epochs", "-1"],
+    ["approx", "--epochs", "-1"],
+    ["approx", "--seed", "-1"],
+    ["gen-data", "--dataset", "a", "--n", "0"],
+    ["gen-data", "--dataset", "b", "--t", "0"],
+    ["energy", "--neurons", "nosuch"],
+    ["rerun", "lacks-t.json"], ["rerun", "list.json"], ["rerun", "text.json"]],
+    ids=lambda args: " ".join(args))
+def test_malformed_config_is_a_usage_error(runner, tmp_path, args):
+    # manifests: a config that lacks a key the command reads, a JSON list,
+    # and a file that is not JSON
+    manifests = {"lacks-t.json": json.dumps({"command": "gen-data", "config": {
+                     "dataset": "a", "n": 4, "seed": 0}}),
+                 "list.json": "[1, 2]", "text.json": "not json"}
+    for name, text in manifests.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in manifests else a for a in args]
+    out = tmp_path / "new" / "out"
+    res = runner.invoke(cli, args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "new").exists()
+
+
 def test_bench_unknown_kind_is_refused_before_any_pass(runner, tmp_path,
                                                      monkeypatch):
     passes = []

@@ -291,7 +291,10 @@ def test_add_bias_rows_gradient():
 
 
 def test_unit_interval_clamp():
-    out = nm.unit_interval_clamp(Tensor([0.0, 0.5, 1.0]))
+    # the sharpened sigmoid pins saturated decays inside (0, 1): at tau = 1
+    # sigmoid(800) rounds to 1.0, and at tau = 1/4 sigmoid(-800) ** 4 to 0.0
+    out = nm.sharpened_sigmoid(Tensor([-800.0, 0.0, 800.0]), 1.0)
     assert out.data[0] > 0.0
     assert out.data[2] < 1.0
     assert out.data[1] == 0.5
+    assert nm.sharpened_sigmoid(Tensor([-800.0]), 0.25).item() > 0.0

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dsn_serial_trace, lif_step_fold, matrix_form
+from oracles import dsn_serial_trace, lif_step_fold, matrix_form, round_half_away
 from spikescan import neurons
 from spikescan import numerics as nm
 from spikescan.errors import LengthMismatch, NonFiniteError, ShapeMismatch
@@ -118,7 +118,7 @@ def test_dsn_step_degenerate_decay_tracks_input():
         s, state = dsn_step(params, state, x_t)
         np.testing.assert_array_equal(state.h, x_t)
         np.testing.assert_array_equal(
-            s, np.clip(nm.round_half_away(x_t), 0, 4))
+            s, np.clip(round_half_away(x_t), 0, 4))
 
 
 def test_dsn_long_control_bound():
@@ -206,6 +206,27 @@ def test_step_sums_match_sequence_in_both_forms(monkeypatch, loop_lanes):
     negative = PsnNeuron(PsnParams.sliding(Tensor(-np.ones(4))))
     zeros = np.zeros((2, 3, 6))
     assert Neuron.trace(negative, zeros)[1].tobytes() == negative.trace(zeros)[1].tobytes()
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.5, 2.0])
+def test_step_matches_sequence_where_decays_saturate(tau):
+    # biases drive channels 0 and 1 past the high clamp (sigmoid rounds to
+    # 1.0) and channels 2 and 3 past the exponent cap and, for tau < 1, the
+    # low clamp (sigmoid ** (1/tau) underflows); the rest stay in between
+    rng = np.random.default_rng(31)
+    base = DsnParams.init(channels=6, k=4, seed=2)
+    params = DsnParams(conv_kernel=base.conv_kernel,
+                       conv_bias=Tensor([800.0, 80.0, -800.0, -180.0, 0.5, -1.0]),
+                       tau=tau, n_max=4)
+    x = rng.normal(size=(3, 6, 200)) * 3.0
+    s_par, _, a_par = dsn_forward_parallel(params, Tensor(x))
+    assert DsnNeuron(params).serial_fold(x).tobytes() == s_par.data.tobytes()
+    _, _, a_ser = dsn_serial_trace(params, x)
+    assert a_ser.tobytes() == a_par.data.tobytes()
+    assert np.all(a_par.data[:, :2] == np.nextafter(1.0, 0.0))
+    if tau < 1.0:
+        assert np.all(a_par.data[:, 2] == 1e-300)
+    assert np.all((a_par.data > 0.0) & (a_par.data < 1.0))
 
 
 def test_dsn_params_validation():
@@ -467,7 +488,7 @@ def test_registry_forward_matches_trace_and_gradient(kind):
         if neuron.n_max == 1:
             fire_grad = nm.surrogate_grad(neuron.sg, h - neuron.v_th)
         else:
-            r = nm.round_half_away(h)
+            r = round_half_away(h)
             fire_grad = ((r >= 0.0) & (r <= neuron.n_max)).astype(float)
         v = w * fire_grad
         ref = _central_differences(lambda xv: float(np.sum(v * neuron.trace(xv)[1])), x)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import round_half_away, sigmoid_power_clamp
 from spikescan import numerics as nm
 from spikescan.errors import DivisionByZero, NonFiniteError, ShapeMismatch
 from spikescan.layers import add_bias_rows, batch_norm_train, column_conv
@@ -16,7 +17,8 @@ from spikescan.scan import scan
 
 
 def test_sigmoid_at_zero():
-    assert nm.sigmoid(Tensor([0.0])).item() == 0.5
+    # at tau = 1 the sharpened sigmoid is the sigmoid inside the clamp band
+    assert nm.sharpened_sigmoid(Tensor([0.0]), 1.0).item() == 0.5
 
 
 def test_pow_identity_exponent():
@@ -156,6 +158,24 @@ def test_clip_round_straight_through_mask():
     np.testing.assert_array_equal(tape.grad(h), [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
+def test_fire_counts_match_rounding_oracle():
+    # ties, the double below 0.5 whose |x| + 0.5 rounds up, signed zeros,
+    # and values past 2^52 where + 0.5 rounds to even
+    edge = [0.5, -0.5, 1.5, -1.5, 3.5, 4.5, np.nextafter(0.5, 0.0),
+            np.nextafter(-0.5, 0.0), np.nextafter(4.5, 0.0), 0.0, -0.0,
+            2.0 ** 52 + 1.0, -(2.0 ** 52 + 1.0), 1e300, -1e300]
+    h = np.concatenate([edge, np.random.default_rng(5).normal(size=500) * 3.0])
+    tape = Tape()
+    ht = tape.leaf(h)
+    s = clip_round(ht, 4)
+    tape.backward(s, seed=np.ones_like(h))
+    rounded = round_half_away(h)
+    assert nm.fire_counts(h, 4)[0].tobytes() == rounded.tobytes()
+    assert s.data.tobytes() == np.clip(rounded, 0.0, 4.0).tobytes()
+    mask = ((rounded >= 0.0) & (rounded <= 4)).astype(float)
+    assert tape.grad(ht).tobytes() == mask.tobytes()
+
+
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30),
        st.integers(1, 7))
 def test_clip_round_always_integer_in_range(values, n_max):
@@ -175,7 +195,8 @@ def test_grad_check_quadratic():
 
 def test_grad_check_sigmoid_chain():
     def f(x):
-        return nm.mean_all(nm.sigmoid(nm.mul(nm.sigmoid(x), 3.0)))
+        return nm.mean_all(nm.sharpened_sigmoid(
+            nm.mul(nm.sharpened_sigmoid(x, 1.0), 3.0), 1.0))
 
     rng = np.random.default_rng(0)
     err = grad_check(f, Tensor(rng.normal(size=(2, 3))), 1e-5)
@@ -200,10 +221,39 @@ def test_tape_matches_finite_differences_at_smooth_points(seed):
     x0 = rng.uniform(0.2, 1.8, size=(2, 3))
 
     def f(x):
-        y = nm.mul(nm.sigmoid(x), nm.add(x, 0.5))
+        y = nm.mul(nm.sharpened_sigmoid(x, 1.0), nm.add(x, 0.5))
         return nm.mean_all(nm.mul(y, y))
 
     assert grad_check(f, Tensor(x0), 1e-6) <= 1e-5
+
+
+def _decay_and_input_grad(decay, pre: np.ndarray, tau: float, w: np.ndarray):
+    tape = Tape()
+    x = tape.leaf(pre)
+    alpha = decay(x, tau)
+    tape.backward(alpha, seed=w)
+    return alpha.data, tape.grad(x)
+
+
+@pytest.mark.parametrize("tau", [0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 4.0])
+def test_sharpened_sigmoid_bits_match_three_op_chain(tau):
+    # one fused op against sigmoid -> power -> clamp, forward and backward,
+    # with lanes that saturate the exponent cap and both ends of the clamp;
+    # at tau = 1/4, pre = -174 is clamped low with a nonzero chain gradient,
+    # so only the clamp's mask zeroes it
+    rng = np.random.default_rng(11)
+    pre = rng.normal(size=(3, 5, 400)) * 30.0
+    lanes = pre.reshape(15, 400)
+    for i, v in enumerate([600.0, -600.0, 40.0, -40.0, 0.0, -0.0, 500.5, -200.0,
+                           -174.0]):
+        lanes[i, ::3] = v
+    w = rng.normal(size=pre.shape)
+    alpha, grad = _decay_and_input_grad(nm.sharpened_sigmoid, pre, tau, w)
+    ref_alpha, ref_grad = _decay_and_input_grad(sigmoid_power_clamp, pre, tau, w)
+    assert alpha.tobytes() == ref_alpha.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.all((alpha > 0.0) & (alpha < 1.0))
+    assert np.any(alpha == np.nextafter(1.0, 0.0))  # the pin engaged
 
 
 def test_gradient_accumulates_across_reuse():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spikescan.errors import ReplayMismatch, SpikescanError
-from spikescan.neurons import DsnParams, DsnNeuron, LifNeuron, make_neuron
+from spikescan.neurons import (NEURON_KINDS, DsnParams, DsnNeuron, LifNeuron,
+                               make_neuron)
 from spikescan.props import (EXPECTED_CONDITIONS, EXPECTED_CONTROL,
                              alpha_duration_schedule, alpha_window_condition,
                              check_conditions_table, check_long_control,
@@ -141,6 +142,22 @@ def test_dsn_convex_interval_bound():
         _, h, _ = dsn_serial_trace(params, x)
         assert h.max() <= max(0.0, M) + 1e-12
         assert h.min() >= min(0.0, m) - 1e-12
+
+
+# claimed bounds at C = 2 (v_th = 1, v_reset = 0); None: expected to diverge
+CLAIMED_LONG_BOUNDS = {"lif-hard": 2.0, "lif-soft": 2.0, "lif-none": 2.0,
+                       "if-hard": 3.0, "if-soft": None, "if-none": None,
+                       "dsn": 2.0}
+
+
+@pytest.mark.parametrize("kind", NEURON_KINDS)
+def test_long_control_bound_is_claimed_by_the_neuron(kind):
+    neuron = make_neuron(kind, channels=2, t_train=16)
+    if kind in CLAIMED_LONG_BOUNDS:
+        assert neuron.long_control_bound(2.0) == CLAIMED_LONG_BOUNDS[kind]
+    else:
+        with pytest.raises(ValueError, match="long control undefined"):
+            check_long_control(neuron, 2.0, T=8, trials=4)
 
 
 def test_long_control_witness_replays():

@@ -119,6 +119,18 @@ def test_zero_weights_give_quarter_decay():
     np.testing.assert_allclose(alpha.data, 0.25)  # sigmoid(0)^(1/0.5)
 
 
+def test_saturated_approx_decays_stay_inside_unit_interval():
+    # contraction biases of +-800 saturate the sigmoid at both ends: without
+    # the pin, sigmoid rounds to 1.0 and sigmoid ** 2 underflows to 0.0
+    model = ApproxModel(channels=2, tau=0.5, seed=0)
+    params = {p.name: p for p in model.params}
+    params["b_down"].value[:] = [800.0, -800.0]
+    x = np.random.default_rng(0).normal(size=(2, 2, 64))
+    _, alpha = model.forward(Tensor(x))
+    assert np.all((alpha.data > 0.0) & (alpha.data < 1.0))
+    assert np.all(alpha.data[:, 0] == np.nextafter(1.0, 0.0))
+
+
 def test_forward_on_zeros_is_silent():
     model = ApproxModel(channels=2, seed=0)
     h, _ = model.forward(Tensor(np.zeros((1, 2, 16))))
