@@ -13,8 +13,8 @@ from .errors import (CorruptContainer, DivisionByZero, LengthMismatch,
                      ReplayMismatch, ShapeMismatch, SpikescanError,
                      StepUnavailable)
 from .numerics import (ArcTangent, Rectangular, StraightThrough,
-                       SurrogateKind, Tape, Tensor, clip_round, grad_check,
-                       matmul, spike_threshold, tensor, zeros)
+                       SurrogateKind, Tape, Tensor, clip_round, matmul,
+                       spike_threshold, tensor, zeros)
 from .scan import scan
 from .neurons import (DsnNeuron, DsnParams, DsnState, LifNeuron, Neuron,
                       NeuronConfig, PsnNeuron, PsnParams, dsn_dynamic_decay,

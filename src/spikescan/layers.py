@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .numerics import Tensor, _as_tensor, _result, _shared_tape
+from .numerics import Tensor, _as_tensor, _op
 
 
 def _unfold(x: np.ndarray, channels: int, height: int) -> np.ndarray:
@@ -52,36 +52,31 @@ def column_conv(x, weight, bias=None, height: int | None = None) -> Tensor:
     for dy in range(kh):
         out4 += np.einsum("oi,biht->boht", weight.data[:, :, dy],
                           _height_shift(x4, dy - half))
-    b_arr = None
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (c_out,):
             raise ShapeMismatch("bias must be (c_out,)")
-        b_arr = bias.data
-        out4 += b_arr[None, :, None, None]
+        out4 += bias.data[None, :, None, None]
     out = out4.reshape(x4.shape[0], c_out * height, x4.shape[3])
 
-    tape, nodes = _shared_tape(x, weight, bias)
-    nx, nw, nb = nodes
-
-    def backward(g):
+    def grad_x(g):
         g4 = _unfold(g, c_out, height)
-        if nx is not None:
-            gx = np.zeros_like(x4)
-            for dy in range(kh):
-                piece = np.einsum("oi,boht->biht", weight.data[:, :, dy], g4)
-                gx += _height_shift(piece, half - dy)
-            tape._accumulate(nx, gx.reshape(x.data.shape), own=True)
-        if nw is not None:
-            gw = np.empty_like(weight.data)
-            for dy in range(kh):
-                gw[:, :, dy] = np.einsum("boht,biht->oi", g4,
-                                         _height_shift(x4, dy - half))
-            tape._accumulate(nw, gw, own=True)
-        if nb is not None:
-            tape._accumulate(nb, np.sum(g4, axis=(0, 2, 3)), own=True)
+        gx = np.zeros_like(x4)
+        for dy in range(kh):
+            piece = np.einsum("oi,boht->biht", weight.data[:, :, dy], g4)
+            gx += _height_shift(piece, half - dy)
+        return gx.reshape(x.data.shape)
 
-    return _result(out, "column_conv", tape, nodes, backward if tape else None)
+    def grad_weight(g):
+        g4 = _unfold(g, c_out, height)
+        gw = np.empty_like(weight.data)
+        for dy in range(kh):
+            gw[:, :, dy] = np.einsum("boht,biht->oi", g4,
+                                     _height_shift(x4, dy - half))
+        return gw
+
+    return _op("column_conv", out, (x, grad_x), (weight, grad_weight),
+               (bias, lambda g: np.sum(_unfold(g, c_out, height), axis=(0, 2, 3))))
 
 
 def column_avg_pool(x, channels: int, height: int, factor: int = 2) -> Tensor:
@@ -92,47 +87,20 @@ def column_avg_pool(x, channels: int, height: int, factor: int = 2) -> Tensor:
     x4 = _unfold(x.data, channels, height)
     b, c, h, t = x4.shape
     pooled = x4.reshape(b, c, h // factor, factor, t).mean(axis=3)
-    out = pooled.reshape(b, c * (h // factor), t)
-    tape, node = x.tape, x._node
 
-    def backward(g):
+    def grad(g):
         g4 = g.reshape(b, c, h // factor, 1, t) / factor
         gx = np.broadcast_to(g4, (b, c, h // factor, factor, t))
-        tape._accumulate(node, gx.reshape(x.data.shape).copy(), own=True)
+        return gx.reshape(x.data.shape).copy()
 
-    return _result(out, "column_avg_pool", tape, (node,), backward if tape else None)
+    return _op("column_avg_pool", pooled.reshape(b, c * (h // factor), t), (x, grad))
 
 
 def sum_time(x) -> Tensor:
     """Sum over the innermost (time) axis: (B, C, T) -> (B, C)."""
     x = _as_tensor(x)
-    out = np.sum(x.data, axis=-1)
-    tape, node = x.tape, x._node
-
-    def backward(g):
-        tape._accumulate(node, np.broadcast_to(g[..., None], x.data.shape).copy(),
-                         own=True)
-
-    return _result(out, "sum_time", tape, (node,), backward if tape else None)
-
-
-def add_bias_rows(x, bias) -> Tensor:
-    """x[B, F] + bias[F] broadcast over rows."""
-    x = _as_tensor(x)
-    bias = _as_tensor(bias)
-    if x.ndim != 2 or bias.shape != (x.shape[1],):
-        raise ShapeMismatch(f"bias rows: x {x.shape} vs bias {bias.shape}")
-    out = x.data + bias.data[None, :]
-    tape, nodes = _shared_tape(x, bias)
-    nx, nb = nodes
-
-    def backward(g):
-        if nx is not None:
-            tape._accumulate(nx, g, own=False)
-        if nb is not None:
-            tape._accumulate(nb, np.sum(g, axis=0), own=True)
-
-    return _result(out, "add_bias_rows", tape, nodes, backward if tape else None)
+    return _op("sum_time", np.sum(x.data, axis=-1),
+               (x, lambda g: np.broadcast_to(g[..., None], x.data.shape).copy()))
 
 
 def batch_norm_train(x, gamma, beta, eps: float = 1e-5):
@@ -153,22 +121,15 @@ def batch_norm_train(x, gamma, beta, eps: float = 1e-5):
     xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
     out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
 
-    tape, nodes = _shared_tape(x, gamma, beta)
-    nx, ng, nb = nodes
+    def grad_x(g):
+        gy = g * gamma.data[None, :, None]
+        mean_gy = gy.mean(axis=(0, 2))[None, :, None]
+        mean_gy_xhat = (gy * xhat).mean(axis=(0, 2))[None, :, None]
+        return inv[None, :, None] * (gy - mean_gy - xhat * mean_gy_xhat)
 
-    def backward(g):
-        if ng is not None:
-            tape._accumulate(ng, np.sum(g * xhat, axis=(0, 2)), own=True)
-        if nb is not None:
-            tape._accumulate(nb, np.sum(g, axis=(0, 2)), own=True)
-        if nx is not None:
-            gy = g * gamma.data[None, :, None]
-            mean_gy = gy.mean(axis=(0, 2))[None, :, None]
-            mean_gy_xhat = (gy * xhat).mean(axis=(0, 2))[None, :, None]
-            gx = inv[None, :, None] * (gy - mean_gy - xhat * mean_gy_xhat)
-            tape._accumulate(nx, gx, own=True)
-
-    y = _result(out, "batch_norm", tape, nodes, backward if tape else None)
+    y = _op("batch_norm", out, (x, grad_x),
+            (gamma, lambda g: np.sum(g * xhat, axis=(0, 2))),
+            (beta, lambda g: np.sum(g, axis=(0, 2))))
     return y, mean, var
 
 
@@ -181,12 +142,7 @@ def batch_norm_eval(x, gamma, beta, mean: np.ndarray, var: np.ndarray,
     inv = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * inv
     out = scale[None, :, None] * x.data + (beta.data - scale * mean)[None, :, None]
-    tape, node = x.tape, x._node
-
-    def backward(g):
-        tape._accumulate(node, g * scale[None, :, None], own=True)
-
-    return _result(out, "batch_norm_eval", tape, (node,), backward if tape else None)
+    return _op("batch_norm_eval", out, (x, lambda g: g * scale[None, :, None]))
 
 
 def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
@@ -200,13 +156,10 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     probs = expz / expz.sum(axis=1, keepdims=True)
     n = logits.shape[0]
     nll = -np.log(probs[np.arange(n), labels] + 1e-300)
-    out = np.array(nll.mean())
-    tape, node = logits.tape, logits._node
 
-    def backward(g):
+    def grad(g):
         grad = probs.copy()
         grad[np.arange(n), labels] -= 1.0
-        tape._accumulate(node, grad * (g / n), own=True)
+        return grad * (g / n)
 
-    return _result(out, "softmax_cross_entropy", tape,
-                   (node,), backward if tape else None)
+    return _op("softmax_cross_entropy", np.array(nll.mean()), (logits, grad))

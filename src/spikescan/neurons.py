@@ -119,23 +119,17 @@ def lif_trace(cfg: NeuronConfig, x: np.ndarray):
 
 
 def lif_sequence(cfg: NeuronConfig, x,
-                 sg: SurrogateKind = Rectangular()) -> tuple[Tensor, Tensor, Tensor]:
+                 sg: SurrogateKind = Rectangular()) -> Tensor:
     """Charge-fire-reset over the time axis of (B, C, T) input as one taped op.
 
-    Returns (spikes, pre-reset trace H, post-reset trace V).  The forward is
-    :func:`lif_trace`; the spikes are taped when x is, and their backward is
-    BPTT in reverse over the saved H and S (:func:`_lif_bptt`).  The traces
-    are plain arrays for the control-property checkers.
+    Returns the spikes.  The forward is :func:`lif_trace`; the spikes are
+    taped when x is, and their backward is BPTT in reverse over the saved H
+    and S (:func:`_lif_bptt`).  The checkers read the traces from
+    :func:`lif_trace` itself.
     """
     x = nm._as_tensor(x)
-    s, h, v = lif_trace(cfg, x.data)
-    tape, node = x.tape, x._node
-
-    def backward(g):
-        tape._accumulate(node, _lif_bptt(cfg, sg, s, h, g), own=True)
-
-    spikes = nm._result(s, "lif_sequence", tape, (node,), backward if tape else None)
-    return spikes, Tensor(h), Tensor(v)
+    s, h, _ = lif_trace(cfg, x.data)
+    return nm._op("lif_sequence", s, (x, lambda g: _lif_bptt(cfg, sg, s, h, g)))
 
 
 def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray,
@@ -623,7 +617,7 @@ class LifNeuron(Neuron):
         return s, h, _reset(self.cfg, h, s)
 
     def forward(self, x) -> Tensor:
-        return lif_sequence(self.cfg, x, self.sg)[0]
+        return lif_sequence(self.cfg, x, self.sg)
 
     def sequence(self, x) -> Tensor:
         if not self.supports_parallel:

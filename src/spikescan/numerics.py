@@ -11,6 +11,14 @@ complete before any of its producers read it.  Non-differentiable spike
 functions carry surrogate backward rules (see :class:`Rectangular`,
 :class:`ArcTangent`, :class:`StraightThrough`).
 
+Every taped op, here and in ``layers`` and ``neurons``, records through
+one path, ``_op``: the op computes its forward value and states, per
+input, how the output gradient maps to that input's gradient; ``_op``
+builds the one backward closure that puts them on the tape.  Two
+recorders stay apart on purpose: ``scan.scan``, whose one adjoint scan
+yields all three of its gradients at once, and the reference ops the
+tests keep as oracles.
+
 Broadcasting is deliberately minimal: scalar-against-array or exactly equal
 shapes.  Structured ops (convolutions, channel mixes) handle their own
 index bookkeeping internally.
@@ -208,7 +216,7 @@ def _shared_tape(*operands):
 
 
 def _binary_operands(a, b, op: str):
-    """Resolve (array, array, tape, nodes) for a binary op.
+    """The (array, array) operands of a binary op.
 
     Only scalar-vs-array and equal-shape pairs are legal; anything else is a
     ShapeMismatch.  Scalars passed as python numbers are untracked constants.
@@ -218,8 +226,7 @@ def _binary_operands(a, b, op: str):
     if da.shape != db.shape and da.size != 1 and db.size != 1:
         raise ShapeMismatch(f"'{op}' needs equal shapes or a scalar, "
                             f"got {da.shape} and {db.shape}")
-    tape, (na, nb) = _shared_tape(a, b)
-    return da, db, tape, na, nb
+    return da, db
 
 
 def _result(arr: np.ndarray, op: str, tape: Tape | None,
@@ -234,6 +241,27 @@ def _result(arr: np.ndarray, op: str, tape: Tape | None,
     return Tensor._attach(arr, tape, node)
 
 
+def _op(op: str, out: np.ndarray, *operands) -> Tensor:
+    """Wrap ``out``, the forward value of ``op``, and record its backward.
+
+    Each operand is an ``(input, grad)`` pair: ``grad(g)`` maps the output
+    gradient g to that input's gradient, and runs only when the input is
+    taped.  A returned gradient becomes the input's buffer on the tape,
+    except one that may share memory with g (a pass-through such as ``add``
+    or ``reshape``): g is the output's own buffer, so the tape keeps a copy.
+    """
+    tape, nodes = _shared_tape(*(x for x, _ in operands))
+    grads = tuple(grad for _, grad in operands)
+
+    def backward(g):
+        for node, grad in zip(nodes, grads):
+            if node is not None:
+                value = grad(g)
+                tape._accumulate(node, value, not np.may_share_memory(value, g))
+
+    return _result(out, op, tape, nodes, backward)
+
+
 def _reduce_to(shape, g: np.ndarray) -> np.ndarray:
     # collapse a full-shape gradient onto a scalar operand
     if g.shape == shape:
@@ -246,81 +274,42 @@ def _reduce_to(shape, g: np.ndarray) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    da, db, tape, na, nb = _binary_operands(a, b, "add")
-    out = da + db
-
-    def backward(g):
-        if na is not None:
-            tape._accumulate(na, _reduce_to(da.shape, g), own=da.shape != g.shape)
-        if nb is not None:
-            tape._accumulate(nb, _reduce_to(db.shape, g), own=db.shape != g.shape)
-
-    return _result(out, "add", tape, (na, nb), backward if tape else None)
+    da, db = _binary_operands(a, b, "add")
+    return _op("add", da + db, (a, lambda g: _reduce_to(da.shape, g)),
+               (b, lambda g: _reduce_to(db.shape, g)))
 
 
 def sub(a, b) -> Tensor:
-    da, db, tape, na, nb = _binary_operands(a, b, "sub")
-    out = da - db
-
-    def backward(g):
-        if na is not None:
-            tape._accumulate(na, _reduce_to(da.shape, g), own=da.shape != g.shape)
-        if nb is not None:
-            tape._accumulate(nb, _reduce_to(db.shape, -g), own=True)
-
-    return _result(out, "sub", tape, (na, nb), backward if tape else None)
+    da, db = _binary_operands(a, b, "sub")
+    return _op("sub", da - db, (a, lambda g: _reduce_to(da.shape, g)),
+               (b, lambda g: _reduce_to(db.shape, -g)))
 
 
 def mul(a, b) -> Tensor:
-    da, db, tape, na, nb = _binary_operands(a, b, "mul")
-    out = da * db
-
-    def backward(g):
-        if na is not None:
-            tape._accumulate(na, _reduce_to(da.shape, g * db), own=True)
-        if nb is not None:
-            tape._accumulate(nb, _reduce_to(db.shape, g * da), own=True)
-
-    return _result(out, "mul", tape, (na, nb), backward if tape else None)
+    da, db = _binary_operands(a, b, "mul")
+    return _op("mul", da * db, (a, lambda g: _reduce_to(da.shape, g * db)),
+               (b, lambda g: _reduce_to(db.shape, g * da)))
 
 
 def div(a, b) -> Tensor:
-    da, db, tape, na, nb = _binary_operands(a, b, "div")
+    da, db = _binary_operands(a, b, "div")
     if np.any(db == 0.0):
         raise DivisionByZero("division by zero")
-    out = da / db
-
-    def backward(g):
-        if na is not None:
-            tape._accumulate(na, _reduce_to(da.shape, g / db), own=True)
-        if nb is not None:
-            tape._accumulate(nb, _reduce_to(db.shape, -g * da / (db * db)), own=True)
-
-    return _result(out, "div", tape, (na, nb), backward if tape else None)
+    return _op("div", da / db, (a, lambda g: _reduce_to(da.shape, g / db)),
+               (b, lambda g: _reduce_to(db.shape, -g * da / (db * db))))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    tape, node = a.tape, a._node
-
-    def backward(g):
-        tape._accumulate(node, g * (a.data > 0.0), own=True)
-
-    return _result(out, "relu", tape, (node,), backward if tape else None)
+    return _op("relu", np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def power(a, exponent: float) -> Tensor:
     """a ** exponent for a scalar exponent (a > 0 unless exponent is integral)."""
     a = _as_tensor(a)
     exponent = float(exponent)
-    out = a.data ** exponent
-    tape, node = a.tape, a._node
-
-    def backward(g):
-        tape._accumulate(node, g * exponent * a.data ** (exponent - 1.0), own=True)
-
-    return _result(out, "pow", tape, (node,), backward if tape else None)
+    return _op("pow", a.data ** exponent,
+               (a, lambda g: g * exponent * a.data ** (exponent - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,37 +318,21 @@ def power(a, exponent: float) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.sum(a.data).reshape(())
-    tape, node = a.tape, a._node
-
-    def backward(g):
-        tape._accumulate(node, np.broadcast_to(g, a.data.shape).copy(), own=True)
-
-    return _result(out, "sum", tape, (node,), backward if tape else None)
+    return _op("sum", np.sum(a.data).reshape(()),
+               (a, lambda g: np.broadcast_to(g, a.data.shape).copy()))
 
 
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
-    out = (np.sum(a.data) / n).reshape(())
-    tape, node = a.tape, a._node
-
-    def backward(g):
-        tape._accumulate(node, np.broadcast_to(g / n, a.data.shape).copy(), own=True)
-
-    return _result(out, "mean", tape, (node,), backward if tape else None)
+    return _op("mean", (np.sum(a.data) / n).reshape(()),
+               (a, lambda g: np.broadcast_to(g / n, a.data.shape).copy()))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    shape = tuple(shape)
-    out = np.ascontiguousarray(a.data.reshape(shape))
-    tape, node = a.tape, a._node
-
-    def backward(g):
-        tape._accumulate(node, g.reshape(a.data.shape), own=False)
-
-    return _result(out, "reshape", tape, (node,), backward if tape else None)
+    out = np.ascontiguousarray(a.data.reshape(tuple(shape)))
+    return _op("reshape", out, (a, lambda g: g.reshape(a.data.shape)))
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -367,26 +340,20 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = np.ascontiguousarray(np.transpose(a.data, axes))
     inverse = tuple(np.argsort(axes))
-    tape, node = a.tape, a._node
-
-    def backward(g):
-        tape._accumulate(node, np.ascontiguousarray(np.transpose(g, inverse)), own=True)
-
-    return _result(out, "transpose", tape, (node,), backward if tape else None)
+    return _op("transpose", out,
+               (a, lambda g: np.ascontiguousarray(np.transpose(g, inverse))))
 
 
 def time_slice(a, start: int, stop: int) -> Tensor:
     """Slice the innermost (time) axis; backward zero-pads outside the slice."""
     a = _as_tensor(a)
-    out = np.ascontiguousarray(a.data[..., start:stop])
-    tape, node = a.tape, a._node
 
-    def backward(g):
+    def grad(g):
         full = np.zeros_like(a.data)
         full[..., start:stop] = g
-        tape._accumulate(node, full, own=True)
+        return full
 
-    return _result(out, "time_slice", tape, (node,), backward if tape else None)
+    return _op("time_slice", np.ascontiguousarray(a.data[..., start:stop]), (a, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +367,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatch("matmul expects rank-2 operands")
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    tape, (na, nb) = _shared_tape(a, b)
-    out = a.data @ b.data
-
-    def backward(g):
-        if na is not None:
-            tape._accumulate(na, g @ b.data.T, own=True)
-        if nb is not None:
-            tape._accumulate(nb, a.data.T @ g, own=True)
-
-    return _result(out, "matmul", tape, (na, nb), backward if tape else None)
+    return _op("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T),
+               (b, lambda g: a.data.T @ g))
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +434,8 @@ def spike_threshold(h, v_th: float, sg: SurrogateKind) -> Tensor:
     if not np.isfinite(v_th):
         raise ValueError("v_th must be finite")
     v = h.data - v_th
-    out = heaviside(v)
-    tape, node = h.tape, h._node
-
-    def backward(g):
-        tape._accumulate(node, g * surrogate_grad(sg, v), own=True)
-
-    return _result(out, "spike_threshold", tape, (node,), backward if tape else None)
+    return _op("spike_threshold", heaviside(v),
+               (h, lambda g: g * surrogate_grad(sg, v)))
 
 
 def fire_counts(h: np.ndarray, n_max) -> tuple[np.ndarray, np.ndarray]:
@@ -505,12 +459,7 @@ def clip_round(h, n_max: int) -> Tensor:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     rounded, out = fire_counts(h.data, n_max)
-    tape, node = h.tape, h._node
-
-    def backward(g):
-        tape._accumulate(node, g * (rounded == out), own=True)  # unclipped
-
-    return _result(out, "clip_round", tape, (node,), backward if tape else None)
+    return _op("clip_round", out, (h, lambda g: g * (rounded == out)))  # unclipped
 
 
 def decay_chain(npre: np.ndarray, exponent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -538,16 +487,15 @@ def sharpened_sigmoid(pre, tau: float) -> Tensor:
     pre = _as_tensor(pre)
     exponent = 1.0 / float(tau)
     sigma, power, alpha = decay_chain(np.negative(pre.data), exponent)
-    tape, node = pre.tape, pre._node
 
-    def backward(g):
+    def grad(g):
         g = g * (power == alpha) * exponent  # where the pin left the power
         g *= sigma ** (exponent - 1.0)
         g *= sigma
         g *= 1.0 - sigma
-        tape._accumulate(node, g, own=True)
+        return g
 
-    return _result(alpha, "sharpened_sigmoid", tape, (node,), backward if tape else None)
+    return _op("sharpened_sigmoid", alpha, (pre, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -653,38 +601,30 @@ def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
     kernel = _as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 2 or x.shape[1] != kernel.shape[0]:
         raise ShapeMismatch(f"depthwise conv: x {x.shape} vs kernel {kernel.shape}")
-    b_arr = None
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (x.shape[1],):
             raise ShapeMismatch(f"bias shape {bias.shape} != ({x.shape[1]},)")
-        b_arr = bias.data
     B, C, T = x.shape
     k = kernel.shape[1]
     lanes = x.data.reshape(B * C, T)
     kern = np.tile(kernel.data, (B, 1))  # lane b*C + c uses channel c's row
     out = np.zeros_like(x.data)
     _depthwise_taps(lanes, kern, out.reshape(B * C, T), adjoint=False)
-    if b_arr is not None:
-        out += b_arr[None, :, None]
+    if bias is not None:
+        out += bias.data[None, :, None]
 
-    tape, nodes = _shared_tape(x, kernel, bias)
-    nx, nk, nb = nodes
+    def grad_x(g):
+        gx = np.zeros_like(x.data)
+        _depthwise_taps(g.reshape(B * C, T), kern, gx.reshape(B * C, T), adjoint=True)
+        return gx
 
-    def backward(g):
-        g_lanes = g.reshape(B * C, T)
-        if nx is not None:
-            gx = np.zeros_like(x.data)
-            _depthwise_taps(g_lanes, kern, gx.reshape(B * C, T), adjoint=True)
-            tape._accumulate(nx, gx, own=True)
-        if nk is not None:
-            gk = _depthwise_kernel_grad(g_lanes, lanes, k)
-            tape._accumulate(nk, gk.reshape(B, C, k).sum(axis=0), own=True)
-        if nb is not None:
-            tape._accumulate(nb, np.sum(g, axis=(0, 2)), own=True)
+    def grad_kernel(g):
+        gk = _depthwise_kernel_grad(g.reshape(B * C, T), lanes, k)
+        return gk.reshape(B, C, k).sum(axis=0)
 
-    return _result(out, "depthwise_causal_conv", tape, nodes,
-                   backward if tape else None)
+    return _op("depthwise_causal_conv", out, (x, grad_x), (kernel, grad_kernel),
+               (bias, lambda g: np.sum(g, axis=(0, 2))))
 
 
 def _dense_taps(w_taps: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -719,40 +659,34 @@ def causal_conv(x, weight, bias=None) -> Tensor:
     weight = _as_tensor(weight)
     if x.ndim != 3 or weight.data.ndim != 3 or x.shape[1] != weight.data.shape[1]:
         raise ShapeMismatch(f"causal conv: x {x.shape} vs weight {weight.data.shape}")
-    b_arr = None
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (weight.data.shape[0],):
             raise ShapeMismatch("bias shape does not match output channels")
-        b_arr = bias.data
     B, _, T = x.shape
     c_out, _, k = weight.data.shape
     w_taps = np.ascontiguousarray(np.moveaxis(weight.data, 2, 0))  # (k, O, I)
     out = np.zeros((B, c_out, T), dtype=x.data.dtype)
     _dense_taps(w_taps, x.data, out, adjoint=False)
-    if b_arr is not None:
-        out += b_arr[None, :, None]
+    if bias is not None:
+        out += bias.data[None, :, None]
 
-    tape, nodes = _shared_tape(x, weight, bias)
-    nx, nw, nb = nodes
+    def grad_x(g):
+        gx = np.zeros_like(x.data)
+        _dense_taps(np.ascontiguousarray(w_taps.transpose(0, 2, 1)), g, gx,
+                    adjoint=True)
+        return gx
 
-    def backward(g):
-        if nx is not None:
-            gx = np.zeros_like(x.data)
-            _dense_taps(np.ascontiguousarray(w_taps.transpose(0, 2, 1)), g, gx,
-                        adjoint=True)
-            tape._accumulate(nx, gx, own=True)
-        if nw is not None:
-            gw = np.zeros_like(weight.data)
-            for j in range(max(0, k - T), k):
-                lag = k - 1 - j
-                gw[:, :, j] = np.matmul(g[..., lag:],
-                                        x.data[..., :T - lag].swapaxes(1, 2)).sum(0)
-            tape._accumulate(nw, gw, own=True)
-        if nb is not None:
-            tape._accumulate(nb, np.sum(g, axis=(0, 2)), own=True)
+    def grad_weight(g):
+        gw = np.zeros_like(weight.data)
+        for j in range(max(0, k - T), k):
+            lag = k - 1 - j
+            gw[:, :, j] = np.matmul(g[..., lag:],
+                                    x.data[..., :T - lag].swapaxes(1, 2)).sum(0)
+        return gw
 
-    return _result(out, "causal_conv", tape, nodes, backward if tape else None)
+    return _op("causal_conv", out, (x, grad_x), (weight, grad_weight),
+               (bias, lambda g: np.sum(g, axis=(0, 2))))
 
 
 def channel_mix(w, x) -> Tensor:
@@ -761,17 +695,9 @@ def channel_mix(w, x) -> Tensor:
     x = _as_tensor(x)
     if w.ndim != 2 or x.ndim != 3 or w.shape[1] != x.shape[1]:
         raise ShapeMismatch(f"channel mix: w {w.shape} vs x {x.shape}")
-    out = np.einsum("dc,bct->bdt", w.data, x.data)
-    tape, nodes = _shared_tape(w, x)
-    nw, nx = nodes
-
-    def backward(g):
-        if nw is not None:
-            tape._accumulate(nw, np.einsum("bdt,bct->dc", g, x.data), own=True)
-        if nx is not None:
-            tape._accumulate(nx, np.einsum("dc,bdt->bct", w.data, g), own=True)
-
-    return _result(out, "channel_mix", tape, nodes, backward if tape else None)
+    return _op("channel_mix", np.einsum("dc,bct->bdt", w.data, x.data),
+               (w, lambda g: np.einsum("bdt,bct->dc", g, x.data)),
+               (x, lambda g: np.einsum("dc,bdt->bct", w.data, g)))
 
 
 def tile_channels(w, channels: int) -> Tensor:
@@ -779,75 +705,24 @@ def tile_channels(w, channels: int) -> Tensor:
     w = _as_tensor(w)
     if w.ndim != 1:
         raise ShapeMismatch("tile_channels expects a rank-1 weight")
-    out = np.tile(w.data[None, :], (channels, 1))
-    tape, node = w.tape, w._node
-
-    def backward(g):
-        tape._accumulate(node, np.sum(g, axis=0), own=True)
-
-    return _result(out, "tile_channels", tape, (node,), backward if tape else None)
+    return _op("tile_channels", np.tile(w.data[None, :], (channels, 1)),
+               (w, lambda g: np.sum(g, axis=0)))
 
 
 def reverse_last(a) -> Tensor:
     """Reverse the innermost axis."""
     a = _as_tensor(a)
-    out = np.ascontiguousarray(a.data[..., ::-1])
-    tape, node = a.tape, a._node
-
-    def backward(g):
-        tape._accumulate(node, np.ascontiguousarray(g[..., ::-1]), own=True)
-
-    return _result(out, "reverse_last", tape, (node,), backward if tape else None)
+    return _op("reverse_last", np.ascontiguousarray(a.data[..., ::-1]),
+               (a, lambda g: np.ascontiguousarray(g[..., ::-1])))
 
 
 def add_channel_bias(x, bias) -> Tensor:
-    """x[B, C, T] + bias[C] broadcast over batch and time."""
+    """x[B, C] or x[B, C, T] + bias[C] broadcast over batch (and time)."""
     x = _as_tensor(x)
     bias = _as_tensor(bias)
-    if x.ndim != 3 or bias.shape != (x.shape[1],):
+    if x.ndim not in (2, 3) or bias.shape != (x.shape[1],):
         raise ShapeMismatch(f"channel bias: x {x.shape} vs bias {bias.shape}")
-    out = x.data + bias.data[None, :, None]
-    tape, nodes = _shared_tape(x, bias)
-    nx, nb = nodes
-
-    def backward(g):
-        if nx is not None:
-            tape._accumulate(nx, g, own=False)
-        if nb is not None:
-            tape._accumulate(nb, np.sum(g, axis=(0, 2)), own=True)
-
-    return _result(out, "add_channel_bias", tape, nodes, backward if tape else None)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    f must map a tensor to a scalar and be smooth at x; callers keep x away
-    from surrogate kinks by a margin of at least eps.
-    """
-    tape = Tape()
-    xt = tape.leaf(x.data)
-    y = f(xt)
-    if y.size != 1:
-        raise ValueError("grad_check needs a scalar-valued function")
-    tape.backward(y)
-    g_tape = tape.grad(xt)
-    if g_tape is None:
-        g_tape = np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    g_fd = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + eps
-        hi = f(Tensor(bumped.reshape(x.shape))).item()
-        bumped[i] = flat[i] - eps
-        lo = f(Tensor(bumped.reshape(x.shape))).item()
-        g_fd[i] = (hi - lo) / (2.0 * eps)
-    g_fd = g_fd.reshape(x.shape)
-    denom = np.maximum(1.0, np.abs(g_fd))
-    return float(np.max(np.abs(g_fd - g_tape) / denom))
+    axes = (0,) if x.ndim == 2 else (0, 2)
+    out = x.data + bias.data.reshape((-1,) + (1,) * (x.ndim - 2))
+    return _op("add_channel_bias", out, (x, lambda g: g),
+               (bias, lambda g: np.sum(g, axis=axes)))

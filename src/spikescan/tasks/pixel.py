@@ -111,7 +111,7 @@ class PixelModel:
             collect["block1"] = s1.data
             collect["block2"] = s2.data
         feats = ly.sum_time(s2)
-        return ly.add_bias_rows(nm.matmul(feats, w["head_w"]), w["head_b"])
+        return nm.add_channel_bias(nm.matmul(feats, w["head_w"]), w["head_b"])
 
     def spike_traces(self, x: np.ndarray) -> dict[str, np.ndarray]:
         traces: dict[str, np.ndarray] = {}

@@ -17,15 +17,18 @@ rounding written as floor(|x| + 0.5) with the sign put back, and
 ``sigmoid_power_clamp`` is the sharpened-sigmoid decay as the three taped
 ops it used to be (sigmoid, power, unit-interval clamp, each with its own
 backward), which ``numerics.fire_counts`` and ``numerics.sharpened_sigmoid``
-must match bit for bit.
+must match bit for bit.  ``grad_check`` is the central-difference oracle
+every taped gradient is checked against.
 """
+
+from typing import Callable
 
 import numpy as np
 
 from spikescan import numerics as nm
 from spikescan.errors import ShapeMismatch
 from spikescan.neurons import DsnState, dsn_dynamic_decay
-from spikescan.numerics import Tensor
+from spikescan.numerics import Tape, Tensor
 
 UNIT_OPEN_LO = 1e-300
 UNIT_OPEN_HI = float(np.nextafter(1.0, 0.0))
@@ -260,3 +263,33 @@ def scan_moveaxis_grads(alpha: np.ndarray, x: np.ndarray, h0: np.ndarray,
     d_x = g * (1.0 - alpha)
     d_h0 = g[..., 0] * alpha[..., 0]
     return np.ascontiguousarray(d_alpha), np.ascontiguousarray(d_x), d_h0
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    f must map a tensor to a scalar and be smooth at x; callers keep x away
+    from surrogate kinks by a margin of at least eps.
+    """
+    tape = Tape()
+    xt = tape.leaf(x.data)
+    y = f(xt)
+    if y.size != 1:
+        raise ValueError("grad_check needs a scalar-valued function")
+    tape.backward(y)
+    g_tape = tape.grad(xt)
+    if g_tape is None:
+        g_tape = np.zeros_like(x.data)
+
+    flat = x.data.reshape(-1)
+    g_fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] = flat[i] + eps
+        hi = f(Tensor(bumped.reshape(x.shape))).item()
+        bumped[i] = flat[i] - eps
+        lo = f(Tensor(bumped.reshape(x.shape))).item()
+        g_fd[i] = (hi - lo) / (2.0 * eps)
+    g_fd = g_fd.reshape(x.shape)
+    denom = np.maximum(1.0, np.abs(g_fd))
+    return float(np.max(np.abs(g_fd - g_tape) / denom))

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (causal_conv_shift, causal_conv_shift_grads,
-                     depthwise_conv_shift, depthwise_conv_shift_grads)
+                     depthwise_conv_shift, depthwise_conv_shift_grads,
+                     grad_check)
 from spikescan import layers as ly
 from spikescan import numerics as nm
-from spikescan.numerics import Tape, Tensor, grad_check
+from spikescan.numerics import Tape, Tensor
 
 
 def _fd(f, x0, eps=1e-6):
@@ -279,13 +280,13 @@ def test_softmax_cross_entropy_matches_finite_differences():
     assert _fd(loss, logits) <= 1e-6
 
 
-def test_add_bias_rows_gradient():
+def test_add_channel_bias_rank2_gradient():
     rng = np.random.default_rng(10)
     x0 = rng.normal(size=(3, 4))
     b0 = rng.normal(size=4)
 
     def loss_b(b):
-        return nm.mean_all(ly.add_bias_rows(Tensor(x0), b) ** 2.0)
+        return nm.mean_all(nm.add_channel_bias(Tensor(x0), b) ** 2.0)
 
     assert _fd(loss_b, b0) <= 1e-6
 

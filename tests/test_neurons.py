@@ -21,11 +21,12 @@ def test_lif_step_hand_evaluated():
     np.testing.assert_array_equal(s, [[1.0, 0.0]])
     # hard reset clears the firing lane, keeps the other at H
     np.testing.assert_allclose(v, [[0.0, 0.3]])
-    # the taped sequence op over that one step agrees
-    s_seq, _, v_seq = lif_sequence(neuron.cfg, Tensor([[[2.0], [0.6]]]))
+    # the taped sequence op and the trace over that one step agree
+    s_seq = lif_sequence(neuron.cfg, Tensor([[[2.0], [0.6]]]))
+    _, _, v_seq = lif_trace(neuron.cfg, np.array([[[2.0], [0.6]]]))
     assert s_seq.shape == (1, 2, 1)
     np.testing.assert_array_equal(s_seq.data[..., 0], s)
-    np.testing.assert_array_equal(v_seq.data[..., 0], v)
+    np.testing.assert_array_equal(v_seq[..., 0], v)
 
 
 def test_if_soft_burst_spikes_four_steps():
@@ -62,14 +63,15 @@ def test_sequence_matches_step_fold_bit_exactly():
     cfg = NeuronConfig(beta=0.25, v_th=1.0, reset_mode="soft")
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 3, 40)) * 2.0
-    s_seq, h_seq, v_seq = lif_sequence(cfg, Tensor(x))
+    s_seq = lif_sequence(cfg, Tensor(x))
+    _, h_seq, v_seq = lif_trace(cfg, x)
     neuron = LifNeuron(cfg)
     state = neuron.init_state(2, 3)
     for t in range(40):
         s, h, state = neuron.step(state, x[..., t])
         np.testing.assert_array_equal(s, s_seq.data[..., t])
-        np.testing.assert_array_equal(h, h_seq.data[..., t])
-        np.testing.assert_array_equal(state, v_seq.data[..., t])
+        np.testing.assert_array_equal(h, h_seq[..., t])
+        np.testing.assert_array_equal(state, v_seq[..., t])
 
 
 def test_config_validation():
@@ -439,7 +441,7 @@ def test_lif_sequence_gradient_matches_step_fold(leak, reset, sg):
         w = rng.normal(size=x.shape)
         tape = nm.Tape()
         xt = tape.leaf(x)
-        s, _, _ = lif_sequence(cfg, xt, sg)
+        s = lif_sequence(cfg, xt, sg)
         tape.backward(nm.sum_all(nm.mul(s, Tensor(w))))
         s_fold, g_fold = _fold_input_grad(cfg, x, w, sg)
         np.testing.assert_array_equal(s.data, s_fold)

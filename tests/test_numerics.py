@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import round_half_away, sigmoid_power_clamp
+from oracles import grad_check, round_half_away, sigmoid_power_clamp
 from spikescan import numerics as nm
 from spikescan.errors import DivisionByZero, NonFiniteError, ShapeMismatch
-from spikescan.layers import add_bias_rows, batch_norm_train, column_conv
+from spikescan.layers import batch_norm_train, column_conv
 from spikescan.numerics import (ArcTangent, Rectangular, StraightThrough,
-                                Tape, Tensor, clip_round, grad_check, matmul,
+                                Tape, Tensor, clip_round, matmul,
                                 spike_threshold, surrogate_grad)
 from spikescan.scan import scan
 
@@ -264,6 +264,39 @@ def test_gradient_accumulates_across_reuse():
     np.testing.assert_allclose(tape.grad(x), [7.0])
 
 
+@pytest.mark.parametrize("op, shape, dx", [
+    (lambda x: nm.add(x, nm.mul(x, 1.0)), (2, 3, 4), 4.0),
+    (lambda x: nm.sub(x, 1.0), (2, 3, 4), 3.0),
+    (lambda x: nm.reshape(x, (6, 4)), (2, 3, 4), 3.0),
+    (lambda x: nm.add_channel_bias(x, Tensor(np.ones(3))), (2, 3, 4), 3.0),
+    # a view of g where the copy is a no-op: identity axes, one time step
+    (lambda x: nm.transpose(x, (0, 1, 2)), (2, 3, 4), 3.0),
+    (nm.reverse_last, (2, 3, 1), 3.0),
+], ids=["add", "sub", "reshape", "add_channel_bias", "transpose", "reverse_last"])
+def test_pass_through_gradient_is_not_kept_as_the_output_gradient(op, shape, dx):
+    # y's backward hands x the output gradient itself; z's later
+    # contribution to x must add into a copy, not into y's own buffer
+    tape = Tape()
+    x = tape.leaf(np.random.default_rng(0).normal(size=shape))
+    z = nm.mul(x, 2.0)
+    y = op(x)
+    tape.backward(nm.sum_all(y) + nm.sum_all(z))
+    np.testing.assert_array_equal(tape.grad(y), np.ones(y.shape))
+    np.testing.assert_array_equal(tape.grad(x), np.full(x.shape, dx))
+
+
+def test_gradient_of_an_untaped_input_never_runs():
+    def refuse(g):
+        raise AssertionError("gradient of an untaped input computed")
+
+    tape = Tape()
+    x = tape.leaf(np.array([1.0, 2.0]))
+    y = nm._op("probe", x.data * 5.0, (x, lambda g: g * 5.0),
+               (Tensor([3.0, 4.0]), refuse))
+    tape.backward(nm.sum_all(y))
+    np.testing.assert_array_equal(tape.grad(x), [5.0, 5.0])
+
+
 def test_second_backward_on_a_tape_raises():
     tape = Tape()
     x = tape.leaf(np.array([2.0]))
@@ -314,7 +347,7 @@ MULTI_OPERAND_OPS = {
     "add_channel_bias": (nm.add_channel_bias, [(1, 2, 5), (2,)]),
     "scan": (scan, [(1, 2, 5), (1, 2, 5), (1, 2)]),
     "column_conv": (partial(column_conv, height=2), [(1, 4, 3), (1, 2, 3), (1,)]),
-    "add_bias_rows": (add_bias_rows, [(2, 3), (3,)]),
+    "add_channel_bias_rank2": (nm.add_channel_bias, [(2, 3), (3,)]),
     "batch_norm_train": (batch_norm_train, [(2, 2, 3), (2,), (2,)]),
 }
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (matrix_form, scan_fold, scan_moveaxis,
+from oracles import (grad_check, matrix_form, scan_fold, scan_moveaxis,
                      scan_moveaxis_grads)
 from spikescan import numerics as nm
-from spikescan.numerics import Tape, Tensor, grad_check
+from spikescan.numerics import Tape, Tensor
 from spikescan.scan import scan
 
 
