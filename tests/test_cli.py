@@ -258,19 +258,54 @@ BENCH_GRAD_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("length", list(BENCH_GRAD_DIGESTS))
-def test_dsn_bench_pass_gradient_digests_match_golden(length):
-    x, neuron = cli_module._bench_inputs("dsn", length, 2, 8, 3)
+# the same for the spikes and input gradient of the classical neurons at
+# batch 2, 4 channels, seed 3, recorded with the charge-fire-reset fold that
+# wrote (B, C, T) arrays frame by frame; 300 steps carry the reset through
+# a long backward recurrence
+LIF_GRAD_DIGESTS = {
+    ("lif-hard", 16): ("94bc762b432a105514c331b77aa303bdf96ee3f2a1a63a9cb547b7a48505ee09",
+                       "eae9f70d5a13f6b99398e9f91191d39cd39c476721b73b495c402e3549f52dc1"),
+    ("lif-hard", 300): ("d4d98ceb7539bfd35d7c17cf88d8a38d76acff11f705f3df5aa067b26acdc043",
+                        "686735285c133cb5266ab615f60728c27a04988afa57dc6200046fc84113dbd8"),
+    ("lif-soft", 16): ("94bc762b432a105514c331b77aa303bdf96ee3f2a1a63a9cb547b7a48505ee09",
+                       "4856a4195f4b6b3de11735d99a5f8a0961530838012796f925635be2d1a3cb80"),
+    ("lif-soft", 300): ("d4d98ceb7539bfd35d7c17cf88d8a38d76acff11f705f3df5aa067b26acdc043",
+                        "af91474b0dde298863b8fbcd6d46287ebd7f16fa84bb4491e63d190fe6f0bb05"),
+    ("if-soft", 16): ("fb28f0654490ace77468fce42ea53f75c2b93c53cb65e53237cec81ad5cfd6b9",
+                      "e089c33fee2275cf6414ca82dc8540d8ec75b22ed76799ae95262f57cbdd841b"),
+    ("if-soft", 300): ("c77b1ea5e5cebbd6f18ed230096c1a210de9665f99bc70ffdffd61cbba89e267",
+                       "887ae1bc1a5c248fdb5e770aa1776d2f68768bb62f07ef6c46e8a36c72aa5853"),
+    ("if-none", 16): ("db3859ad44fd43bafd3770af872f90cd14314a90b3b4f1c936359334bbaf8989",
+                      "c7829fc628b8329881a42765961be01e9c1c1d1cdc1a1d58da049918251e37cb"),
+    ("if-none", 300): ("923a311ab66bf51b4f4d5e5a14295b6e283afefab15cd53fff1a4b17c32a1557",
+                       "1d3d7b9562a0043808825ed2ee6e0df84985a5d8635310372a43c3a2e7640240"),
+}
+
+
+def _bench_pass_digests(kind: str, length: int, channels: int,
+                        weights: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """sha256 of the spikes, dL/dx and dL/dw for each named weight of one
+    taped bench pass (mean spike loss) at batch 2, seed 3."""
+    x, neuron = cli_module._bench_inputs(kind, length, 2, channels, 3)
     tape = Tape()
     leaves = {name: tape.leaf(w.data) for name, w in neuron.weights().items()}
     xt = tape.leaf(x)
     s = neuron.with_weights(leaves).forward(xt)
     tape.backward(nm.mean_all(s))
-    arrays = (s.data, tape.grad(xt), tape.grad(leaves["kernel"]),
-              tape.grad(leaves["bias"]))
-    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                for a in arrays)
+    arrays = (s.data, tape.grad(xt)) + tuple(tape.grad(leaves[n]) for n in weights)
+    return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                 for a in arrays)
+
+
+@pytest.mark.parametrize("length", list(BENCH_GRAD_DIGESTS))
+def test_dsn_bench_pass_gradient_digests_match_golden(length):
+    got = _bench_pass_digests("dsn", length, 8, ("kernel", "bias"))
     assert got == BENCH_GRAD_DIGESTS[length]
+
+
+@pytest.mark.parametrize("kind, length", list(LIF_GRAD_DIGESTS))
+def test_lif_bench_pass_gradient_digests_match_golden(kind, length):
+    assert _bench_pass_digests(kind, length, 4) == LIF_GRAD_DIGESTS[kind, length]
 
 
 @pytest.mark.parametrize("flags", [
