@@ -14,11 +14,10 @@ from .errors import (CorruptContainer, DivisionByZero, LengthMismatch,
                      StepUnavailable)
 from .numerics import (ArcTangent, Rectangular, StraightThrough,
                        SurrogateKind, Tape, Tensor, clip_round, matmul,
-                       spike_threshold, tensor, zeros)
+                       spike_threshold, zeros)
 from .scan import scan
 from .neurons import (DsnNeuron, DsnParams, DsnState, LifNeuron, Neuron,
-                      NeuronConfig, PsnNeuron, PsnParams, dsn_dynamic_decay,
-                      dsn_forward_parallel, dsn_step, lif_sequence,
-                      make_neuron, psn_forward)
+                      NeuronConfig, PsnNeuron, PsnParams, dsn_forward_parallel,
+                      dsn_step, make_neuron, psn_forward)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,8 @@
 """Dense rank-<=3 arrays with a reverse-mode gradient tape.
 
-Tensors wrap contiguous float64 numpy buffers shaped batch x channel x
-time, time innermost.
+Tensors wrap float64 numpy buffers shaped batch x channel x time.  Ops
+make them contiguous, time innermost, except the LIF's taped spikes: a
+(B, C, T) view of the time-major memory its serial fold writes.
 Every library operation validates finiteness of its result: NaN/Inf raise
 :class:`~spikescan.errors.NonFiniteError` instead of propagating.
 
@@ -183,10 +184,6 @@ class Tensor:
 
 def _scalar_err():
     raise ValueError("item() requires a single-element tensor")
-
-
-def tensor(data) -> Tensor:
-    return Tensor(data)
 
 
 def zeros(shape) -> Tensor:
@@ -579,10 +576,9 @@ def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
     tap j = 0..k-1 multiplies the lanes by its kernel column into one reused
     product buffer and adds that into the output shifted by the tap's lag
     (``_add_shifted``), so no tap allocates a full-size array and every
-    output element sees the additions of ``dsn_dynamic_decay``'s serial
-    window sum in the same order.  The input gradient is the mirror image;
-    the kernel gradient is one dot product per lane per tap, summed over
-    the batch.
+    output element sees the additions of ``dsn_step``'s serial window sum
+    in the same order.  The input gradient is the mirror image; the kernel
+    gradient is one dot product per lane per tap, summed over the batch.
 
     Measured on a 2-core Xeon, float64, one BLAS thread, this op's taped
     forward plus backward (median of 7) for blocks of 16 KiB, 64 KiB,

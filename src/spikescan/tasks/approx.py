@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import numerics as nm
-from ..neurons import NeuronConfig, lif_trace
+from ..neurons import LifNeuron, NeuronConfig
 from ..numerics import Tensor, fire_counts, heaviside
 from ..scan import scan
 from .datasets import gen_dataset_a, gen_dataset_b, split_train_test
@@ -61,7 +61,7 @@ def target_traces(target: ApproxTarget, signal: np.ndarray,
         if integer and reset_mode != "soft":
             raise ValueError("integer readout is defined for soft reset only")
         cfg = NeuronConfig.lif(tau_m, reset_mode, v_th=target.v_th)
-        s3, h3, _ = lif_trace(cfg, signal)
+        s3, h3 = LifNeuron(cfg).trace(signal)
         h_all[:, c, :] = h3[:, 0, :]
         s_all[:, c, :] = fire_counts(h3[:, 0, :], n_max)[1] if integer else s3[:, 0, :]
     return h_all, s_all

@@ -6,8 +6,10 @@ explicit T x T weight per lane; the chunked ``spikescan.scan`` is checked
 against both within a tolerance.  ``scan_moveaxis`` and
 ``scan_moveaxis_grads`` are that chunked scan and its adjoint computed on
 whole-array ``moveaxis`` and reversed copies, which ``spikescan.scan`` must
-match bit for bit.  ``dsn_serial_trace`` is the DSN recurrence written out step
-by step with the arithmetic inlined; ``lif_step_fold`` is the per-step taped
+match bit for bit.  ``dsn_dynamic_decay`` is one step's decay from a
+(B, C, k) window through the serial step's own decay kernel, and
+``dsn_serial_trace`` is the DSN recurrence written out step by step with
+the arithmetic inlined on top of it; ``lif_step_fold`` is the per-step taped
 LIF fold (time_slice -> reshape -> charge/fire/reset on the tape, one frame
 at a time) that the taped sequence op replaced.  ``depthwise_conv_shift``
 and ``causal_conv_shift`` are the two causal convolutions written as one
@@ -27,7 +29,7 @@ import numpy as np
 
 from spikescan import numerics as nm
 from spikescan.errors import ShapeMismatch
-from spikescan.neurons import DsnState, dsn_dynamic_decay
+from spikescan.neurons import DsnState, _dsn_decay
 from spikescan.numerics import Tape, Tensor
 
 UNIT_OPEN_LO = 1e-300
@@ -72,6 +74,19 @@ def matrix_form(alpha: np.ndarray, x: np.ndarray, h0: np.ndarray | None = None,
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix form produced a non-finite value")
     return out
+
+
+def dsn_dynamic_decay(params, x_window) -> Tensor:
+    """Decay for one step from the last k inputs (oldest first, current last).
+
+    Windows at the start of a sequence are zero-left-padded.  The result is
+    strictly inside (0, 1).
+    """
+    x_window = nm._as_tensor(x_window)
+    k = params.kernel_size
+    if x_window.ndim != 3 or x_window.shape[1:] != (params.channels, k):
+        raise ShapeMismatch(f"window must be (B, {params.channels}, {k})")
+    return Tensor(_dsn_decay(params, x_window.data.transpose(2, 0, 1)))
 
 
 def dsn_serial_trace(params, x: np.ndarray):

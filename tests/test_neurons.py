@@ -3,15 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dsn_serial_trace, lif_step_fold, matrix_form, round_half_away
+from oracles import (dsn_dynamic_decay, dsn_serial_trace, lif_step_fold, matrix_form,
+                     round_half_away)
 from spikescan import neurons
 from spikescan import numerics as nm
 from spikescan.errors import LengthMismatch, NonFiniteError, ShapeMismatch
 from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
                                LifNeuron, Neuron, NeuronConfig, PsnNeuron,
-                               PsnParams, dsn_dynamic_decay, dsn_forward_parallel,
-                               dsn_step, lif_sequence, lif_trace, make_neuron,
-                               psn_forward)
+                               PsnParams, dsn_forward_parallel, dsn_step,
+                               make_neuron, psn_forward)
 from spikescan.numerics import ArcTangent, Rectangular, Tensor
 
 
@@ -21,33 +21,31 @@ def test_lif_step_hand_evaluated():
     np.testing.assert_array_equal(s, [[1.0, 0.0]])
     # hard reset clears the firing lane, keeps the other at H
     np.testing.assert_allclose(v, [[0.0, 0.3]])
-    # the taped sequence op and the trace over that one step agree
-    s_seq = lif_sequence(neuron.cfg, Tensor([[[2.0], [0.6]]]))
-    _, _, v_seq = lif_trace(neuron.cfg, np.array([[[2.0], [0.6]]]))
+    # the taped forward over that one step agrees
+    s_seq = neuron.forward(Tensor([[[2.0], [0.6]]]))
     assert s_seq.shape == (1, 2, 1)
     np.testing.assert_array_equal(s_seq.data[..., 0], s)
-    np.testing.assert_array_equal(v_seq[..., 0], v)
 
 
 def test_if_soft_burst_spikes_four_steps():
     cfg = NeuronConfig.integrate_fire("soft")
     x = np.zeros((1, 1, 6))
     x[0, 0, 0] = 4.0
-    s, h, _ = lif_trace(cfg, x)
+    s, h = LifNeuron(cfg).trace(x)
     np.testing.assert_array_equal(s[0, 0], [1, 1, 1, 1, 0, 0])
     np.testing.assert_array_equal(h[0, 0], [4, 3, 2, 1, 0, 0])
 
 
 def test_zero_input_stays_silent():
     cfg = NeuronConfig(beta=0.5, reset_mode="soft")
-    s, h, v = lif_trace(cfg, np.zeros((2, 3, 10)))
-    assert not s.any() and not h.any() and not v.any()
+    s, h = LifNeuron(cfg).trace(np.zeros((2, 3, 10)))
+    assert not s.any() and not h.any()
 
 
 def test_no_reset_if_accumulates_linearly():
     cfg = NeuronConfig.integrate_fire("none")
     x = np.full((1, 1, 8), 0.5)
-    _, h, _ = lif_trace(cfg, x)
+    _, h = LifNeuron(cfg).trace(x)
     np.testing.assert_allclose(h[0, 0], 0.5 * np.arange(1, 9))
 
 
@@ -55,7 +53,7 @@ def test_beta_zero_is_memoryless():
     cfg = NeuronConfig(beta=0.0, reset_mode="hard")
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1, 2, 12))
-    _, h, _ = lif_trace(cfg, x)
+    _, h = LifNeuron(cfg).trace(x)
     np.testing.assert_array_equal(h, x)
 
 
@@ -63,15 +61,14 @@ def test_sequence_matches_step_fold_bit_exactly():
     cfg = NeuronConfig(beta=0.25, v_th=1.0, reset_mode="soft")
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 3, 40)) * 2.0
-    s_seq = lif_sequence(cfg, Tensor(x))
-    _, h_seq, v_seq = lif_trace(cfg, x)
     neuron = LifNeuron(cfg)
+    s_seq = neuron.forward(Tensor(x))
+    _, h_seq = neuron.trace(x)
     state = neuron.init_state(2, 3)
     for t in range(40):
         s, h, state = neuron.step(state, x[..., t])
         np.testing.assert_array_equal(s, s_seq.data[..., t])
         np.testing.assert_array_equal(h, h_seq[..., t])
-        np.testing.assert_array_equal(state, v_seq[..., t])
 
 
 def test_config_validation():
@@ -355,9 +352,9 @@ def test_reset_introduces_nonlinearity():
     cfg = NeuronConfig(beta=0.5, v_th=1.0, reset_mode="hard")
     x = np.array([[[1.2, 0.4]]])
     y = np.array([[[1.2, 0.4]]])
-    _, h_x, _ = lif_trace(cfg, x)
-    _, h_y, _ = lif_trace(cfg, y)
-    _, h_xy, _ = lif_trace(cfg, x + y)
+    _, h_x = LifNeuron(cfg).trace(x)
+    _, h_y = LifNeuron(cfg).trace(y)
+    _, h_xy = LifNeuron(cfg).trace(x + y)
     assert np.max(np.abs(h_xy - (h_x + h_y))) > 0.1
 
 
@@ -366,9 +363,9 @@ def test_no_reset_is_linear():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(1, 2, 30))
     y = rng.normal(size=(1, 2, 30))
-    _, h_x, _ = lif_trace(cfg, x)
-    _, h_y, _ = lif_trace(cfg, y)
-    _, h_xy, _ = lif_trace(cfg, x + y)
+    _, h_x = LifNeuron(cfg).trace(x)
+    _, h_y = LifNeuron(cfg).trace(y)
+    _, h_xy = LifNeuron(cfg).trace(x + y)
     assert np.max(np.abs(h_xy - (h_x + h_y))) <= 1e-12
 
 
@@ -441,7 +438,7 @@ def test_lif_sequence_gradient_matches_step_fold(leak, reset, sg):
         w = rng.normal(size=x.shape)
         tape = nm.Tape()
         xt = tape.leaf(x)
-        s = lif_sequence(cfg, xt, sg)
+        s = LifNeuron(cfg, sg).forward(xt)
         tape.backward(nm.sum_all(nm.mul(s, Tensor(w))))
         s_fold, g_fold = _fold_input_grad(cfg, x, w, sg)
         np.testing.assert_array_equal(s.data, s_fold)
@@ -560,6 +557,41 @@ def test_step_is_a_function_of_its_state(kind):
     for a, b in zip(first[:2] + tuple(_state_arrays(first[2])),
                     second[:2] + tuple(_state_arrays(second[2]))):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_fold_rejects_input_that_is_not_bct(kind):
+    neuron = make_neuron(kind, channels=3, t_train=16, k=5, seed=2)
+    for shape in ((3, 16), (16,), (1, 2, 3, 16)):
+        x = np.zeros(shape)
+        with pytest.raises(ShapeMismatch):
+            neuron.trace(x)
+        with pytest.raises(ShapeMismatch):
+            neuron.serial_fold(x)
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_step_rejects_a_frame_unlike_its_state(kind):
+    neuron = make_neuron(kind, channels=3, t_train=16, k=5, seed=2)
+    state = neuron.init_state(2, 3)
+    for shape in ((3,), (1, 3), (2, 4), (2, 3, 1)):
+        with pytest.raises(ShapeMismatch):
+            neuron.step(state, np.ones(shape))
+
+
+def test_trace_is_the_step_fold_except_for_psn():
+    # one serial path per kind: only full/masked PSN, which cannot step,
+    # compute ``trace`` some other way
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    own = {cls.__name__ for cls in subclasses(Neuron)
+           if cls.__module__ == neurons.__name__ and "trace" in vars(cls)}
+    assert own == {"PsnNeuron"}
+    for name in ("lif_trace", "lif_sequence"):
+        assert not hasattr(neurons, name)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
