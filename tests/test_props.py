@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -45,6 +46,33 @@ def test_short_control_witness_replays_exactly(tmp_path):
     assert h[0, 0, -1] >= 1.0  # the violation itself
     # and the verdict serializes
     json.dumps(verdict.to_dict())
+
+
+# sha256 of json.dumps(verdict.to_dict(), sort_keys=True) for
+# check_short_control(make_neuron(kind), delta, 500, rng_seed=0), recorded
+# with the LIF-only lane builder and forcing input; they pin lanes,
+# witnesses, notes and trial counts bit for bit
+SHORT_CONTROL_DIGESTS = {
+    ("if-hard", 1): "b15ff7bdd476b86c05e56494db880f686187e28edfcd0df6108445eec01a8917",
+    ("if-hard", 4): "05ec18c4de4187488706e42a6c1e4f3fbd4a78dbc66f03f846f63720d9593b6a",
+    ("if-hard", 16): "b2a6b73390f0f5a014d221d5eea9ba78975b69b1ee8d1b1fe5173ded6e32983a",
+    ("if-soft", 1): "3be0265c59eba85c66847d5534123b14547cd580680de8dd8d797c5df13fa2e5",
+    ("if-soft", 4): "dcafd45a89bae95cfdd9da650a24a1463de65872ce088092485e4f0d0db386a1",
+    ("if-soft", 16): "b38f171629a1897cd09abbd5ccc3ecff6e22d3be2275b26bceadac5aedb23ea4",
+    ("lif-hard", 1): "9d534d205d134855ef360dd623f7731a6fdc54b768711f6ff7a3a25572cb69f1",
+    ("lif-hard", 4): "64890662ea12007431ec3289429a7ea5367303e68c933f0fd265aeb4922d5d12",
+    ("lif-hard", 16): "a1f065ffdd6233ea22e001f8691c0d22c009db274acd2dfb84127470dff5c17e",
+    ("lif-soft", 1): "8ed306a8dac7d6c516741957c987a0f08a163b770c51ea09bcdb8f7131e1e482",
+    ("lif-soft", 4): "8ba19d8b1247db3e465d6e4cf3a65e305fe7f36fdcd8388f9ba24d72d9604b5a",
+    ("lif-soft", 16): "1702642e42f9e9ee99b7f8688bed68857e35656556eed9104c2333059a4435c9",
+}
+
+
+@pytest.mark.parametrize("kind, delta", list(SHORT_CONTROL_DIGESTS))
+def test_classical_short_control_verdicts_match_golden_digest(kind, delta):
+    verdict = check_short_control(make_neuron(kind), delta, 500, rng_seed=0)
+    blob = json.dumps(verdict.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SHORT_CONTROL_DIGESTS[kind, delta]
 
 
 def test_dsn_short_control_under_window_condition():
