@@ -477,7 +477,11 @@ class Neuron:
       ``supports_parallel``, otherwise ParallelUnavailable;
     * ``weights``/``with_weights`` -- the named trainable tensors, and the
       same neuron (hyperparameters unchanged) over given tensors, taped or
-      not, so a training loop can leaf them onto its tape.
+      not, so a training loop can leaf them onto its tape;
+    * ``long_control_bound``/``short_control_lanes`` -- the kind-specific
+      parts of the control checkers in ``props``: the claimed membrane
+      bound, and the input lanes the short-control search runs through
+      ``trace``.
 
     Folding ``step`` and calling ``sequence`` give bit-identical spikes
     wherever both exist.
@@ -488,6 +492,7 @@ class Neuron:
     supports_parallel = True
     n_max = 1  # largest spike count one step can emit
     channels: int | None = None  # the input width it is built for; None: any
+    t_train: int | None = None  # the one length it accepts; None: any
 
     def init_state(self, batch: int, channels: int):
         raise NotImplementedError
@@ -504,6 +509,15 @@ class Neuron:
         """Claimed membrane bound under inputs |x| <= c_bound; None where the
         membrane is expected to diverge."""
         raise ValueError(f"long control undefined for {self.name}")
+
+    def short_control_lanes(self, delta: int, trials: int,
+                            rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        """(x, lead): (lanes, C, lead + delta) inputs for the short-control
+        search.  The first ``lead`` frames drive H to v_th or above, and the
+        last ``delta`` frames are each below v_th/delta.  A one-frame lead-in
+        forces H from rest, so every lane must reach v_th; a longer one
+        searches, and only the lanes that reach it count as trials."""
+        raise ValueError(f"short control undefined for {self.name}")
 
     def weights(self) -> dict[str, Tensor]:
         return {}
@@ -628,6 +642,39 @@ class LifNeuron(Neuron):
             return max(c_bound, cfg.v_reset) if cfg.leak == "lif" else c_bound + cfg.v_th
         return c_bound if cfg.leak == "lif" else None
 
+    def short_control_lanes(self, delta: int, trials: int,
+                            rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        """One forcing frame that puts H at a target in [v_th, 10 v_th], then
+        the window: boundary cases, soft-reset killers, then random lanes."""
+        cfg = self.cfg
+        v_th, beta = cfg.v_th, cfg.beta
+        cap = (v_th / delta) * (1.0 - 1e-6)
+        targets = [v_th, 10.0 * v_th]
+        smalls = [np.full(delta, cap), np.full(delta, cap)]
+        # adversarial lane from the soft-reset analysis of a pure accumulator
+        targets.append((delta + 1) * v_th - delta * cap + 0.1 * v_th)
+        smalls.append(np.full(delta, cap))
+        # adversarial lane for leaky soft reset: the recursion bound
+        # sum_{i=0..delta} beta^-i * v_th (with zero window inputs)
+        if cfg.leak == "lif" and beta > 0.0:
+            bound = v_th * float(np.sum(beta ** -np.arange(delta + 1)))
+            targets.append(bound + 0.1 * v_th)
+            smalls.append(np.zeros(delta))
+        n_rand = max(0, trials - len(targets))
+        targets.extend(rng.uniform(v_th, 10.0 * v_th, size=n_rand))
+        smalls.extend(rng.uniform(0.0, cap, size=(n_rand, delta)))
+        targets, smalls = np.asarray(targets), np.asarray(smalls)
+        x1 = targets
+        if cfg.leak == "lif":
+            x1 = targets / (1.0 - beta)
+            # rounding in (1-beta)*x1 can land one ulp under the boundary target
+            for _ in range(3):
+                low = (1.0 - beta) * x1 < targets
+                if not np.any(low):
+                    break
+                x1 = np.where(low, np.nextafter(x1, np.inf), x1)
+        return np.concatenate([x1[:, None], smalls], axis=1)[:, None, :], 1
+
 
 class DsnNeuron(Neuron):
     """Dynamic-decay neuron: scan-parallel training, windowed serial inference."""
@@ -672,6 +719,17 @@ class DsnNeuron(Neuron):
         # from H = 0, each step mixes H convexly with an input in [-C, C]
         return max(0.0, c_bound)
 
+    def short_control_lanes(self, delta: int, trials: int,
+                            rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        """ceil(trials / C) rows of 3 standard-normal lead-in frames, a burst
+        in [v_th, 50 v_th] and the window, so ``trials`` counts lanes."""
+        shape = (-(-trials // self.channels), self.channels)
+        cap = (self.v_th / delta) * (1.0 - 1e-6)
+        lead_in = rng.normal(size=shape + (3,))
+        burst = rng.uniform(self.v_th, 50.0 * self.v_th, size=shape + (1,))
+        window = rng.uniform(0.0, cap, size=shape + (delta,))
+        return np.concatenate([lead_in, burst, window], axis=-1), 4
+
 
 class PsnNeuron(Neuron):
     """Full, masked or sliding PSN behind the shared interface."""
@@ -684,6 +742,7 @@ class PsnNeuron(Neuron):
         self.name = {"full": "psn", "masked": "masked-psn",
                      "sliding": "sliding-psn"}[params.variant]
         self.supports_step = params.variant == "sliding"
+        self.t_train = params.t_train
 
     def init_state(self, batch: int, channels: int) -> np.ndarray:
         if not self.supports_step:

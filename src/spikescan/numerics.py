@@ -59,7 +59,6 @@ class Tape:
     """Append-only record of operations for reverse-mode differentiation."""
 
     def __init__(self):
-        self._parents: list[tuple[int, ...]] = []
         self._ops: list[str] = []
         self._backwards: list[Callable | None] = []
         self._grads: list[np.ndarray | None] = []
@@ -69,9 +68,10 @@ class Tape:
 
     def _record(self, op: str, parents: tuple[int, ...],
                 backward: Callable | None) -> int:
+        # parents (the taped inputs' nodes) is not kept: each backward
+        # closure already holds the nodes it feeds
         if self._backwards is None:
             raise ValueError("tape already differentiated; record on a new tape")
-        self._parents.append(parents)
         self._ops.append(op)
         self._backwards.append(backward)
         return len(self._ops) - 1

@@ -20,7 +20,11 @@ rounding written as floor(|x| + 0.5) with the sign put back, and
 ops it used to be (sigmoid, power, unit-interval clamp, each with its own
 backward), which ``numerics.fire_counts`` and ``numerics.sharpened_sigmoid``
 must match bit for bit.  ``grad_check`` is the central-difference oracle
-every taped gradient is checked against.
+every taped gradient is checked against.  ``soft_reset_lemma_margin``,
+``construct_soft_reset_counterexample``, ``alpha_window_condition`` and
+``alpha_duration_schedule`` are the short-control analysis (the soft-reset
+lemma and decay schedules that tame a dynamic-decay membrane) the tests
+check by hand.
 """
 
 from typing import Callable
@@ -278,6 +282,84 @@ def scan_moveaxis_grads(alpha: np.ndarray, x: np.ndarray, h0: np.ndarray,
     d_x = g * (1.0 - alpha)
     d_h0 = g[..., 0] * alpha[..., 0]
     return np.ascontiguousarray(d_alpha), np.ascontiguousarray(d_x), d_h0
+
+
+# ---------------------------------------------------------------------------
+# short-control analysis: the soft-reset lemma and dynamic-decay schedules
+
+
+def soft_reset_lemma_margin(delta: int, m: int) -> int:
+    """Integer-exact sign witness for delta + m/delta - m >= 1.
+
+    Returns delta^2 + m - m*delta - delta, which is >= 0 iff the inequality
+    holds (delta > 0).
+    """
+    return delta * delta + m - m * delta - delta
+
+
+def construct_soft_reset_counterexample(delta: int, v_th: float,
+                                        small_inputs) -> np.ndarray:
+    """Input sequence defeating short control of a soft-reset accumulator.
+
+    A leading burst just above (delta+1)*v_th - sum(small_inputs) keeps an
+    integrate-and-fire neuron with soft reset firing through the whole
+    window, so the membrane is still at or above threshold at its end.
+    """
+    smalls = np.asarray(small_inputs, dtype=np.float64)
+    if smalls.shape != (delta,):
+        raise ValueError(f"need exactly {delta} small inputs")
+    if np.any(smalls >= v_th / delta):
+        raise ValueError("small inputs must each be below v_th/delta")
+    burst = (delta + 1) * v_th - float(np.sum(smalls)) + 0.1 * v_th
+    return np.concatenate([[burst], smalls])
+
+
+def alpha_window_condition(h_prev, x_t, v_th):
+    """Decay threshold (v_th - x_t)/(h_prev - x_t) below which one dynamic
+    decay step pulls the membrane under threshold.
+
+    Requires h_prev > x_t; at h_prev = v_th the threshold is 1 (any valid
+    decay works).
+    """
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    if np.any(h_prev <= x_t):
+        raise ValueError("condition vacuous: h_prev must exceed x_t")
+    out = (v_th - x_t) / (h_prev - x_t)
+    return out if out.ndim else float(out)
+
+
+def alpha_duration_schedule(h_start: float, inputs, v_th: float,
+                            duration: int) -> np.ndarray:
+    """Decay schedule keeping the membrane at or above threshold for exactly
+    ``duration`` steps of the window, then dropping it below.
+
+    Steps before the drop take the midpoint between the window threshold and
+    1; the drop step takes half the threshold.  Afterwards any decay keeps
+    the membrane down, so 0.5 is used.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    delta = inputs.size
+    if not 1 <= duration <= delta:
+        raise ValueError("duration must lie in [1, delta]")
+    if h_start < v_th:
+        raise ValueError("schedule needs a super-threshold start")
+    alphas = np.empty(delta)
+    h = float(h_start)
+    for i in range(delta):
+        if h > inputs[i]:
+            thr = alpha_window_condition(h, inputs[i], v_th)
+        else:
+            thr = 1.0
+        if i < duration - 1:
+            a = (min(thr, 1.0) + 1.0) / 2.0
+        elif i == duration - 1:
+            a = thr / 2.0
+        else:
+            a = 0.5
+        h = a * h + (1.0 - a) * inputs[i]
+        alphas[i] = a
+    return alphas
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:

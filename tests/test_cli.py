@@ -69,6 +69,20 @@ def test_props_short_control_hard_reset(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_props_short_control_dsn_names_violating_channel(runner, tmp_path):
+    out = tmp_path / "p4"
+    res = runner.invoke(cli, ["props", "--neuron", "dsn", "--property",
+                              "short-control", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["holds"] is False
+    assert verdict["matches_expected"] is True
+    witness = verdict["witness"]
+    assert witness["channel"] == 2
+    assert witness["note"].startswith("channel 2: ")
+    assert len(witness["inputs"]) == 3  # the lane's (C, T) input
+
+
 def test_props_conditions_table_dsn(runner, tmp_path):
     out = tmp_path / "p3"
     res = runner.invoke(cli, ["props", "--neuron", "dsn", "--property",

@@ -7,12 +7,13 @@ import pytest
 from spikescan.errors import ReplayMismatch, SpikescanError
 from spikescan.neurons import (NEURON_KINDS, DsnParams, DsnNeuron, LifNeuron,
                                make_neuron)
+from spikescan.numerics import Tensor
 from spikescan.props import (EXPECTED_CONDITIONS, EXPECTED_CONTROL,
-                             alpha_duration_schedule, alpha_window_condition,
                              check_conditions_table, check_long_control,
-                             check_short_control,
-                             construct_soft_reset_counterexample,
-                             soft_reset_lemma_margin)
+                             check_short_control)
+
+from oracles import (alpha_duration_schedule, alpha_window_condition,
+                     construct_soft_reset_counterexample, soft_reset_lemma_margin)
 
 TRIALS = 3000  # unit-scale; the acceptance suite runs the full 10k
 
@@ -79,6 +80,51 @@ def test_dsn_short_control_under_window_condition():
     neuron = DsnNeuron(DsnParams.init(channels=1, seed=0))
     verdict = check_short_control(neuron, 4, TRIALS, rng_seed=0)
     assert verdict.holds
+
+
+def test_live_dsn_short_control_fails_with_replaying_witness():
+    neuron = make_neuron("dsn", channels=8, seed=0)
+    verdict = check_short_control(neuron, 4, rng_seed=0)
+    assert not verdict.holds
+    w = verdict.witness
+    assert w.inputs.shape == (8, 8)  # (C, lead-in 3 + burst 1 + window 4)
+    assert w.channel in (2, 7) and f"channel {w.channel}" in w.note
+    assert w.violated_t == 7
+    assert np.all(w.inputs[:, -4:] < neuron.v_th / 4)
+    assert w.to_dict()["channel"] == w.channel
+    _, h = neuron.trace(w.inputs[None])
+    np.testing.assert_array_equal(h[0, w.channel], w.trace)
+    assert h[0, w.channel, 3] >= neuron.v_th and h[0, w.channel, -1] >= neuron.v_th
+    # the same through the fold of ``step``
+    state = neuron.init_state(1, 8)
+    for t in range(w.inputs.shape[1]):
+        _, h_t, state = neuron.step(state, w.inputs[None, :, t])
+    assert h_t[0, w.channel] == w.trace[-1]
+
+
+def test_short_control_holds_on_input_tracking_dsn():
+    # zero kernel, bias -50: alpha = sigmoid(-50)^4 ~ 1e-87, so H = x
+    # exactly and every burst reaches threshold, every window drops below
+    params = DsnParams(conv_kernel=Tensor(np.zeros((3, 4))),
+                       conv_bias=Tensor(np.full(3, -50.0)))
+    verdict = check_short_control(DsnNeuron(params), 4, 1000, rng_seed=0)
+    assert verdict.holds
+    assert verdict.trials == 334 * 3  # ceil(1000 / 3) rows of 3 lanes
+
+
+@pytest.mark.parametrize("kind", ["psn", "masked-psn", "sliding-psn"])
+def test_short_control_undefined_for_psn_family(kind):
+    neuron = make_neuron(kind, channels=2, t_train=16)
+    with pytest.raises(ValueError, match="short control undefined"):
+        check_short_control(neuron, 4, 100, rng_seed=0)
+
+
+def test_short_control_has_one_body_for_every_kind():
+    import inspect
+
+    from spikescan import props
+    assert not hasattr(props, "_check_short_control_dsn")
+    assert "isinstance(neuron" not in inspect.getsource(props)
 
 
 def test_counterexample_matches_hand_value():
@@ -286,8 +332,10 @@ def test_conditions_table_matches_published_rows(kind):
 
 
 def test_expected_control_registry_consistent():
+    # each neuron as ``spikescan props`` builds it, so the table, the CLI and
+    # this test describe the same neuron
     for kind, props in EXPECTED_CONTROL.items():
-        neuron = make_neuron(kind, channels=1)
+        neuron = make_neuron(kind, channels=3, t_train=32)
         for prop, expected in props.items():
             if prop == "short-control":
                 verdict = check_short_control(neuron, 4, 500, rng_seed=0)
