@@ -10,13 +10,11 @@ Two control notions are checked on live neurons:
   lacks the property.
 
 Each check has one body for every kind and runs the live neuron through
-its public API (``trace``, or ``step`` for divergence).  The kind-specific
-parts are ``Neuron`` methods: ``short_control_lanes`` gives the lanes the
-short-control search runs (deterministic adversarial lanes plus random
-ones), and ``long_control_bound`` the bound long control is checked
-against.  Failing verdicts carry a witness whose replay through the public
-neuron API reproduces the violation exactly; the checkers replay before
-returning.  ``props`` reads no neuron internals: it imports only ``Neuron``.
+its public API; the kind-specific parts are the ``Neuron`` methods
+``short_control_lanes`` (adversarial plus random lanes) and
+``long_control_bound``.  Failing verdicts carry a witness whose replay
+through the public neuron API reproduces the violation exactly; the
+checkers replay before returning.
 
 ``check_conditions_table`` probes the structural requirements for parallel
 training with serial inference -- prefix summarizability, online
