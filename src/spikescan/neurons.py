@@ -1,15 +1,18 @@
 """Spiking neuron models with dual serial/parallel execution.
 
 Every kind sits behind one interface, :class:`Neuron`: ``step`` for serial
-inference with bounded state, ``trace`` for serial (S, H) trajectories,
-``forward`` for taped training over a whole (B, C, T) sequence,
-``sequence`` for the offline parallel map, and ``weights``/``with_weights``
-for the trainable tensors.  :func:`make_neuron` is the one place that maps
-a kind name to a model; the CLI (bench included) and the tasks all build
-through it.  ``trace`` is the fold of ``step`` (``Neuron._fold``) for every
-kind that can step; only ``PsnNeuron`` overrides it, because full and
-masked PSN cannot step.  Folding ``step`` over time and calling
-``sequence`` produce the same spikes wherever both exist.
+inference with bounded state, ``advance`` for the same inference a (B, C, T)
+block at a time, ``trace`` for serial (S, H) trajectories, ``forward`` for
+taped training over a whole (B, C, T) sequence, ``sequence`` for the
+offline parallel map, and ``weights``/``with_weights`` for the trainable
+tensors.  :func:`make_neuron` is the one place that maps a kind name to a
+model; the CLI (bench included) and the tasks all build through it.
+``trace`` is the fold of ``step`` (``Neuron._fold``) for every kind that
+can step; only ``PsnNeuron`` overrides it, because full and masked PSN
+cannot step.  ``advance`` equals that fold bit for bit at any block length;
+DSN and sliding PSN compute it a cache-sized sub-block of frames at a time.
+Folding ``step`` over time and calling ``sequence`` produce the same spikes
+wherever both exist.
 
 Models:
 
@@ -30,6 +33,7 @@ Models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -237,8 +241,9 @@ STEP_LOOP_LANES = 512
 
 
 def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
-    """sum over j of a[j] * b[j], a (B, C)-shaped sum added in the order
-    j = 0, 1, ... of the leading axis.
+    """sum over j of a[j] * b[j], a sum of the given shape ((B, C) for a
+    step, (n, B, C) for a block of n frames) added in the order j = 0, 1,
+    ... of the leading axis.
 
     That is the order in which ``depthwise_causal_conv`` adds its taps
     (oldest first) into each output element and in which the taped
@@ -246,11 +251,13 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
     does there and a step reproduces ``sequence`` bit for bit.  Those ops
     start from +0.0; this sum starts from the first term, which changes
     only the sign of a sum whose every term is -0.0 (adding +0.0 to the
-    result undoes that).  Below ``STEP_LOOP_LANES`` lanes the sum is one
+    result undoes that).  Below ``STEP_LOOP_LANES`` elements the sum is one
     multiply and one in-place ``np.add.accumulate`` down the leading axis;
-    from there on it is a loop of row-wise multiply-adds.
+    from there on it is a loop of multiply-adds over whole terms.
     """
-    if shape[0] * shape[1] < STEP_LOOP_LANES:
+    if math.prod(shape) < STEP_LOOP_LANES:
+        if a.ndim != b.ndim:  # pair the leading axes, as a[j] * b[j] does
+            a, b = _lead_aligned(a, len(shape) + 1), _lead_aligned(b, len(shape) + 1)
         terms = np.multiply(a, b)
         np.add.accumulate(terms, axis=0, out=terms)
         return terms[-1]
@@ -261,17 +268,24 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
     return acc
 
 
+def _lead_aligned(v: np.ndarray, ndim: int) -> np.ndarray:
+    """v with unit axes inserted after its leading one, up to ndim axes."""
+    return v.reshape(v.shape[:1] + (1,) * (ndim - v.ndim) + v.shape[1:])
+
+
 def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
-    """Decays (B, C) from a tap-major (k, B, C) window, oldest first: the
-    negated pre-activation summed in the order ``dsn_alpha_sequence`` adds
-    it, through the ``numerics.decay_chain`` of its ``sharpened_sigmoid``."""
+    """Decays (..., C) from a tap-major (k, ..., C) window, oldest first:
+    (k, B, C) for a step, a (k, n, B, C) view for n frames of a block.  The
+    negated pre-activation is summed in the order ``dsn_alpha_sequence``
+    adds it, then goes through the ``numerics.decay_chain`` of its
+    ``sharpened_sigmoid``."""
     shape = window.shape[1:]
     taps, bias, _ = params._step_operands
     npre = _ordered_sum(window, taps, shape)
     np.add(npre, bias, out=npre)
     if params.channel_mix is not None:
-        npre = _ordered_sum(params.channel_mix.data.T[:, None, :], npre.T[:, :, None],
-                            shape)
+        npre = _ordered_sum(params.channel_mix.data.T[:, None, :],
+                            np.moveaxis(npre, -1, 0)[..., None], shape)
     return nm.decay_chain(npre, 1.0 / params.tau)[2]
 
 
@@ -313,6 +327,62 @@ def dsn_step(params: DsnParams, state: DsnState, x_t) -> tuple[np.ndarray, DsnSt
     np.add(h, alpha, out=h)
     s = nm.fire_counts(h, params._step_operands[2])[1]
     return s, DsnState(h=h, window=window[1:].transpose(1, 2, 0))
+
+
+def _block_frames(x, lanes: tuple) -> np.ndarray:
+    """The time-major (T, B, C) view of a (B, C, T) block whose (B, C)
+    must equal the state's lanes."""
+    x = np.asarray(x)
+    if x.ndim != 3 or x.shape[:2] != lanes:
+        raise ShapeMismatch(f"expected a (B, C, T) block with (B, C) = {lanes}, "
+                            f"got shape {x.shape}")
+    return x.transpose(2, 0, 1)
+
+
+def _sub_blocks(window: np.ndarray, frames: np.ndarray):
+    """Walk (T, B, C) frames a sub-block at a time behind a tap-major
+    (m, B, C) window of the frames before them, oldest first.
+
+    Yields (t, taps) per sub-block of n frames from frame t on: taps is a
+    read-only (m + 1, n, B, C) view of [window | frames] whose row j holds,
+    for each frame, the input m - j frames back, the layout of a step's
+    window, so taps[-1] is the frames themselves as float64.  The view
+    lives in one buffer that the next sub-block reuses, and a non-finite
+    frame raises NonFiniteError.
+
+    A sub-block is ``numerics.CONV_BLOCK_BYTES // (8 B C)`` frames, at
+    least one.  Measured as ``advance`` from ``init_state`` on a 2-core
+    Xeon, float64, one BLAS thread, median of 7, for sub-blocks of 64 KiB,
+    128 KiB, 256 KiB, 512 KiB, 1 MiB and 2 MiB (``BENCH_advance.json``), in
+    ms:
+
+    * dsn, 4x16x30000: 122, 116, 115, 123, 133 and 147;
+    * dsn, 16x128x1024: 67, 69, 67, 69, 79 and 81;
+    * sliding-psn (k=32), 4x16x30000: 85, 68, 60, 73, 104 and 118;
+    * sliding-psn, 16x128x1024: 113, 87, 68, 70, 122 and 130.
+    """
+    m = window.shape[0]
+    T, B, C = frames.shape
+    n = max(1, nm.CONV_BLOCK_BYTES // max(8 * B * C, 1))
+    buf = np.empty((m + min(n, T), B, C))
+    buf[:m] = window
+    strides = (buf.strides[0],) + buf.strides
+    for t in range(0, T, n):
+        if t:
+            buf[:m] = buf[n:n + m]  # the last m frames of the sub-block before
+        stop = min(t + n, T)
+        block = buf[m:m + stop - t]
+        block[...] = frames[t:stop]
+        _finite_input(block)
+        yield t, np.lib.stride_tricks.as_strided(buf, (m + 1,) + block.shape, strides,
+                                                 writeable=False)
+
+
+def _last_frames(older: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
+    """A float64 copy of the last m frames of [older | frames], tap-major."""
+    T = frames.shape[0]
+    return np.concatenate((older[older.shape[0] - max(m - T, 0):],
+                           frames[max(T - m, 0):]), dtype=float)
 
 
 def dsn_alpha_sequence(params: DsnParams, x) -> Tensor:
@@ -468,6 +538,9 @@ class Neuron:
 
     * ``init_state``/``step`` -- serial inference: one (B, C) input frame in,
       (spikes, membrane, new state) out, with state that does not grow in t;
+    * ``advance`` -- the same inference for a (B, C, T) block: (spikes, new
+      state) equal to folding ``step`` from the given state, bit for bit, so
+      blocks of any length may follow each other or single steps;
     * ``trace`` -- (S, H) arrays over (B, C, T) input with serial semantics,
       for the property checkers: the fold of ``step`` (``_fold``) for every
       kind that can step.  Only ``PsnNeuron`` overrides it, because full and
@@ -537,16 +610,26 @@ class Neuron:
 
     def trace(self, x: np.ndarray):
         """(S, H) arrays over a (B, C, T) input: the fold of ``step``."""
-        return self._fold(x, membranes=True)
+        return self._fold(x, membranes=True)[:2]
 
     def serial_fold(self, x: np.ndarray) -> np.ndarray:
         """Spikes from folding ``step`` over time; the membranes are not kept."""
         return self._fold(x, membranes=False)[0]
 
-    def _fold(self, x: np.ndarray, membranes: bool):
-        """Spikes and, with ``membranes``, membranes from folding ``step``
-        over (B, C, T) input; both are (B, C, T) views of time-major
-        (T, B, C) memory, written one whole frame per step.
+    def advance(self, state, x: np.ndarray):
+        """(spikes, new_state) for a (B, C, T) block from ``state``: the fold
+        of ``step`` from that state, so a stream may be cut into blocks of
+        any length, interleaved with ``step``.  The spikes are a (B, C, T)
+        view of time-major memory, and the state passed in is not modified.
+        """
+        s, _, state = self._fold(x, membranes=False, state=state)
+        return s, state
+
+    def _fold(self, x: np.ndarray, membranes: bool, state=None):
+        """(spikes, membranes or None, final state) from folding ``step``
+        over (B, C, T) input from ``state`` (default: ``init_state``).  Spikes
+        and membranes are (B, C, T) views of time-major (T, B, C) memory,
+        written one whole frame per step.
 
         It is also the LIF's taped training forward.  Measured as lif-hard
         ``trace`` on a 2-core Xeon, float64, medians of 5-11 calls, the
@@ -560,7 +643,8 @@ class Neuron:
             raise ShapeMismatch(f"expected (B, C, T) input, got shape {x.shape}")
         _finite_input(x)
         frames = np.ascontiguousarray(x.transpose(2, 0, 1))  # (T, B, C)
-        state = self.init_state(x.shape[0], x.shape[1])
+        if state is None:
+            state = self.init_state(x.shape[0], x.shape[1])
         s_out = np.empty_like(frames)
         h_out = np.empty_like(frames) if membranes else None
         for t in range(frames.shape[0]):
@@ -568,7 +652,7 @@ class Neuron:
             if membranes:
                 h_out[t] = h
         s_out = s_out.transpose(1, 2, 0)
-        return (s_out, h_out.transpose(1, 2, 0)) if membranes else (s_out, None)
+        return s_out, h_out.transpose(1, 2, 0) if membranes else None, state
 
 
 class LifNeuron(Neuron):
@@ -699,6 +783,39 @@ class DsnNeuron(Neuron):
         s, new_state = dsn_step(self.params, state, x_t)
         return s, new_state.h, new_state
 
+    def advance(self, state: DsnState, x):
+        """``dsn_step`` folded over a (B, C, T) block, a sub-block at a time.
+
+        Every stage without a recurrence runs over a whole sub-block of
+        time-major frames (``_sub_blocks``): the tap sum, bias and mix and
+        the decay chain (``_dsn_decay``, the step's own), b = (1 - alpha) x
+        and the fire.  Only H_t = alpha_t H_{t-1}, then + b_t, runs frame by
+        frame, as the step's own two ufuncs.  Each element therefore rounds
+        as in ``dsn_step``, and spikes and state equal the step fold's bit
+        for bit at any block length.  The returned state owns its memory.
+
+        Measured as ``_SequenceModel.eval_serial`` on a 2-core Xeon,
+        float64, one BLAS thread, median of 7 runs (``BENCH_advance.json``):
+        137 ms at 4x16x30000 against 1132 ms through the step fold, and
+        79 ms at 16x128x1024 against 132 ms.
+        """
+        p = self.params
+        frames = _block_frames(x, state.h.shape)
+        window = state.window.transpose(2, 0, 1)
+        s = np.empty(frames.shape)
+        h = state.h
+        for t, taps in _sub_blocks(window, frames):
+            alpha = _dsn_decay(p, taps)
+            b = np.subtract(_ONE, alpha)
+            np.multiply(b, taps[-1], out=b)
+            for a_t, b_t in zip(alpha, b):  # H_t, in place of alpha_t
+                a_t *= h
+                a_t += b_t
+                h = a_t
+            s[t:t + len(alpha)] = nm.fire_counts(alpha, p._step_operands[2])[1]
+        window = _last_frames(window, frames, p.kernel_size - 1).transpose(1, 2, 0)
+        return s.transpose(1, 2, 0), DsnState(h=h.copy(), window=window)
+
     def weights(self) -> dict[str, Tensor]:
         p = self.params
         named = {"kernel": p.conv_kernel, "bias": p.conv_bias, "mix": p.channel_mix}
@@ -744,10 +861,13 @@ class PsnNeuron(Neuron):
         self.supports_step = params.variant == "sliding"
         self.t_train = params.t_train
 
-    def init_state(self, batch: int, channels: int) -> np.ndarray:
+    def _require_step(self) -> None:
         if not self.supports_step:
             raise StepUnavailable(
                 f"{self.name}: weights are coupled to absolute timesteps")
+
+    def init_state(self, batch: int, channels: int) -> np.ndarray:
+        self._require_step()
         k = self.params.weight.shape[0]
         return np.zeros((k, batch, channels))
 
@@ -774,11 +894,30 @@ class PsnNeuron(Neuron):
         window = np.empty_like(state)
         window[:-1] = state[1:]
         window[-1] = x
-        taps = self.params.weight.data[::-1, None, None]  # lag order -> window order
-        h = _ordered_sum(window, taps, x.shape)
-        np.add(h, _ZERO, out=h)  # the conv's sum starts at +0.0
+        h = self._window_sum(window)
         s = heaviside(h - self.v_th)
         return s, h, window
+
+    def advance(self, state, x):
+        """``step`` folded over a (B, C, T) block: the window sums of a
+        whole sub-block of time-major frames at once (``_sub_blocks``), in
+        the step's tap order, so spikes and state equal the step fold's bit
+        for bit at any block length.  The returned state owns its memory;
+        full and masked PSN raise StepUnavailable."""
+        self._require_step()
+        frames = _block_frames(x, state.shape[1:])
+        s = np.empty(frames.shape)
+        for t, taps in _sub_blocks(state[1:], frames):
+            s[t:t + taps.shape[1]] = heaviside(self._window_sum(taps) - self.v_th)
+        return s.transpose(1, 2, 0), _last_frames(state, frames, state.shape[0])
+
+    def _window_sum(self, window: np.ndarray) -> np.ndarray:
+        """Membranes from a tap-major (k, ..., B, C) window of inputs, oldest
+        first, summed as the depthwise conv sums them."""
+        taps = self.params.weight.data[::-1, None, None]  # lag order -> window order
+        h = _ordered_sum(window, taps, window.shape[1:])
+        np.add(h, _ZERO, out=h)  # the conv's sum starts at +0.0
+        return h
 
     def weights(self) -> dict[str, Tensor]:
         return {"weight": self.params.weight}

@@ -502,7 +502,8 @@ def sharpened_sigmoid(pre, tau: float) -> Tensor:
 # Bytes of one lane block of the depthwise conv: the block's input, output
 # and product rows (3 x 256 KiB) stay in a core's 2 MiB L2 while all k taps
 # pass over them; depthwise_causal_conv gives the measured cost of the sizes
-# around it.
+# around it.  ``Neuron.advance`` sizes its sub-blocks of frames by it too
+# (``neurons._sub_blocks`` gives that sweep).
 CONV_BLOCK_BYTES = 2 ** 18
 
 

@@ -3,9 +3,10 @@
 A one-layer autoregressor (linear encoder, spiking neuron, linear decoder)
 is trained on stationary wave mixtures to predict the next value.  Neurons
 with bounded online state (dynamic decay, sliding PSN) then run serial
-inference on sequences far longer than the training length; the
-length-locked PSN variants raise LengthMismatch instead, which the result
-records verbatim.
+inference on sequences far longer than the training length: the long eval
+streams through ``Neuron.advance``, which carries O(C k) state and matches
+the fold of ``step`` bit for bit.  The length-locked PSN variants raise
+LengthMismatch instead, which the result records verbatim.
 """
 
 from __future__ import annotations
@@ -84,18 +85,21 @@ class _SequenceModel:
     def eval_serial(self, x: np.ndarray) -> float:
         """Stepwise next-value loss on (B, 1, T) input of any length.
 
-        Every frame is encoded in one elementwise op, the neuron's ``step``
-        is folded over time (``serial_fold``) and the spikes are decoded
-        after the fold, as one (B, C) @ (C,) product per step in time-major
-        order, which rounds as a product per step does.
+        Every frame is encoded in one elementwise op, the whole stream goes
+        through one ``neuron.advance`` from a fresh state (serial inference
+        a sub-block at a time, with O(C k) state, bit-identical to folding
+        ``step``), and the spikes are decoded after it, as one (B, C) @ (C,)
+        product per step in time-major order, which rounds as a product per
+        step does.
         """
         if not self.neuron.supports_step:
             raise LengthMismatch(f"{self.kind} has no serial mode")
         vals = {p.name: p.value for p in self.params}
         neuron = self._neuron(leaves(self.params, None))
-        # (T, B, C) frames, viewed as (B, C, T): the fold steps along T
+        # (T, B, C) frames, viewed as (B, C, T) without a copy
         frames = vals["enc_w"][:, 0] * x[:, 0, :].T[:, :, None] + vals["enc_b"]
-        s = neuron.serial_fold(frames.transpose(1, 2, 0))
+        state = neuron.init_state(x.shape[0], self.channels)
+        s, _ = neuron.advance(state, frames.transpose(1, 2, 0))
         s = np.ascontiguousarray(s.transpose(2, 0, 1))
         preds = np.ascontiguousarray((s @ vals["dec_w"][0] + vals["dec_b"][0]).T)
         return float(np.mean((preds[:, :-1] - x[:, 0, 1:]) ** 2))

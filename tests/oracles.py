@@ -24,7 +24,9 @@ every taped gradient is checked against.  ``soft_reset_lemma_margin``,
 ``construct_soft_reset_counterexample``, ``alpha_window_condition`` and
 ``alpha_duration_schedule`` are the short-control analysis (the soft-reset
 lemma and decay schedules that tame a dynamic-decay membrane) the tests
-check by hand.
+check by hand.  ``eval_serial_fold`` is the extrapolation model's serial
+eval through the fold of ``step`` (``serial_fold``), which its eval through
+``Neuron.advance`` must match exactly.
 """
 
 from typing import Callable
@@ -35,6 +37,7 @@ from spikescan import numerics as nm
 from spikescan.errors import ShapeMismatch
 from spikescan.neurons import DsnState, _dsn_decay
 from spikescan.numerics import Tape, Tensor
+from spikescan.tasks.training import leaves
 
 UNIT_OPEN_LO = 1e-300
 UNIT_OPEN_HI = float(np.nextafter(1.0, 0.0))
@@ -110,6 +113,21 @@ def dsn_serial_trace(params, x: np.ndarray):
         a_out[..., t] = alpha
         state = DsnState(h=h, window=window[..., 1:])
     return s_out, h_out, a_out
+
+
+def eval_serial_fold(model, x: np.ndarray) -> float:
+    """``_SequenceModel.eval_serial`` with the neuron's ``step`` folded over
+    time (``serial_fold``): every frame is encoded in one elementwise op and
+    the spikes are decoded after the fold, as one (B, C) @ (C,) product per
+    step in time-major order."""
+    vals = {p.name: p.value for p in model.params}
+    neuron = model._neuron(leaves(model.params, None))
+    # (T, B, C) frames, viewed as (B, C, T): the fold steps along T
+    frames = vals["enc_w"][:, 0] * x[:, 0, :].T[:, :, None] + vals["enc_b"]
+    s = neuron.serial_fold(frames.transpose(1, 2, 0))
+    s = np.ascontiguousarray(s.transpose(2, 0, 1))
+    preds = np.ascontiguousarray((s @ vals["dec_w"][0] + vals["dec_b"][0]).T)
+    return float(np.mean((preds[:, :-1] - x[:, 0, 1:]) ** 2))
 
 
 def round_half_away(arr: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ from oracles import (dsn_dynamic_decay, dsn_serial_trace, lif_step_fold, matrix_
                      round_half_away)
 from spikescan import neurons
 from spikescan import numerics as nm
-from spikescan.errors import LengthMismatch, NonFiniteError, ShapeMismatch
+from spikescan.errors import (LengthMismatch, NonFiniteError, ShapeMismatch,
+                              StepUnavailable)
 from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
                                LifNeuron, Neuron, NeuronConfig, PsnNeuron,
                                PsnParams, dsn_forward_parallel, dsn_step,
@@ -614,3 +615,127 @@ def test_non_finite_frame_is_rejected_by_step(kind):
     _, _, state = neuron.step(state, np.ones((1, 3)))
     with pytest.raises(NonFiniteError):
         neuron.step(state, np.array([[0.0, np.nan, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# block inference: ``advance`` is the step fold, a block at a time
+
+
+def _advance_neuron(case: str) -> Neuron:
+    """Every stepping kind by its registry name; ``dsn-mix``, a DSN with a
+    random bias and a non-identity channel mix; ``sliding-psn-random``, 32
+    random weights that do not decay, so a window off by one frame flips
+    spikes (``init_decay`` weights halve with every lag, so old frames
+    rarely flip one)."""
+    rng = np.random.default_rng(41)
+    if case == "dsn-mix":
+        base = DsnParams.init(channels=3, k=4, seed=8)
+        return DsnNeuron(DsnParams(conv_kernel=base.conv_kernel,
+                                   conv_bias=Tensor(rng.normal(size=3)),
+                                   channel_mix=Tensor(rng.normal(size=(3, 3)) / np.sqrt(3)),
+                                   tau=0.5, n_max=3))
+    if case == "sliding-psn-random":
+        return PsnNeuron(PsnParams.sliding(rng.uniform(-0.2, 0.3, 32)))
+    return make_neuron(case, channels=3, seed=2)
+
+
+ADVANCE_CASES = STEP_KINDS + ["dsn-mix", "sliding-psn-random"]
+
+
+def _step_states(neuron, x):
+    """The state after each prefix x[..., :t] of the step fold, t = 0..T."""
+    state = neuron.init_state(x.shape[0], x.shape[1])
+    states = [state]
+    for t in range(x.shape[-1]):
+        state = neuron.step(state, x[..., t])[2]
+        states.append(state)
+    return states
+
+
+def _assert_same_state(a, b):
+    for u, v in zip(_state_arrays(a), _state_arrays(b), strict=True):
+        assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def _owns_its_memory(a: np.ndarray) -> bool:
+    root = a
+    while root.base is not None:
+        root = root.base
+    return root.nbytes == a.nbytes
+
+
+@pytest.fixture(params=[10 ** 9, 1], ids=["accumulate", "loop"])
+def sum_form(request, monkeypatch):
+    # the ordered sums as one accumulate and as a loop over terms
+    monkeypatch.setattr(neurons, "STEP_LOOP_LANES", request.param)
+
+
+@pytest.fixture(params=[None, 5], ids=["sub-block-default", "sub-block-5"])
+def sub_block(request, monkeypatch):
+    # the default sub-block (longer than any block here) and 5 frames, which
+    # is longer than a DSN window and shorter than a sliding-PSN one
+    if request.param:
+        monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", 8 * 2 * 3 * request.param)
+
+
+@pytest.mark.parametrize("case", ADVANCE_CASES)
+def test_advance_equals_the_step_fold_at_any_block_length(case, sum_form, sub_block):
+    neuron = _advance_neuron(case)
+    x = np.random.default_rng(42).normal(size=(2, 3, 300)) * 2.0
+    s_fold, _ = Neuron.trace(neuron, x)
+    assert 0.01 < np.mean(s_fold > 0) < 0.99
+    states = _step_states(neuron, x)
+    for block in (1, 7, 97, 300):
+        state, spikes = states[0], []
+        for t in range(0, 300, block):
+            s, state = neuron.advance(state, x[..., t:t + block])
+            assert s.shape == x[..., t:t + block].shape
+            spikes.append(s)
+            _assert_same_state(state, states[min(t + block, 300)])
+            assert all(_owns_its_memory(a) for a in _state_arrays(state))
+        assert np.concatenate(spikes, axis=-1).tobytes() == s_fold.tobytes(), block
+
+
+@pytest.mark.parametrize("case", ADVANCE_CASES)
+def test_advance_interleaves_with_step_and_keeps_its_input_state(case, sum_form,
+                                                                 sub_block):
+    neuron = _advance_neuron(case)
+    x = np.random.default_rng(43).normal(size=(2, 3, 160)) * 2.0
+    s_fold, _ = Neuron.trace(neuron, x)
+    step_size = neuron.state_size(neuron.init_state(2, 3))
+    state, spikes, t = neuron.init_state(2, 3), [], 0
+    for n in (1, 0, 7, 1, 1, 40, 3, 1, 97, 0, 9):
+        if n == 1 and t % 2:
+            s, _, state = neuron.step(state, x[..., t])
+            s = s[..., None]
+        else:
+            before = [a.copy() for a in _state_arrays(state)]
+            s, new = neuron.advance(state, x[..., t:t + n])
+            for a, b in zip(_state_arrays(state), before):
+                assert a.tobytes() == b.tobytes()
+            assert neuron.state_size(new) == step_size
+            state = new
+        spikes.append(s)
+        t += n
+    assert t == 160
+    assert np.concatenate(spikes, axis=-1).tobytes() == s_fold.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["psn", "masked-psn"])
+def test_advance_is_unavailable_where_step_is(kind):
+    neuron = make_neuron(kind, channels=3, t_train=16, k=5)
+    with pytest.raises(StepUnavailable):
+        neuron.advance(np.zeros((5, 2, 3)), np.zeros((2, 3, 16)))
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_advance_rejects_non_finite_frames_and_other_shapes(kind, sub_block):
+    neuron = make_neuron(kind, channels=3, seed=2)
+    state = neuron.init_state(2, 3)
+    x = np.random.default_rng(44).normal(size=(2, 3, 16))
+    x[1, 2, 12] = np.nan  # in the third sub-block of 5 frames
+    with pytest.raises(NonFiniteError):
+        neuron.advance(state, x)
+    for shape in ((3, 16), (2, 3), (1, 2, 3, 16), (2, 4, 16), (1, 3, 16)):
+        with pytest.raises(ShapeMismatch):
+            neuron.advance(state, np.zeros(shape))

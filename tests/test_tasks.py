@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import eval_serial_fold
 from spikescan import numerics as nm
 from spikescan.errors import NonFiniteError
 from spikescan.numerics import Tensor
@@ -235,6 +236,20 @@ def test_serial_eval_equals_parallel_loss_at_train_length():
             assert not np.array_equal(p.value, before), (kind, p.name)
         parallel = model.loss(Tensor(x)).item()
         assert abs(parallel - model.eval_serial(x)) <= 1e-8, kind
+
+
+@pytest.mark.parametrize("sub_block", [None, 64], ids=["sub-block-default", "sub-block-64"])
+@pytest.mark.parametrize("kind", ["dsn", "sliding-psn"])
+def test_serial_eval_equals_the_step_fold(monkeypatch, kind, sub_block):
+    # T = 600 crosses two scan.CHUNK boundaries; 64-frame sub-blocks make
+    # ``advance`` carry its window and membrane across ten of its own
+    if sub_block:
+        monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", 8 * 4 * 8 * sub_block)
+    cfg = TrainConfig(lr=2e-3, epochs=1, batch_size=16, seed=0)
+    model = _SequenceModel(kind, channels=8, train_T=64, seed=cfg.seed)
+    _train(model, 16, 64, cfg)
+    x = gen_wave_mixtures(4, 600, seed=5).data
+    assert model.eval_serial(x) == eval_serial_fold(model, x)
 
 
 def test_sliding_psn_serial_matches_parallel_loss():
