@@ -76,6 +76,47 @@ def test_classical_short_control_verdicts_match_golden_digest(kind, delta):
     assert hashlib.sha256(blob).hexdigest() == SHORT_CONTROL_DIGESTS[kind, delta]
 
 
+def _digest(d: dict) -> str:
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted-key JSON of each checker's output on the DSN and the
+# sliding PSN, recorded while ``trace`` was still the fold of ``step``; they
+# pin the block path's witnesses, trial counts and table rows bit for bit
+DSN_SHORT_CONTROL_DIGESTS = {
+    (1, 1): "b3ed02513e3f8326b2a9137c5f84817ab1dc41dcc744f39ae0425472f7c3bde5",
+    (1, 4): "4d812deb635627e18501ef5febc69fca5fc0a392e95187efa2cfa7ad84427e95",
+    (3, 1): "fc4a16d29da7d107d3dfb4844597998e1056ff2b7f86fbc7e55a74e9daaa33e2",
+    (3, 4): "00252be9c26285b1d1640c7089eded33a4814451caee938530eca2378edd7508",
+    (8, 1): "ef3fab9db02f32758c7c988ef8307b22f11a156a5b691326078abae275fcb194",
+    (8, 4): "1350536cf06583402458a2f6607edc2f905902a8565b7aad4b0f1d59bfdf9e8c",
+}
+DSN_LONG_CONTROL_DIGEST = "6b952b677f84e90b8aeac4c3c954b3ec3be8a2d7d65a309933666af3b618bf65"
+CONDITIONS_DIGESTS = {
+    "dsn": "135d31cf50ec05a86c676a48aaab0ab0a8cfbf5040e578aa2fb86d6bcf48506d",
+    "sliding-psn": "135d31cf50ec05a86c676a48aaab0ab0a8cfbf5040e578aa2fb86d6bcf48506d",
+}
+
+
+@pytest.mark.parametrize("channels, delta", list(DSN_SHORT_CONTROL_DIGESTS))
+def test_dsn_short_control_verdicts_match_golden_digest(channels, delta):
+    neuron = make_neuron("dsn", channels=channels, seed=0)
+    verdict = check_short_control(neuron, delta, 1000, rng_seed=0)
+    assert _digest(verdict.to_dict()) == DSN_SHORT_CONTROL_DIGESTS[channels, delta]
+
+
+def test_dsn_long_control_verdict_matches_golden_digest():
+    neuron = make_neuron("dsn", channels=3, seed=0)
+    verdict = check_long_control(neuron, 2.0, T=4096, trials=64, rng_seed=0)
+    assert _digest(verdict.to_dict()) == DSN_LONG_CONTROL_DIGEST
+
+
+@pytest.mark.parametrize("kind", list(CONDITIONS_DIGESTS))
+def test_block_path_conditions_tables_match_golden_digest(kind):
+    neuron = make_neuron(kind, channels=3, t_train=32, k=8)
+    assert _digest(check_conditions_table(neuron)) == CONDITIONS_DIGESTS[kind]
+
+
 def test_dsn_short_control_under_window_condition():
     neuron = DsnNeuron(DsnParams.init(channels=1, seed=0))
     verdict = check_short_control(neuron, 4, TRIALS, rng_seed=0)
