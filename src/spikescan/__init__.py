@@ -18,6 +18,6 @@ from .numerics import (ArcTangent, Rectangular, StraightThrough,
 from .scan import scan
 from .neurons import (DsnNeuron, DsnParams, DsnState, LifNeuron, Neuron,
                       NeuronConfig, PsnNeuron, PsnParams, dsn_forward_parallel,
-                      dsn_step, make_neuron, psn_forward)
+                      make_neuron, psn_forward)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

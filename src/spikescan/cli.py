@@ -45,6 +45,10 @@ EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_LENGTH_MISMATCH = 3
 
+BENCH_WARMUP = 3  # untimed passes before the timed ones, per neuron and length
+PROPS_CHANNELS = 3  # the width of the neuron every props check builds
+PROPS_T_TRAIN = 32  # the one length its full and masked PSN accept
+
 
 # ---------------------------------------------------------------------------
 # manifest plumbing
@@ -155,7 +159,6 @@ def _core_bench(config: dict, out_dir: Path):
     neurons = config["neurons"]
     lengths = config["lengths"]
     reps = config["reps"]
-    warmup = config.get("warmup", 3)
     rows = []
     digests: dict[str, dict[str, str]] = {}
     slopes: dict[str, float] = {}
@@ -166,9 +169,9 @@ def _core_bench(config: dict, out_dir: Path):
                                       config["channels"], config["seed"])
             fwd, bwd = [], []
             digest = ""
-            for rep in range(warmup + reps):
+            for rep in range(BENCH_WARMUP + reps):
                 f, b, digest = _bench_pass(neuron, x)
-                if rep >= warmup:
+                if rep >= BENCH_WARMUP:
                     fwd.append(f)
                     bwd.append(b)
             digests.setdefault(kind, {})[str(length)] = digest
@@ -237,8 +240,7 @@ def _core_props(config: dict, out_dir: Path):
     kind = config["neuron"]
     prop = config["property"]
     expected = _props_expectation(kind, prop)
-    neuron = make_neuron(kind, channels=config.get("channels", 3),
-                         t_train=config.get("t_train", 32))
+    neuron = make_neuron(kind, channels=PROPS_CHANNELS, t_train=PROPS_T_TRAIN)
     if prop == "conditions-table":
         table = check_conditions_table(neuron, rng_seed=config["seed"])
         matched = table == expected
@@ -555,8 +557,13 @@ def _require(name: str, config: dict, key: str, rule) -> None:
 
 def _check_config(name: str, config: dict) -> None:
     """Refuse a config its command cannot run with click.UsageError (exit 2),
-    before anything is written."""
-    for key, rule in _CONFIG_RULES[name].items():
+    before anything is written: a key without a rule, as well as a missing
+    or malformed one."""
+    rules = _CONFIG_RULES[name]
+    unknown = [k for k in config if k not in rules and (name, k) != ("energy", "neurons")]
+    if unknown:
+        raise click.UsageError(f"{name} config has unknown key {unknown[0]!r}")
+    for key, rule in rules.items():
         _require(name, config, key, rule)
     if name == "energy":
         _require(name, config, "neurons",

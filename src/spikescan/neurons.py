@@ -7,12 +7,12 @@ taped training over a whole (B, C, T) sequence, ``sequence`` for the
 offline parallel map, and ``weights``/``with_weights`` for the trainable
 tensors.  :func:`make_neuron` is the one place that maps a kind name to a
 model; the CLI (bench included) and the tasks all build through it.
-``trace`` is the fold of ``step`` (``Neuron._fold``) for every kind that
-can step; only ``PsnNeuron`` overrides it, because full and masked PSN
-cannot step.  ``advance`` equals that fold bit for bit at any block length;
-DSN and sliding PSN compute it a cache-sized sub-block of frames at a time.
-Folding ``step`` over time and calling ``sequence`` produce the same spikes
-wherever both exist.
+``Neuron._advance`` is the one multi-frame serial path, behind both
+``advance`` and ``trace`` for every kind that can step: the fold of
+``step`` for LIF/IF, and for DSN and sliding PSN a cache-sized sub-block
+of frames at a time, equal to that fold bit for bit.  Only full and masked
+PSN, which cannot step, trace some other way.  Folding ``step`` over time
+and calling ``sequence`` produce the same spikes wherever both exist.
 
 Models:
 
@@ -96,7 +96,7 @@ def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray
     """dL/dx from dL/dS, with the surrogate standing in for dS/dH.
 
     Every array is time-major, (T, B, C), so each reverse step reads and
-    writes whole (B, C) rows of the memory ``Neuron._fold`` wrote.
+    writes whole (B, C) rows of the memory ``Neuron._advance`` wrote.
     dL/dH_t = g_t sg'_t + dL/dV_t dV_t/dH_t, where dV/dH is
     (1 - s) + (v_reset - h) sg' for hard reset, 1 - v_th sg' for soft reset
     and 1 without reset; dL/dV_{t-1} and dL/dx_t are dL/dH_t scaled by
@@ -207,9 +207,8 @@ class DsnParams:
 class DsnState:
     """Streaming state: membrane potential (B, C) and the last k-1 inputs.
 
-    window is (B, C, k-1), oldest first.  ``dsn_step`` returns it as a view
-    of tap-major (k-1, B, C) memory, so the next step shifts it in one
-    contiguous copy; any layout is accepted.
+    window is tap-major (k-1, B, C), oldest first, as ``PsnNeuron``'s state
+    is, so a step shifts it in one contiguous copy.
     """
 
     h: np.ndarray
@@ -218,7 +217,7 @@ class DsnState:
     @classmethod
     def zeros(cls, batch: int, channels: int, kernel_size: int) -> "DsnState":
         return cls(h=np.zeros((batch, channels)),
-                   window=np.zeros((kernel_size - 1, batch, channels)).transpose(1, 2, 0))
+                   window=np.zeros((kernel_size - 1, batch, channels)))
 
 
 def _finite_input(x: np.ndarray) -> None:
@@ -287,46 +286,6 @@ def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
         npre = _ordered_sum(params.channel_mix.data.T[:, None, :],
                             np.moveaxis(npre, -1, 0)[..., None], shape)
     return nm.decay_chain(npre, 1.0 / params.tau)[2]
-
-
-def dsn_step(params: DsnParams, state: DsnState, x_t) -> tuple[np.ndarray, DsnState]:
-    """Serial inference step: advance the window, decay, fire.
-
-    Returns the integer spike array (B, C) and the new state; the state
-    passed in is never modified, and a non-finite frame raises
-    NonFiniteError.
-
-    Tap order: the window is shifted oldest first, and the pre-activation
-    is the sum over taps j = 0 (oldest) .. k-1 (current) of
-    kernel[:, j] * x_{t-k+1+j}, added in that order (``_ordered_sum``), then
-    the bias, then the channel mix in channel order, as
-    ``depthwise_causal_conv`` and ``channel_mix`` add.  Decay and fire are
-    the taped ops' own kernels (``numerics.decay_chain``, ``fire_counts``),
-    so spikes and decays equal ``sequence`` bit for bit.
-
-    Measured per ``Neuron.step`` call on a 2-core Xeon, float64, one BLAS
-    thread, kinds interleaved, median of 11 runs (``BENCH_serial_step.json``),
-    at 1x16 and 4x256 lanes:
-
-    * lif-hard: 11.6 and 20 us;
-    * dsn (k=4): 28 and 70 us, from 58 and 108 us with a Python loop over
-      taps, a Tensor-wrapped window and np.clip; 2.4x lif-hard at 1x16;
-    * sliding-psn (k=32): 17 and 133 us, from 106 and 193 us with a Python
-      loop over taps; 1.5x lif-hard at 1x16.
-    """
-    x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=state.h.dtype)
-    if x.shape != state.h.shape:
-        raise ShapeMismatch(f"x_t {x.shape} vs state {state.h.shape}")
-    window = np.concatenate((state.window.transpose(2, 0, 1), x[None]))
-    x = window[-1]  # contiguous
-    _finite_input(x)
-    alpha = _dsn_decay(params, window)
-    h = np.multiply(alpha, state.h)
-    np.subtract(_ONE, alpha, out=alpha)
-    np.multiply(alpha, x, out=alpha)
-    np.add(h, alpha, out=h)
-    s = nm.fire_counts(h, params._step_operands[2])[1]
-    return s, DsnState(h=h, window=window[1:].transpose(1, 2, 0))
 
 
 def _block_frames(x, lanes: tuple) -> np.ndarray:
@@ -542,9 +501,9 @@ class Neuron:
       state) equal to folding ``step`` from the given state, bit for bit, so
       blocks of any length may follow each other or single steps;
     * ``trace`` -- (S, H) arrays over (B, C, T) input with serial semantics,
-      for the property checkers: the fold of ``step`` (``_fold``) for every
-      kind that can step.  Only ``PsnNeuron`` overrides it, because full and
-      masked PSN cannot step;
+      for the property checkers: ``advance`` from ``init_state``, membranes
+      kept.  Both run ``_advance``; only ``PsnNeuron`` overrides ``trace``,
+      because full and masked PSN cannot step;
     * ``forward`` -- taped spikes over (B, C, T) input, the training path;
     * ``sequence`` -- the offline parallel map: ``forward`` where
       ``supports_parallel``, otherwise ParallelUnavailable;
@@ -609,12 +568,11 @@ class Neuron:
         return self.forward(x)
 
     def trace(self, x: np.ndarray):
-        """(S, H) arrays over a (B, C, T) input: the fold of ``step``."""
-        return self._fold(x, membranes=True)[:2]
-
-    def serial_fold(self, x: np.ndarray) -> np.ndarray:
-        """Spikes from folding ``step`` over time; the membranes are not kept."""
-        return self._fold(x, membranes=False)[0]
+        """(S, H) over a (B, C, T) input: ``_advance`` from ``init_state``."""
+        if x.ndim != 3:
+            raise ShapeMismatch(f"expected (B, C, T) input, got shape {x.shape}")
+        s, h, _ = self._advance(self.init_state(x.shape[0], x.shape[1]), x, True)
+        return s.transpose(1, 2, 0), h.transpose(1, 2, 0)
 
     def advance(self, state, x: np.ndarray):
         """(spikes, new_state) for a (B, C, T) block from ``state``: the fold
@@ -622,45 +580,37 @@ class Neuron:
         any length, interleaved with ``step``.  The spikes are a (B, C, T)
         view of time-major memory, and the state passed in is not modified.
         """
-        s, _, state = self._fold(x, membranes=False, state=state)
-        return s, state
+        s, _, state = self._advance(state, x, False)
+        return s.transpose(1, 2, 0), state
 
-    def _fold(self, x: np.ndarray, membranes: bool, state=None):
-        """(spikes, membranes or None, final state) from folding ``step``
-        over (B, C, T) input from ``state`` (default: ``init_state``).  Spikes
-        and membranes are (B, C, T) views of time-major (T, B, C) memory,
-        written one whole frame per step.
+    def _advance(self, state, x: np.ndarray, membranes: bool):
+        """(spikes, membranes or None, final state) over a (B, C, T) block
+        from ``state``, spikes and membranes time-major (T, B, C): the one
+        multi-frame serial path, behind ``trace`` and ``advance``.
 
-        It is also the LIF's taped training forward.  Measured as lif-hard
-        ``trace`` on a 2-core Xeon, float64, medians of 5-11 calls, the
-        range over four runs on a noisy host, in ms: 3.6-5.9 at 4x256x128,
-        22-36 at 1x16x2048, 31-45 at 4x256x1024 and 394-556 at 1x16x32768.
-        The separate LIF fold this replaced, which wrote (B, C, T) arrays
-        one strided frame at a time, took 8.5-9.1, 29-32, 86-91 and 497-500
-        over two runs.
+        Here it folds ``step`` one whole frame at a time from the (B, C)
+        membrane state of LIF/IF, keeping H as it goes, which makes it also
+        the LIF's taped training forward; DSN and sliding PSN override it
+        with a sub-block form equal to this fold bit for bit.  Measured as lif-hard ``trace``
+        on a 2-core Xeon, float64, medians of 5-11 calls, the range over four
+        runs on a noisy host, in ms: 3.6-5.9 at 4x256x128, 22-36 at
+        1x16x2048, 31-45 at 4x256x1024 and 394-556 at 1x16x32768.
         """
-        if x.ndim != 3:
-            raise ShapeMismatch(f"expected (B, C, T) input, got shape {x.shape}")
-        _finite_input(x)
-        frames = np.ascontiguousarray(x.transpose(2, 0, 1))  # (T, B, C)
-        if state is None:
-            state = self.init_state(x.shape[0], x.shape[1])
+        frames = np.ascontiguousarray(_block_frames(x, state.shape))
+        _finite_input(frames)
         s_out = np.empty_like(frames)
-        h_out = np.empty_like(frames) if membranes else None
+        h_out = np.empty_like(frames)
         for t in range(frames.shape[0]):
-            s_out[t], h, state = self.step(state, frames[t])
-            if membranes:
-                h_out[t] = h
-        s_out = s_out.transpose(1, 2, 0)
-        return s_out, h_out.transpose(1, 2, 0) if membranes else None, state
+            s_out[t], h_out[t], state = self.step(state, frames[t])
+        return s_out, h_out if membranes else None, state
 
 
 class LifNeuron(Neuron):
     """Classical stepper, parallel only in the reset-free linear case.
 
-    ``step`` is the one serial implementation: ``trace`` is its fold (the
-    base ``_fold``), and ``forward``, the taped training pass, runs that
-    fold forward and BPTT backward.
+    ``step`` is the one serial implementation: ``trace`` and ``advance`` are
+    its fold (the base ``_advance``), and ``forward``, the taped training
+    pass, runs that fold forward and BPTT backward.
     """
 
     def __init__(self, cfg: NeuronConfig, sg: SurrogateKind = Rectangular()):
@@ -780,19 +730,54 @@ class DsnNeuron(Neuron):
         return DsnState.zeros(batch, channels, self.params.kernel_size)
 
     def step(self, state: DsnState, x_t):
-        s, new_state = dsn_step(self.params, state, x_t)
-        return s, new_state.h, new_state
+        """Serial inference step: advance the window, decay, fire.
 
-    def advance(self, state: DsnState, x):
-        """``dsn_step`` folded over a (B, C, T) block, a sub-block at a time.
+        Returns the integer spikes, H and the new state; the state passed in
+        is never modified, and a non-finite frame raises NonFiniteError.
+
+        Tap order: the window is shifted oldest first, and the pre-activation
+        is the sum over taps j = 0 (oldest) .. k-1 (current) of
+        kernel[:, j] * x_{t-k+1+j}, added in that order (``_ordered_sum``),
+        then the bias, then the channel mix in channel order, as
+        ``depthwise_causal_conv`` and ``channel_mix`` add.  Decay and fire
+        are the taped ops' own kernels (``numerics.decay_chain``,
+        ``fire_counts``), so spikes and decays equal ``sequence`` bit for bit.
+
+        Measured per ``Neuron.step`` call on a 2-core Xeon, float64, one BLAS
+        thread, kinds interleaved, median of 11 runs (``BENCH_serial_step.json``),
+        at 1x16 and 4x256 lanes:
+
+        * lif-hard: 11.6 and 20 us;
+        * dsn (k=4): 28 and 70 us, from 58 and 108 us with a Python loop over
+          taps, a Tensor-wrapped window and np.clip; 2.4x lif-hard at 1x16;
+        * sliding-psn (k=32): 17 and 133 us, from 106 and 193 us with a
+          Python loop over taps; 1.5x lif-hard at 1x16.
+        """
+        x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=state.h.dtype)
+        if x.shape != state.h.shape:
+            raise ShapeMismatch(f"x_t {x.shape} vs state {state.h.shape}")
+        window = np.concatenate((state.window, x[None]))
+        x = window[-1]  # contiguous
+        _finite_input(x)
+        alpha = _dsn_decay(self.params, window)
+        h = np.multiply(alpha, state.h)
+        np.subtract(_ONE, alpha, out=alpha)
+        np.multiply(alpha, x, out=alpha)
+        np.add(h, alpha, out=h)
+        s = nm.fire_counts(h, self.params._step_operands[2])[1]
+        return s, h, DsnState(h=h, window=window[1:])
+
+    def _advance(self, state: DsnState, x, membranes: bool):
+        """``step`` folded over a (B, C, T) block, a sub-block at a time.
 
         Every stage without a recurrence runs over a whole sub-block of
         time-major frames (``_sub_blocks``): the tap sum, bias and mix and
         the decay chain (``_dsn_decay``, the step's own), b = (1 - alpha) x
         and the fire.  Only H_t = alpha_t H_{t-1}, then + b_t, runs frame by
-        frame, as the step's own two ufuncs.  Each element therefore rounds
-        as in ``dsn_step``, and spikes and state equal the step fold's bit
-        for bit at any block length.  The returned state owns its memory.
+        frame, as the step's own two ufuncs, in place of alpha_t.  Each
+        element therefore rounds as in ``step``, and spikes, membranes and
+        state equal the step fold's bit for bit at any block length.  The
+        returned state owns its memory.
 
         Measured as ``_SequenceModel.eval_serial`` on a 2-core Xeon,
         float64, one BLAS thread, median of 7 runs (``BENCH_advance.json``):
@@ -801,10 +786,10 @@ class DsnNeuron(Neuron):
         """
         p = self.params
         frames = _block_frames(x, state.h.shape)
-        window = state.window.transpose(2, 0, 1)
         s = np.empty(frames.shape)
+        h_out = np.empty(frames.shape) if membranes else None
         h = state.h
-        for t, taps in _sub_blocks(window, frames):
+        for t, taps in _sub_blocks(state.window, frames):
             alpha = _dsn_decay(p, taps)
             b = np.subtract(_ONE, alpha)
             np.multiply(b, taps[-1], out=b)
@@ -812,9 +797,11 @@ class DsnNeuron(Neuron):
                 a_t *= h
                 a_t += b_t
                 h = a_t
+            if membranes:
+                h_out[t:t + len(alpha)] = alpha
             s[t:t + len(alpha)] = nm.fire_counts(alpha, p._step_operands[2])[1]
-        window = _last_frames(window, frames, p.kernel_size - 1).transpose(1, 2, 0)
-        return s.transpose(1, 2, 0), DsnState(h=h.copy(), window=window)
+        window = _last_frames(state.window, frames, p.kernel_size - 1)
+        return s, h_out, DsnState(h=h.copy(), window=window)
 
     def weights(self) -> dict[str, Tensor]:
         p = self.params
@@ -883,7 +870,7 @@ class PsnNeuron(Neuron):
         +0.0 (``_ordered_sum``), the order of the depthwise conv that
         ``sequence`` runs, so membranes and spikes equal it bit for bit.
 
-        Measured as for ``dsn_step`` (k=32): 17 us at 1x16 and 133 us at
+        Measured as for ``DsnNeuron.step`` (k=32): 17 us at 1x16 and 133 us at
         4x256 lanes, from 106 and 193 us with a Python loop over taps,
         against 11.6 and 20 us for lif-hard.
         """
@@ -898,18 +885,22 @@ class PsnNeuron(Neuron):
         s = heaviside(h - self.v_th)
         return s, h, window
 
-    def advance(self, state, x):
+    def _advance(self, state, x, membranes: bool):
         """``step`` folded over a (B, C, T) block: the window sums of a
         whole sub-block of time-major frames at once (``_sub_blocks``), in
-        the step's tap order, so spikes and state equal the step fold's bit
-        for bit at any block length.  The returned state owns its memory;
-        full and masked PSN raise StepUnavailable."""
+        the step's tap order, so spikes, membranes and state equal the step
+        fold's bit for bit at any block length.  The returned state owns its
+        memory; full and masked PSN raise StepUnavailable."""
         self._require_step()
         frames = _block_frames(x, state.shape[1:])
         s = np.empty(frames.shape)
+        h_out = np.empty(frames.shape) if membranes else None
         for t, taps in _sub_blocks(state[1:], frames):
-            s[t:t + taps.shape[1]] = heaviside(self._window_sum(taps) - self.v_th)
-        return s.transpose(1, 2, 0), _last_frames(state, frames, state.shape[0])
+            h = self._window_sum(taps)
+            if membranes:
+                h_out[t:t + len(h)] = h
+            s[t:t + len(h)] = heaviside(h - self.v_th)
+        return s, h_out, _last_frames(state, frames, state.shape[0])
 
     def _window_sum(self, window: np.ndarray) -> np.ndarray:
         """Membranes from a tap-major (k, ..., B, C) window of inputs, oldest
@@ -930,6 +921,9 @@ class PsnNeuron(Neuron):
         return psn_forward(self.params, x, self.v_th, self.sg)
 
     def trace(self, x: np.ndarray):
+        """Full and masked PSN, which cannot step, trace through their weights."""
+        if self.supports_step:
+            return super().trace(x)
         _finite_input(x)
         h = _psn_membrane(self.params, x).data
         return heaviside(h - self.v_th), h

@@ -437,7 +437,7 @@ def spike_threshold(h, v_th: float, sg: SurrogateKind) -> Tensor:
 
 def fire_counts(h: np.ndarray, n_max) -> tuple[np.ndarray, np.ndarray]:
     """(rounded, counts) of the integer fire clip(round(h), 0, n_max), for
-    ``clip_round``, ``dsn_step`` and the approx readouts alike.  Rounding is
+    ``clip_round``, ``DsnNeuron.step`` and the approx readouts alike.  Rounding is
     half away from zero, as trunc(h + copysign(0.5, h)).  The clip keeps a
     -0.0 count; as the ndarray method it costs 1 us at 16 lanes (np.clip:
     2.4), and a masked store of the negative counts, 5x as much on
@@ -461,7 +461,7 @@ def clip_round(h, n_max: int) -> Tensor:
 
 def decay_chain(npre: np.ndarray, exponent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma, power, alpha) of the decay sigmoid(pre) ** exponent, for
-    ``sharpened_sigmoid``, ``dsn_step`` and the approx bank alike.
+    ``sharpened_sigmoid``, ``DsnNeuron.step`` and the approx bank alike.
 
     npre holds -pre and becomes sigma in place: min(-pre, 500) saturates
     extreme logits (1 + exp(-500) rounds to 1.0), then exp, +1, reciprocal.
@@ -502,7 +502,7 @@ def sharpened_sigmoid(pre, tau: float) -> Tensor:
 # Bytes of one lane block of the depthwise conv: the block's input, output
 # and product rows (3 x 256 KiB) stay in a core's 2 MiB L2 while all k taps
 # pass over them; depthwise_causal_conv gives the measured cost of the sizes
-# around it.  ``Neuron.advance`` sizes its sub-blocks of frames by it too
+# around it.  ``Neuron._advance`` sizes its sub-blocks of frames by it too
 # (``neurons._sub_blocks`` gives that sweep).
 CONV_BLOCK_BYTES = 2 ** 18
 
@@ -577,7 +577,7 @@ def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
     tap j = 0..k-1 multiplies the lanes by its kernel column into one reused
     product buffer and adds that into the output shifted by the tap's lag
     (``_add_shifted``), so no tap allocates a full-size array and every
-    output element sees the additions of ``dsn_step``'s serial window sum
+    output element sees the additions of ``DsnNeuron.step``'s window sum
     in the same order.  The input gradient is the mirror image; the kernel
     gradient is one dot product per lane per tap, summed over the batch.
 

@@ -241,9 +241,9 @@ def check_conditions_table(neuron: Neuron, rng_seed: int = 0) -> dict[str, bool]
     condition1: spikes on a prefix match spikes on the prefix extended by an
     arbitrary suffix (and the neuron accepts both lengths at all);
     condition2: a step mode exists whose per-step state does not grow with t
-    and whose fold matches the sequence trace; condition3: an offline
-    sequence evaluation exists and (when a step mode exists too) matches the
-    step fold.
+    and whose fold matches ``trace``, the block path (``Neuron._advance``);
+    condition3: an offline sequence evaluation exists and (when a step mode
+    exists too) matches ``trace``.
     """
     rng = np.random.default_rng(rng_seed)
     t_full = neuron.t_train or 32
@@ -276,7 +276,7 @@ def check_conditions_table(neuron: Neuron, rng_seed: int = 0) -> dict[str, bool]
         s_par = _sequence_or_none(neuron, x)
         if s_par is not None:
             if neuron.supports_step:
-                condition3 = np.array_equal(s_par, neuron.serial_fold(x))
+                condition3 = np.array_equal(s_par, neuron.trace(x)[0])
             else:
                 condition3 = True
 

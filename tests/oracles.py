@@ -24,8 +24,10 @@ every taped gradient is checked against.  ``soft_reset_lemma_margin``,
 ``construct_soft_reset_counterexample``, ``alpha_window_condition`` and
 ``alpha_duration_schedule`` are the short-control analysis (the soft-reset
 lemma and decay schedules that tame a dynamic-decay membrane) the tests
-check by hand.  ``eval_serial_fold`` is the extrapolation model's serial
-eval through the fold of ``step`` (``serial_fold``), which its eval through
+check by hand.  ``step_fold`` is a neuron's ``step`` folded over time, one
+frame at a time: ``Neuron._advance``, the block path behind ``trace`` and
+``advance``, must equal it bit for bit.  ``eval_serial_fold`` is the
+extrapolation model's serial eval through that fold, which its eval through
 ``Neuron.advance`` must match exactly.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from spikescan import numerics as nm
 from spikescan.errors import ShapeMismatch
-from spikescan.neurons import DsnState, _dsn_decay
+from spikescan.neurons import _dsn_decay
 from spikescan.numerics import Tape, Tensor
 from spikescan.tasks.training import leaves
 
@@ -100,31 +102,45 @@ def dsn_serial_trace(params, x: np.ndarray):
     """Step-fold oracle returning (S, H, alpha) arrays for (B, C, T) input."""
     if x.ndim != 3:
         raise ShapeMismatch("expected (B, C, T) input")
-    state = DsnState.zeros(x.shape[0], x.shape[1], params.kernel_size)
+    # (B, C, k-1) window of the last inputs, oldest first
+    window = np.zeros(x.shape[:2] + (params.kernel_size - 1,))
+    h = np.zeros(x.shape[:2])
     s_out = np.empty_like(x)
     h_out = np.empty_like(x)
     a_out = np.empty_like(x)
     for t in range(x.shape[-1]):
-        window = np.concatenate([state.window, x[..., t:t + 1]], axis=-1)
+        window = np.concatenate([window, x[..., t:t + 1]], axis=-1)
         alpha = dsn_dynamic_decay(params, Tensor(window)).data
-        h = alpha * state.h + (1.0 - alpha) * x[..., t]
+        h = alpha * h + (1.0 - alpha) * x[..., t]
         s_out[..., t] = np.clip(round_half_away(h), 0.0, float(params.n_max))
         h_out[..., t] = h
         a_out[..., t] = alpha
-        state = DsnState(h=h, window=window[..., 1:])
+        window = window[..., 1:]
     return s_out, h_out, a_out
+
+
+def step_fold(neuron, x: np.ndarray, state=None):
+    """(S, H, state) from folding ``neuron.step`` over (B, C, T) input one
+    frame at a time, from ``state`` (default: ``init_state``)."""
+    if state is None:
+        state = neuron.init_state(x.shape[0], x.shape[1])
+    s_out = np.empty(x.shape)
+    h_out = np.empty(x.shape)
+    for t in range(x.shape[-1]):
+        s_out[..., t], h_out[..., t], state = neuron.step(state, x[..., t])
+    return s_out, h_out, state
 
 
 def eval_serial_fold(model, x: np.ndarray) -> float:
     """``_SequenceModel.eval_serial`` with the neuron's ``step`` folded over
-    time (``serial_fold``): every frame is encoded in one elementwise op and
+    time (``step_fold``): every frame is encoded in one elementwise op and
     the spikes are decoded after the fold, as one (B, C) @ (C,) product per
     step in time-major order."""
     vals = {p.name: p.value for p in model.params}
     neuron = model._neuron(leaves(model.params, None))
     # (T, B, C) frames, viewed as (B, C, T): the fold steps along T
     frames = vals["enc_w"][:, 0] * x[:, 0, :].T[:, :, None] + vals["enc_b"]
-    s = neuron.serial_fold(frames.transpose(1, 2, 0))
+    s = step_fold(neuron, frames.transpose(1, 2, 0))[0]
     s = np.ascontiguousarray(s.transpose(2, 0, 1))
     preds = np.ascontiguousarray((s @ vals["dec_w"][0] + vals["dec_b"][0]).T)
     return float(np.mean((preds[:, :-1] - x[:, 0, 1:]) ** 2))

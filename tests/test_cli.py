@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from oracles import step_fold
 from spikescan import cli as cli_module
 from spikescan import numerics as nm
 from spikescan.cli import cli
@@ -251,7 +252,7 @@ def test_bench_digests_past_one_chunk_match_the_step_fold(runner, tmp_path):
     for kind in ("dsn", "lif-none"):
         for length in (300, 1024):
             x, neuron = cli_module._bench_inputs(kind, length, 2, 4, 3)
-            want = hashlib.sha256(neuron.serial_fold(x).tobytes()).hexdigest()
+            want = hashlib.sha256(step_fold(neuron, x)[0].tobytes()).hexdigest()
             assert digests[kind][str(length)] == want, (kind, length)
 
 
@@ -354,14 +355,22 @@ def test_bench_malformed_config_is_a_usage_error(runner, tmp_path, flags):
     ["gen-data", "--dataset", "a", "--n", "0"],
     ["gen-data", "--dataset", "b", "--t", "0"],
     ["energy", "--neurons", "nosuch"],
-    ["rerun", "lacks-t.json"], ["rerun", "list.json"], ["rerun", "text.json"]],
+    ["rerun", "lacks-t.json"], ["rerun", "list.json"], ["rerun", "text.json"],
+    ["rerun", "props-channels.json"], ["rerun", "bench-warmup.json"]],
     ids=lambda args: " ".join(args))
 def test_malformed_config_is_a_usage_error(runner, tmp_path, args):
     # manifests: a config that lacks a key the command reads, a JSON list,
-    # and a file that is not JSON
+    # a file that is not JSON, and configs with a key no flag sets (which
+    # once reached the cores unchecked)
     manifests = {"lacks-t.json": json.dumps({"command": "gen-data", "config": {
                      "dataset": "a", "n": 4, "seed": 0}}),
-                 "list.json": "[1, 2]", "text.json": "not json"}
+                 "list.json": "[1, 2]", "text.json": "not json",
+                 "props-channels.json": json.dumps({"command": "props", "config": {
+                     "neuron": "dsn", "property": "long-control", "delta": 4,
+                     "trials": 10, "c_bound": 2.0, "t": 8, "seed": 0, "channels": 0}}),
+                 "bench-warmup.json": json.dumps({"command": "bench", "config": {
+                     "neurons": ["dsn"], "lengths": [8], "batch": 1, "channels": 2,
+                     "reps": 1, "seed": 0, "warmup": "x"}})}
     for name, text in manifests.items():
         (tmp_path / name).write_text(text)
     args = [str(tmp_path / a) if a in manifests else a for a in args]

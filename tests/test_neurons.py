@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import (dsn_dynamic_decay, dsn_serial_trace, lif_step_fold, matrix_form,
-                     round_half_away)
+                     round_half_away, step_fold)
 from spikescan import neurons
 from spikescan import numerics as nm
 from spikescan.errors import (LengthMismatch, NonFiniteError, ShapeMismatch,
                               StepUnavailable)
 from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
                                LifNeuron, Neuron, NeuronConfig, PsnNeuron,
-                               PsnParams, dsn_forward_parallel, dsn_step,
-                               make_neuron, psn_forward)
+                               PsnParams, dsn_forward_parallel, make_neuron,
+                               psn_forward)
 from spikescan.numerics import ArcTangent, Rectangular, Tensor
 
 
@@ -111,11 +111,12 @@ def test_dsn_step_degenerate_decay_tracks_input():
     # a hugely negative bias drives the decay to zero: H_t = x_t
     params = DsnParams(conv_kernel=nm.zeros((2, 4)),
                        conv_bias=Tensor([-2000.0, -2000.0]))
+    neuron = DsnNeuron(params)
     state = DsnState.zeros(1, 2, 4)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x_t = rng.normal(size=(1, 2)) * 3.0
-        s, state = dsn_step(params, state, x_t)
+        s, _, state = neuron.step(state, x_t)
         np.testing.assert_array_equal(state.h, x_t)
         np.testing.assert_array_equal(
             s, np.clip(round_half_away(x_t), 0, 4))
@@ -150,7 +151,7 @@ def test_dsn_t1_reduces_to_step():
     params = DsnParams.init(channels=2, seed=3)
     x = rng.normal(size=(1, 2, 1))
     s_par, h_par, _ = dsn_forward_parallel(params, Tensor(x))
-    s_step, state = dsn_step(params, DsnState.zeros(1, 2, 4), x[..., 0])
+    s_step, _, state = DsnNeuron(params).step(DsnState.zeros(1, 2, 4), x[..., 0])
     np.testing.assert_array_equal(s_par.data[..., 0], s_step)
     np.testing.assert_allclose(h_par.data[..., 0], state.h, atol=1e-14)
 
@@ -175,7 +176,7 @@ def test_dsn_streaming_state_is_bounded():
         _, _, state = neuron.step(state, rng.normal(size=(1, 2)))
         sizes.add(neuron.state_size(state))
     assert len(sizes) == 1
-    assert state.window.shape[-1] == params.kernel_size - 1
+    assert state.window.shape == (params.kernel_size - 1, 1, 2)  # tap-major
 
 
 @pytest.mark.parametrize("loop_lanes", [10 ** 9, 1], ids=["accumulate", "loop"])
@@ -192,20 +193,21 @@ def test_step_sums_match_sequence_in_both_forms(monkeypatch, loop_lanes):
                        tau=0.5, n_max=3)
     x = rng.normal(size=(2, c, 300)) * 2.0
     s_par, _, a_par = dsn_forward_parallel(params, Tensor(x))
-    s_fold = DsnNeuron(params).serial_fold(x)
+    s_fold = step_fold(DsnNeuron(params), x)[0]
     assert 0.1 < np.mean(s_fold > 0) < 0.9
     np.testing.assert_array_equal(s_fold, s_par.data)
     _, _, a_ser = dsn_serial_trace(params, x)
     np.testing.assert_array_equal(a_ser, a_par.data)
     sliding = PsnNeuron(PsnParams.sliding(Tensor(rng.normal(size=37))))
-    s_step, h_step = Neuron.trace(sliding, x)
-    s_conv, h_conv = sliding.trace(x)
-    assert s_step.tobytes() == s_conv.tobytes()
+    s_step, h_step, _ = step_fold(sliding, x)
+    h_conv = neurons._psn_membrane(sliding.params, x).data
+    assert s_step.tobytes() == sliding.sequence(Tensor(x)).data.tobytes()
     assert h_step.tobytes() == h_conv.tobytes()
     # negative weights over zeros: every term is -0.0, the conv's sum +0.0
     negative = PsnNeuron(PsnParams.sliding(Tensor(-np.ones(4))))
     zeros = np.zeros((2, 3, 6))
-    assert Neuron.trace(negative, zeros)[1].tobytes() == negative.trace(zeros)[1].tobytes()
+    h_conv = neurons._psn_membrane(negative.params, zeros).data
+    assert step_fold(negative, zeros)[1].tobytes() == h_conv.tobytes()
 
 
 @pytest.mark.parametrize("tau", [0.25, 0.5, 2.0])
@@ -220,7 +222,7 @@ def test_step_matches_sequence_where_decays_saturate(tau):
                        tau=tau, n_max=4)
     x = rng.normal(size=(3, 6, 200)) * 3.0
     s_par, _, a_par = dsn_forward_parallel(params, Tensor(x))
-    assert DsnNeuron(params).serial_fold(x).tobytes() == s_par.data.tobytes()
+    assert step_fold(DsnNeuron(params), x)[0].tobytes() == s_par.data.tobytes()
     _, _, a_ser = dsn_serial_trace(params, x)
     assert a_ser.tobytes() == a_par.data.tobytes()
     assert np.all(a_par.data[:, :2] == np.nextafter(1.0, 0.0))
@@ -323,7 +325,7 @@ def test_full_psn_flag_and_sliding_step_matches_sequence():
     sliding = PsnNeuron(PsnParams.init_decay("sliding", k=5))
     rng = np.random.default_rng(15)
     x = rng.normal(size=(2, 3, 30))
-    np.testing.assert_array_equal(sliding.serial_fold(x),
+    np.testing.assert_array_equal(step_fold(sliding, x)[0],
                                   sliding.sequence(Tensor(x)).data)
 
 
@@ -336,7 +338,7 @@ def test_sliding_psn_window_matches_step_fold_and_banded_matrix():
     sliding = PsnNeuron(PsnParams.sliding(Tensor(w)))
     s = sliding.sequence(Tensor(x)).data
     assert 0.1 < s.mean() < 0.9
-    np.testing.assert_array_equal(s, sliding.serial_fold(x))
+    np.testing.assert_array_equal(s, step_fold(sliding, x)[0])
     lag = np.arange(T)[:, None] - np.arange(T)[None, :]
     toeplitz = np.where((lag >= 0) & (lag < k), w[np.clip(lag, 0, k - 1)], 0.0)
     banded = PsnNeuron(PsnParams.masked(Tensor(toeplitz), k))
@@ -403,7 +405,7 @@ def test_lif_none_gains_parallel_path():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(1, 2, 50))
     s_par = neuron.sequence(Tensor(x)).data
-    np.testing.assert_array_equal(s_par, neuron.serial_fold(x))
+    np.testing.assert_array_equal(s_par, step_fold(neuron, x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +482,7 @@ def test_registry_forward_matches_trace_and_gradient(kind):
     s_trace, h = neuron.trace(x)
     np.testing.assert_array_equal(s, s_trace)
     if neuron.supports_step:
-        np.testing.assert_array_equal(s, neuron.serial_fold(x))
+        np.testing.assert_array_equal(s, step_fold(neuron, x)[0])
     if neuron.supports_parallel:
         # reset-free: S = g(H(x)) with H smooth in x, so the taped gradient is
         # the membrane's Jacobian applied to w * g'(H), with g' the surrogate
@@ -567,8 +569,6 @@ def test_fold_rejects_input_that_is_not_bct(kind):
         x = np.zeros(shape)
         with pytest.raises(ShapeMismatch):
             neuron.trace(x)
-        with pytest.raises(ShapeMismatch):
-            neuron.serial_fold(x)
 
 
 @pytest.mark.parametrize("kind", STEP_KINDS)
@@ -581,18 +581,26 @@ def test_step_rejects_a_frame_unlike_its_state(kind):
 
 
 def test_trace_is_the_step_fold_except_for_psn():
-    # one serial path per kind: only full/masked PSN, which cannot step,
-    # compute ``trace`` some other way
+    # one multi-frame serial path: ``trace`` and ``advance`` both run
+    # ``_advance``, the step fold unless DSN or sliding PSN replace it with
+    # their block form; only full/masked PSN, which cannot step, compute
+    # ``trace`` some other way
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
             yield from subclasses(sub)
 
-    own = {cls.__name__ for cls in subclasses(Neuron)
-           if cls.__module__ == neurons.__name__ and "trace" in vars(cls)}
-    assert own == {"PsnNeuron"}
-    for name in ("lif_trace", "lif_sequence"):
+    def defining(name):
+        return {cls.__name__ for cls in (Neuron, *subclasses(Neuron))
+                if cls.__module__ == neurons.__name__ and name in vars(cls)}
+
+    assert defining("_advance") == {"Neuron", "DsnNeuron", "PsnNeuron"}
+    assert defining("trace") == {"Neuron", "PsnNeuron"}
+    assert defining("advance") == {"Neuron"}
+    for name in ("lif_trace", "lif_sequence", "dsn_step"):
         assert not hasattr(neurons, name)
+    for name in ("serial_fold", "_fold"):
+        assert not hasattr(Neuron, name)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -603,9 +611,6 @@ def test_non_finite_input_is_rejected(kind, bad):
     x[1, 2, 9] = bad
     with pytest.raises(NonFiniteError):
         neuron.trace(x)
-    if neuron.supports_step:
-        with pytest.raises(NonFiniteError):
-            neuron.serial_fold(x)
 
 
 @pytest.mark.parametrize("kind", ["dsn", "sliding-psn"])
@@ -682,8 +687,11 @@ def sub_block(request, monkeypatch):
 def test_advance_equals_the_step_fold_at_any_block_length(case, sum_form, sub_block):
     neuron = _advance_neuron(case)
     x = np.random.default_rng(42).normal(size=(2, 3, 300)) * 2.0
-    s_fold, _ = Neuron.trace(neuron, x)
+    s_fold, h_fold, _ = step_fold(neuron, x)
     assert 0.01 < np.mean(s_fold > 0) < 0.99
+    s_trace, h_trace = neuron.trace(x)
+    assert s_trace.tobytes() == s_fold.tobytes()
+    assert h_trace.tobytes() == h_fold.tobytes()
     states = _step_states(neuron, x)
     for block in (1, 7, 97, 300):
         state, spikes = states[0], []
@@ -701,7 +709,7 @@ def test_advance_interleaves_with_step_and_keeps_its_input_state(case, sum_form,
                                                                  sub_block):
     neuron = _advance_neuron(case)
     x = np.random.default_rng(43).normal(size=(2, 3, 160)) * 2.0
-    s_fold, _ = Neuron.trace(neuron, x)
+    s_fold = step_fold(neuron, x)[0]
     step_size = neuron.state_size(neuron.init_state(2, 3))
     state, spikes, t = neuron.init_state(2, 3), [], 0
     for n in (1, 0, 7, 1, 1, 40, 3, 1, 97, 0, 9):

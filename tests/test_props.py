@@ -372,6 +372,20 @@ def test_conditions_table_matches_published_rows(kind):
     assert check_conditions_table(neuron) == EXPECTED_CONDITIONS[kind]
 
 
+class _LateBlocks(DsnNeuron):
+    """A DSN whose block path returns every spike one frame late."""
+
+    def _advance(self, state, x, membranes):
+        s, h, state = super()._advance(state, x, membranes)
+        return np.roll(s, 1, axis=0), h, state  # time-major
+
+
+def test_conditions_table_fails_a_block_path_unlike_step():
+    neuron = _LateBlocks(make_neuron("dsn", channels=3, seed=0).params)
+    table = check_conditions_table(neuron)
+    assert table == {"condition1": True, "condition2": False, "condition3": False}
+
+
 def test_expected_control_registry_consistent():
     # each neuron as ``spikescan props`` builds it, so the table, the CLI and
     # this test describe the same neuron
