@@ -591,10 +591,11 @@ class Neuron:
         Here it folds ``step`` one whole frame at a time from the (B, C)
         membrane state of LIF/IF, keeping H as it goes, which makes it also
         the LIF's taped training forward; DSN and sliding PSN override it
-        with a sub-block form equal to this fold bit for bit.  Measured as lif-hard ``trace``
-        on a 2-core Xeon, float64, medians of 5-11 calls, the range over four
-        runs on a noisy host, in ms: 3.6-5.9 at 4x256x128, 22-36 at
-        1x16x2048, 31-45 at 4x256x1024 and 394-556 at 1x16x32768.
+        with a sub-block form equal to this fold bit for bit.  Measured as
+        lif-hard ``trace`` on a 2-core Xeon, float64, medians of 5-11 calls,
+        the range over four runs on a noisy host, in ms: 3.6-5.9 at
+        4x256x128, 22-36 at 1x16x2048, 31-45 at 4x256x1024 and 394-556 at
+        1x16x32768.
         """
         frames = np.ascontiguousarray(_block_frames(x, state.shape))
         _finite_input(frames)
