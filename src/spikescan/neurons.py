@@ -10,9 +10,10 @@ model; the CLI (bench included) and the tasks all build through it.
 ``Neuron._advance`` is the one multi-frame serial path, behind both
 ``advance`` and ``trace`` for every kind that can step: the fold of
 ``step`` for LIF/IF, and for DSN and sliding PSN a cache-sized sub-block
-of frames at a time, equal to that fold bit for bit.  Only full and masked
-PSN, which cannot step, trace some other way.  Folding ``step`` over time
-and calling ``sequence`` produce the same spikes wherever both exist.
+of frames at a time, equal to that fold bit for bit.  Full and masked PSN
+have no serial mode: their ``step``, ``advance`` and ``trace`` raise
+StepUnavailable.  Folding ``step`` over time and calling ``sequence``
+produce the same spikes wherever both exist.
 
 Models:
 
@@ -186,22 +187,6 @@ class DsnParams:
             channel_mix=Tensor(np.eye(channels)) if mix else None,
             tau=tau, n_max=n_max)
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        d = {"conv_kernel": self.conv_kernel.data,
-             "tau": np.array([self.tau]), "n_max": np.array([float(self.n_max)])}
-        if self.conv_bias is not None:
-            d["conv_bias"] = self.conv_bias.data
-        if self.channel_mix is not None:
-            d["channel_mix"] = self.channel_mix.data
-        return d
-
-    @classmethod
-    def from_state_dict(cls, d: dict[str, np.ndarray]) -> "DsnParams":
-        return cls(conv_kernel=Tensor(d["conv_kernel"]),
-                   conv_bias=Tensor(d["conv_bias"]) if "conv_bias" in d else None,
-                   channel_mix=Tensor(d["channel_mix"]) if "channel_mix" in d else None,
-                   tau=float(d["tau"][0]), n_max=int(d["n_max"][0]))
-
 
 @dataclass(slots=True)
 class DsnState:
@@ -226,11 +211,12 @@ def _finite_input(x: np.ndarray) -> None:
 
 
 # Lanes (B*C) from which a serial step forms an ordered sum as a loop of
-# row-wise multiply-adds instead of one multiply and one accumulate.  The
-# accumulate walks its terms lane by lane, so its cost grows with lanes x
-# terms; the loop costs two ufunc calls per term.  Measured per ``step`` on
-# a 2-core Xeon, float64, one BLAS thread, median of 5 folds, accumulate
-# against loop, in us:
+# row-wise multiply-adds instead of one multiply and one accumulate; the
+# sub-blocks of ``_advance`` always take the loop.  The accumulate walks its
+# terms lane by lane, so its cost grows with lanes x terms; the loop costs
+# two ufunc calls per term.  Measured per ``step`` on a 2-core Xeon,
+# float64, one BLAS thread, median of 5 folds, accumulate against loop, in
+# us:
 #
 # * dsn (k=4): 16 lanes 19 vs 35, 64 lanes 18 vs 20, 256 lanes 35 vs 41,
 #   512 lanes 54 vs 50, 1024 lanes 65 vs 61;
@@ -250,13 +236,12 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
     does there and a step reproduces ``sequence`` bit for bit.  Those ops
     start from +0.0; this sum starts from the first term, which changes
     only the sign of a sum whose every term is -0.0 (adding +0.0 to the
-    result undoes that).  Below ``STEP_LOOP_LANES`` elements the sum is one
-    multiply and one in-place ``np.add.accumulate`` down the leading axis;
-    from there on it is a loop of multiply-adds over whole terms.
+    result undoes that).  For the equal-rank operands of a step below
+    ``STEP_LOOP_LANES`` elements the sum is one multiply and one in-place
+    ``np.add.accumulate`` down the leading axis; otherwise it is a loop of
+    multiply-adds over whole terms, which rounds the same.
     """
-    if math.prod(shape) < STEP_LOOP_LANES:
-        if a.ndim != b.ndim:  # pair the leading axes, as a[j] * b[j] does
-            a, b = _lead_aligned(a, len(shape) + 1), _lead_aligned(b, len(shape) + 1)
+    if a.ndim == b.ndim and math.prod(shape) < STEP_LOOP_LANES:
         terms = np.multiply(a, b)
         np.add.accumulate(terms, axis=0, out=terms)
         return terms[-1]
@@ -265,11 +250,6 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
         np.multiply(a[j], b[j], out=term)
         np.add(acc, term, out=acc)
     return acc
-
-
-def _lead_aligned(v: np.ndarray, ndim: int) -> np.ndarray:
-    """v with unit axes inserted after its leading one, up to ndim axes."""
-    return v.reshape(v.shape[:1] + (1,) * (ndim - v.ndim) + v.shape[1:])
 
 
 def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
@@ -446,9 +426,6 @@ class PsnParams:
             return cls.masked(w, k or t_train)
         return cls.full(w)
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight.data}
-
 
 def _band_mask(t: int, k: int) -> np.ndarray:
     i = np.arange(t)[:, None]
@@ -502,8 +479,8 @@ class Neuron:
       blocks of any length may follow each other or single steps;
     * ``trace`` -- (S, H) arrays over (B, C, T) input with serial semantics,
       for the property checkers: ``advance`` from ``init_state``, membranes
-      kept.  Both run ``_advance``; only ``PsnNeuron`` overrides ``trace``,
-      because full and masked PSN cannot step;
+      kept.  Both run ``_advance``, and both raise StepUnavailable for a
+      kind without a serial mode (full and masked PSN);
     * ``forward`` -- taped spikes over (B, C, T) input, the training path;
     * ``sequence`` -- the offline parallel map: ``forward`` where
       ``supports_parallel``, otherwise ParallelUnavailable;
@@ -626,7 +603,7 @@ class LifNeuron(Neuron):
 
     def step(self, state, x_t):
         """Charge, fire, reset: (spike, pre-reset membrane H, membrane V)."""
-        x = np.asarray(x_t)
+        x = np.asarray(x_t, dtype=float)
         if x.shape != state.shape:
             raise ShapeMismatch(f"x_t {x.shape} vs state {state.shape}")
         cfg = self.cfg
@@ -754,7 +731,7 @@ class DsnNeuron(Neuron):
         * sliding-psn (k=32): 17 and 133 us, from 106 and 193 us with a
           Python loop over taps; 1.5x lif-hard at 1x16.
         """
-        x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t, dtype=state.h.dtype)
+        x = np.asarray(x_t, dtype=float)
         if x.shape != state.h.shape:
             raise ShapeMismatch(f"x_t {x.shape} vs state {state.h.shape}")
         window = np.concatenate((state.window, x[None]))
@@ -920,14 +897,6 @@ class PsnNeuron(Neuron):
 
     def forward(self, x) -> Tensor:
         return psn_forward(self.params, x, self.v_th, self.sg)
-
-    def trace(self, x: np.ndarray):
-        """Full and masked PSN, which cannot step, trace through their weights."""
-        if self.supports_step:
-            return super().trace(x)
-        _finite_input(x)
-        h = _psn_membrane(self.params, x).data
-        return heaviside(h - self.v_th), h
 
 
 # ---------------------------------------------------------------------------

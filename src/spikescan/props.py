@@ -94,6 +94,8 @@ def check_short_control(neuron: Neuron, delta: int,
     """
     if delta < 1:
         raise ValueError("delta must be a positive integer")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)
     x, lead = neuron.short_control_lanes(delta, trials, rng)
     v_th = neuron.v_th
@@ -106,21 +108,34 @@ def check_short_control(neuron: Neuron, delta: int,
                              holds=bad.size == 0, trials=int(np.count_nonzero(reached)),
                              detail={"delta": delta, "v_th": v_th})
     if bad.size:
-        lane, ch = (int(i) for i in bad[0])
-        replay_x = x[lane:lane + 1]
-        _, replay_h = neuron.trace(replay_x)
-        replay_h = replay_h[0, ch]
-        if not (replay_h[lead - 1] >= v_th and replay_h[-1] >= v_th):
-            raise ReplayMismatch(f"{neuron.name}: short-control witness failed to replay")
-        note = f"H after the {delta}-step window is {replay_h[-1]:.6g} >= v_th={v_th}"
-        if x.shape[1] == 1:
-            verdict.witness = Witness(inputs=replay_x[0, 0], trace=replay_h,
-                                      violated_t=lead + delta - 1, note=note)
-        else:
-            verdict.witness = Witness(inputs=replay_x[0], trace=replay_h,
-                                      violated_t=lead + delta - 1,
-                                      note=f"channel {ch}: {note}", channel=ch)
+        last = np.arange(x.shape[-1]) == x.shape[-1] - 1
+        verdict.witness = _replay_witness(
+            neuron, "short-control", x[bad[0][0]],
+            lambda h: last & (h >= v_th) & (h[:, lead - 1:lead] >= v_th),
+            lambda h: f"H after the {delta}-step window is {h[-1]:.6g} >= v_th={v_th}")
     return verdict
+
+
+def _replay_witness(neuron: Neuron, prop: str, lane: np.ndarray, violated,
+                    note) -> Witness:
+    """The witness of one (C, T) input lane, replayed through ``trace``.
+
+    ``violated(h)`` marks the frames of the replayed (C, T) membranes that
+    break ``prop``.  The witness is the first channel with a marked frame,
+    at its first marked frame, described by ``note(h_c)``; a multi-channel
+    witness keeps the lane's inputs and names its channel.  A replay
+    without a violation raises ReplayMismatch.
+    """
+    _, h = neuron.trace(lane[None])
+    over = violated(h[0])
+    if not np.any(over):
+        raise ReplayMismatch(f"{neuron.name}: {prop} witness failed to replay")
+    ch = int(np.argmax(over.any(axis=1)))
+    t, trace = int(np.argmax(over[ch])), h[0, ch]
+    if lane.shape[0] == 1:
+        return Witness(inputs=lane[0], trace=trace, violated_t=t, note=note(trace))
+    return Witness(inputs=lane, trace=trace, violated_t=t,
+                   note=f"channel {ch}: {note(trace)}", channel=ch)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +156,8 @@ def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)
     bound = neuron.long_control_bound(c_bound)
     v_th = neuron.v_th
@@ -160,15 +177,10 @@ def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
         _, h = neuron.trace(x)
         over = h > bound + tol
         if np.any(over):
-            lane = int(np.argwhere(over.any(axis=(1, 2)))[0][0])
-            t_bad = int(np.argwhere(over[lane].any(axis=0))[0][0])
-            replay_x = x[lane:lane + 1]
-            _, replay_h = neuron.trace(replay_x)
-            if not np.any(replay_h > bound + tol):
-                raise ReplayMismatch(f"{neuron.name}: long-control witness failed to replay")
-            first_witness = Witness(inputs=replay_x[0, 0], trace=replay_h[0, 0],
-                                    violated_t=t_bad,
-                                    note=f"H exceeded claimed bound {bound}")
+            lane = int(np.argmax(over.any(axis=(1, 2))))
+            first_witness = _replay_witness(
+                neuron, "long-control", x[lane], lambda h: h > bound + tol,
+                lambda _: f"H exceeded claimed bound {bound}")
             done += lanes
             break
         done += lanes

@@ -1,5 +1,6 @@
-"""The one training loop, :func:`fit`, and its parts: Adam, lr schedules,
-and parameters read through :func:`leaves`; a task supplies a batch loss.
+"""The one training loop, :func:`fit`, and its parts: Adam, the cosine lr
+schedule, and parameters read through :func:`leaves`; a task supplies a
+batch loss.
 
 Training is deterministic given (config, seed): parameter init, batch order
 and every update are driven by seeded generators, and gradient accumulation
@@ -16,27 +17,19 @@ import numpy as np
 from ..numerics import Tape, Tensor
 
 
+# Adam's moment decays and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings.
-
-    The optimizer is Adam with decoupled weight decay; lr follows a cosine
-    decay from the peak value unless schedule='constant'.
-    """
+    """Training settings: Adam at a peak lr that follows a cosine decay
+    over every step of every epoch."""
 
     lr: float = 1e-2
     epochs: int = 30
     batch_size: int = 128
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    schedule: str = "cosine"
     seed: int = 0
-
-    def __post_init__(self):
-        if self.schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 def cosine_lr(step: int, total_steps: int, peak: float) -> float:
@@ -63,33 +56,29 @@ class Param:
 
 
 class Adam:
-    """Adam with decoupled weight decay over a list of Params."""
+    """Adam over a list of Params."""
 
-    def __init__(self, params: list[Param], cfg: TrainConfig):
+    def __init__(self, params: list[Param]):
         self.params = params
-        self.cfg = cfg
         self.t = 0
         self._m = {p.name: np.zeros_like(p.value) for p in params}
         self._v = {p.name: np.zeros_like(p.value) for p in params}
 
     def step(self, tape: Tape, lr: float) -> None:
-        cfg = self.cfg
         self.t += 1
-        b1c = 1.0 - cfg.beta1 ** self.t
-        b2c = 1.0 - cfg.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for p in self.params:
             g = p.grad(tape)
             if g is None:
                 continue
             m = self._m[p.name]
             v = self._v[p.name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            if cfg.weight_decay:
-                p.value -= lr * cfg.weight_decay * p.value
-            p.value -= lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.value -= lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
 
 def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
@@ -112,7 +101,7 @@ def fit(params: list[Param], n: int, cfg: TrainConfig, batch_loss):
 
     ``batch_loss(idx, tape)`` is the scalar loss of samples ``idx`` on ``tape``.
     """
-    opt = Adam(params, cfg)
+    opt = Adam(params)
     rng = np.random.default_rng(cfg.seed + 1)
     total = cfg.epochs * -(-n // cfg.batch_size)
     step = 0
@@ -122,9 +111,7 @@ def fit(params: list[Param], n: int, cfg: TrainConfig, batch_loss):
             tape = Tape()
             loss = batch_loss(idx, tape)
             tape.backward(loss)
-            lr = (cosine_lr(step, total, cfg.lr)
-                  if cfg.schedule == "cosine" else cfg.lr)
-            opt.step(tape, lr)
+            opt.step(tape, cosine_lr(step, total, cfg.lr))
             running += loss.item() * len(idx)
             step += 1
         yield running / n

@@ -341,9 +341,9 @@ def test_sliding_psn_window_matches_step_fold_and_banded_matrix():
     np.testing.assert_array_equal(s, step_fold(sliding, x)[0])
     lag = np.arange(T)[:, None] - np.arange(T)[None, :]
     toeplitz = np.where((lag >= 0) & (lag < k), w[np.clip(lag, 0, k - 1)], 0.0)
-    banded = PsnNeuron(PsnParams.masked(Tensor(toeplitz), k))
+    banded = PsnParams.masked(Tensor(toeplitz), k)
     h = sliding.trace(x)[1]
-    h_band = banded.trace(x)[1]
+    h_band = neurons._psn_membrane(banded, x).data
     assert np.max(np.abs(h - h_band)) <= 1e-12 * np.max(np.abs(h_band))
 
 
@@ -471,6 +471,15 @@ def _central_differences(f, x, eps=1e-6):
     return g
 
 
+def _spikes_and_membranes(neuron, x):
+    """(S, H): ``trace`` for a kind with a serial mode; for full and masked
+    PSN, which have none, their membrane and its threshold."""
+    if neuron.supports_step:
+        return neuron.trace(x)
+    h = neurons._psn_membrane(neuron.params, x).data
+    return nm.heaviside(h - neuron.v_th), h
+
+
 @pytest.mark.parametrize("kind", NEURON_KINDS)
 def test_registry_forward_matches_trace_and_gradient(kind):
     rng = np.random.default_rng(22)
@@ -479,7 +488,7 @@ def test_registry_forward_matches_trace_and_gradient(kind):
     x = rng.normal(size=(2, 3, steps)) * 2.0
     w = rng.normal(size=x.shape)
     s, gx = _taped_forward(neuron, x, w)
-    s_trace, h = neuron.trace(x)
+    s_trace, h = _spikes_and_membranes(neuron, x)
     np.testing.assert_array_equal(s, s_trace)
     if neuron.supports_step:
         np.testing.assert_array_equal(s, step_fold(neuron, x)[0])
@@ -493,7 +502,8 @@ def test_registry_forward_matches_trace_and_gradient(kind):
             r = round_half_away(h)
             fire_grad = ((r >= 0.0) & (r <= neuron.n_max)).astype(float)
         v = w * fire_grad
-        ref = _central_differences(lambda xv: float(np.sum(v * neuron.trace(xv)[1])), x)
+        ref = _central_differences(
+            lambda xv: float(np.sum(v * _spikes_and_membranes(neuron, xv)[1])), x)
         assert np.max(np.abs(gx - ref)) <= 1e-6 * max(1.0, float(np.max(np.abs(ref))))
     else:
         _, g_fold = _fold_input_grad(neuron.cfg, x, w, neuron.sg)
@@ -583,8 +593,7 @@ def test_step_rejects_a_frame_unlike_its_state(kind):
 def test_trace_is_the_step_fold_except_for_psn():
     # one multi-frame serial path: ``trace`` and ``advance`` both run
     # ``_advance``, the step fold unless DSN or sliding PSN replace it with
-    # their block form; only full/masked PSN, which cannot step, compute
-    # ``trace`` some other way
+    # their block form; full/masked PSN, which cannot step, have no ``trace``
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
@@ -595,7 +604,7 @@ def test_trace_is_the_step_fold_except_for_psn():
                 if cls.__module__ == neurons.__name__ and name in vars(cls)}
 
     assert defining("_advance") == {"Neuron", "DsnNeuron", "PsnNeuron"}
-    assert defining("trace") == {"Neuron", "PsnNeuron"}
+    assert defining("trace") == {"Neuron"}
     assert defining("advance") == {"Neuron"}
     for name in ("lif_trace", "lif_sequence", "dsn_step"):
         assert not hasattr(neurons, name)
@@ -610,7 +619,23 @@ def test_non_finite_input_is_rejected(kind, bad):
     x = np.random.default_rng(26).normal(size=(2, 3, 16))
     x[1, 2, 9] = bad
     with pytest.raises(NonFiniteError):
-        neuron.trace(x)
+        # full and masked PSN have no serial mode; their one path is sequence
+        (neuron.trace if neuron.supports_step else neuron.sequence)(x)
+
+
+@pytest.mark.parametrize("kind", ["psn", "masked-psn"])
+def test_kinds_without_a_serial_mode_refuse_trace(kind):
+    neuron = make_neuron(kind, channels=3, t_train=16, k=5)
+    with pytest.raises(StepUnavailable):
+        neuron.trace(np.zeros((2, 3, 16)))
+
+
+@pytest.mark.parametrize("kind", ["lif-hard", "dsn", "sliding-psn"])
+def test_step_refuses_a_tensor_frame(kind):
+    # every step reads its frame as a float64 array; a Tensor is not one
+    neuron = make_neuron(kind, channels=2, k=5)
+    with pytest.raises(TypeError):
+        neuron.step(neuron.init_state(1, 2), Tensor(np.ones((1, 2))))
 
 
 @pytest.mark.parametrize("kind", ["dsn", "sliding-psn"])

@@ -362,6 +362,38 @@ def test_replay_disagreement_raises(check, kind, offsets):
         check(_ShiftingReplay(kind, offsets))
 
 
+class _ClaimsHalf(DsnNeuron):
+    """A DSN that claims its membrane stays at or below 0.5."""
+
+    def long_control_bound(self, c_bound):
+        return 0.5
+
+
+def test_long_control_witness_names_the_violating_channel():
+    # channel 0's decay saturates at 1, so its membrane stays near 0; only
+    # channel 1 (decay 1/16) can pass the bound
+    neuron = _ClaimsHalf(DsnParams(conv_kernel=Tensor(np.zeros((2, 4))),
+                                   conv_bias=Tensor(np.array([800.0, 0.0]))))
+    verdict = check_long_control(neuron, 2.0, T=16, trials=50, rng_seed=0)
+    w = verdict.witness
+    assert not verdict.holds
+    assert w.channel == 1 and w.note.startswith("channel 1: ")
+    assert w.inputs.shape == (2, 16)
+    _, h = neuron.trace(w.inputs[None])
+    np.testing.assert_array_equal(h[0, 1], w.trace)
+    assert w.trace[w.violated_t] > 0.5 >= np.max(w.trace[:w.violated_t], initial=0.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_long_control(make_neuron("lif-hard"), 2.0, T=16, trials=0),
+    lambda: check_short_control(make_neuron("dsn", channels=3), 4, trials=0),
+], ids=["long", "short"])
+def test_checkers_refuse_no_trials(check):
+    # a checker that tries nothing cannot fail, so its verdict would be vacuous
+    with pytest.raises(ValueError, match="trials"):
+        check()
+
+
 # ---------------------------------------------------------------------------
 # structural conditions table
 

@@ -59,21 +59,6 @@ def test_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_params_roundtrip_through_container(tmp_path):
-    from spikescan.neurons import DsnParams
-
-    params = DsnParams.init(channels=3, k=4, seed=5, mix=True)
-    path = tmp_path / "dsn.spkn"
-    save_tensors(path, params.state_dict())
-    restored = DsnParams.from_state_dict(load_tensors(path))
-    np.testing.assert_array_equal(restored.conv_kernel.data,
-                                  params.conv_kernel.data)
-    np.testing.assert_array_equal(restored.channel_mix.data,
-                                  params.channel_mix.data)
-    assert restored.tau == params.tau
-    assert restored.n_max == params.n_max
-
-
 def _valid_container(tmp_path):
     rng = np.random.default_rng(7)
     path = tmp_path / "valid.spkn"
