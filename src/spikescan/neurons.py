@@ -24,8 +24,9 @@ Models:
   linear recurrence, has a parallel path, through the scan.
 * ``DsnNeuron`` -- reset-free neuron whose decay is produced per step from
   the last k inputs by a depthwise causal convolution and a sharpened
-  sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via the
-  scan, serial via an O(C*k) window of the last k-1 inputs.
+  sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via
+  ``dsn_membrane`` (conv, decay and scan as one taped op), serial via an
+  O(C*k) window of the last k-1 inputs.
 * ``PsnNeuron`` -- the learnable time-by-time weight family: full (dense,
   non-causal), masked (banded lower-triangular) and sliding (k shared
   weights).  Full/masked are locked to their training length and raise
@@ -45,7 +46,7 @@ from .errors import (LengthMismatch, NonFiniteError, ParallelUnavailable, ShapeM
                      StepUnavailable)
 from .numerics import (_ONE, _ZERO, SurrogateKind, Rectangular, Tensor, heaviside,
                        surrogate_grad)
-from .scan import linear_scan, scan
+from .scan import CHUNK, TILE_LANES, _chunked_scan, linear_scan
 
 HARD, SOFT, NONE = "hard", "soft", "none"
 _RESETS = (HARD, SOFT, NONE)
@@ -230,10 +231,10 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
     step, (n, B, C) for a block of n frames) added in the order j = 0, 1,
     ... of the leading axis.
 
-    That is the order in which ``depthwise_causal_conv`` adds its taps
-    (oldest first) into each output element and in which the taped
-    ``channel_mix`` adds its channels, so every partial sum rounds as it
-    does there and a step reproduces ``sequence`` bit for bit.  Those ops
+    That is the order in which the depthwise conv's taps (oldest first)
+    add into each output element and a channel mix adds its channels, in
+    ``dsn_membrane`` and the sliding PSN's conv, so every partial sum rounds
+    as it does there and a step reproduces ``sequence`` bit for bit.  Those ops
     start from +0.0; this sum starts from the first term, which changes
     only the sign of a sum whose every term is -0.0 (adding +0.0 to the
     result undoes that).  For the equal-rank operands of a step below
@@ -255,9 +256,8 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
 def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
     """Decays (..., C) from a tap-major (k, ..., C) window, oldest first:
     (k, B, C) for a step, a (k, n, B, C) view for n frames of a block.  The
-    negated pre-activation is summed in the order ``dsn_alpha_sequence``
-    adds it, then goes through the ``numerics.decay_chain`` of its
-    ``sharpened_sigmoid``."""
+    negated pre-activation is summed in the order ``dsn_membrane`` adds
+    it, then goes through the ``numerics.decay_chain`` it runs."""
     shape = window.shape[1:]
     taps, bias, _ = params._step_operands
     npre = _ordered_sum(window, taps, shape)
@@ -324,27 +324,199 @@ def _last_frames(older: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
                            frames[max(T - m, 0):]), dtype=float)
 
 
-def dsn_alpha_sequence(params: DsnParams, x) -> Tensor:
-    """All decays for a (B, C, T) sequence via the batched causal conv."""
-    pre = nm.depthwise_causal_conv(x, params.conv_kernel, params.conv_bias)
+# Bytes of one tile of ``dsn_membrane``: DSN_TILE_BYTES // (8 T) whole
+# lanes, but never fewer than the scan's ``TILE_LANES`` (a narrower tile
+# narrows every copy of the scan and pays its row loop for few lanes), so
+# where those lanes exceed DSN_TILE_BYTES the tile is cut along time too,
+# on the scan's chunk boundaries.  A channel mix couples the channels, so
+# there a tile is whole batch rows of whole lanes.  Measured on a 2-core
+# Xeon (2 MiB L2 a core), float64, one BLAS thread, as one taped bench pass
+# (forward plus mean-spike backward), tile sizes and the separate ops
+# interleaved pass by pass in one process, median of 10-15, for 256 KiB,
+# 512 KiB, 1 MiB and 2 MiB tiles (``BENCH_fused_dsn.json``), in ms:
+#
+# * 4x256x1024: 146, 123, 130 and 127 (separate ops 154);
+# * 1x16x32768 (16 lanes by 2048, 4096, 8192 and 16384 steps): 68, 58, 56
+#   and 58, and 57 uncut (separate ops 59);
+# * 32x128x128: 62, 54, 59 and 64 (separate ops 61).
+#
+# Cut by lanes alone, 16 lanes of 32768 steps took 72 ms whole against 87
+# and 136 ms in 4- and 1-lane tiles (73 ms in 512 KiB tiles, separate ops
+# 76, in that run).
+DSN_TILE_BYTES = 2 ** 19
+
+
+def _tile_shape(params: DsnParams, batch: int, T: int) -> tuple[int, int]:
+    """(lanes, steps) of one tile of ``dsn_membrane``."""
+    n = batch * params.channels
+    rows = max(DSN_TILE_BYTES // (8 * max(T, 1)), TILE_LANES)
     if params.channel_mix is not None:
-        pre = nm.channel_mix(params.channel_mix, pre)
-    return nm.sharpened_sigmoid(pre, params.tau)
+        c = params.channels
+        return min(max(c, rows - rows % c), n), max(T, 1)
+    rows = min(rows, n)
+    if 8 * rows * T <= DSN_TILE_BYTES:
+        return rows, max(T, 1)
+    return rows, max(CHUNK, DSN_TILE_BYTES // (8 * rows) // CHUNK * CHUNK)
+
+
+def _rows(flat: np.ndarray, m: int, w: int) -> np.ndarray:
+    # a C-contiguous (m, w) array at the front of a flat scratch buffer
+    return flat[:m * w].reshape(m, w)
+
+
+def dsn_membrane(params: DsnParams, x) -> Tensor:
+    """The DSN membrane H of a (B, C, T) input as one taped op: depthwise
+    causal conv (+ bias, then the channel mix), decay (``decay_chain``) and
+    the scan H_t = alpha_t H_{t-1} + (1 - alpha_t) x_t from H = 0.
+
+    The op walks the B*C lanes a tile at a time (``DSN_TILE_BYTES``), so
+    the stages of a tile pass over it while it sits in cache, in scratch
+    buffers every tile reuses.  Each stage is the kernel the separate ops
+    ran (``numerics._depthwise_taps``, ``decay_chain``,
+    ``scan._chunked_scan``), and a tile cut along time starts on a chunk
+    boundary of the scan (forward: from the start of time, carrying the
+    last H; backward: from the end, carrying the adjoint and the decay one
+    step on) and reads the k-1 conv inputs or gradients beyond its edge, so
+    every element rounds as it did through the separate ops.  The tape
+    keeps H and sigma; the backward recomputes alpha from sigma and runs
+    the adjoint scan, d_alpha, the sigmoid gradient and the conv adjoint
+    tile by tile.  The kernel and bias gradients are per-lane dot products
+    and sums over whole lanes, summed over the batch at the end in the
+    order the separate ops summed them.
+    """
+    return _dsn_membrane(params, x, False)[0]
+
+
+def _dsn_membrane(params: DsnParams, x, keep_alpha: bool):
+    """(H, alpha): ``dsn_membrane``, and its (B, C, T) decays when asked."""
+    x = nm._as_tensor(x)
+    if x.ndim != 3 or x.shape[1] != params.channels:
+        raise ShapeMismatch(f"expected (B, {params.channels}, T) input, "
+                            f"got shape {x.shape}")
+    B, C, T = x.shape
+    n, k, e = B * C, params.kernel_size, 1.0 / params.tau
+    kernel, bias, mix = params.conv_kernel, params.conv_bias, params.channel_mix
+    tape, nodes = nm._shared_tape(x, kernel, bias, mix)
+    lanes = x.data.reshape(n, T)
+    kern = np.tile(kernel.data, (B, 1))  # lane b*C + c uses channel c's row
+    lane_bias = None if bias is None else np.tile(bias.data, B)[:, None]
+    rows, steps = _tile_shape(params, B, T)
+    blocks = [(slice(l0, l0 + rows), min(rows, n - l0)) for l0 in range(0, n, rows)]
+    zeros = np.zeros(rows)
+    h = np.empty((n, T))
+    sigma = np.empty((n, T)) if tape else None
+    alpha = np.empty((n, T)) if keep_alpha else None
+
+    def pre_activation(ls, t0, t1, out):
+        # the conv's taps, then the bias, from zero into C-contiguous out
+        out.fill(0.0)
+        nm._depthwise_taps(lanes[ls, t0:t1], kern[ls], out, adjoint=False)
+        if lane_bias is not None:
+            out += lane_bias[ls]
+        return out
+
+    def forward(ls, m, t0, t1):
+        w, lead = t1 - t0, min(k - 1, t0)  # lead: the conv's inputs before t0
+        pre = pre_activation(ls, t0 - lead, t1, _rows(flat[0], m, w + lead))[:, lead:]
+        if mix is not None:
+            pre = np.einsum("dc,bct->bdt", mix.data, pre.reshape(-1, C, T),
+                            out=_rows(flat[2], m, w).reshape(-1, C, T)).reshape(m, w)
+        nm._ensure_finite(pre, "dsn_membrane")
+        npre = np.negative(pre, out=sigma[ls, t0:t1] if tape else pre)
+        a = alpha[ls, t0:t1] if keep_alpha else _rows(flat[1], m, w)
+        nm.decay_chain(npre, e, a, a)
+        b = np.subtract(_ONE, a, out=_rows(flat[2], m, w))
+        np.multiply(b, lanes[ls, t0:t1], out=b)
+        _chunked_scan(a, b, h[ls, t0 - 1] if t0 else zeros[:m], False, h[ls, t0:t1])
+
+    flat = np.empty((3, rows * (steps + k - 1)))
+    # an overflowing conv raises NonFiniteError, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ls, m in blocks:
+            for t0 in range(0, T, steps):
+                forward(ls, m, t0, min(t0 + steps, T))
+
+    def backward(g):
+        nx, nk, nb, nw = nodes
+        g = g.reshape(n, T)
+        # x's gradient is the scan's d_x plus the conv's, added to any it
+        # already holds in that order, as the separate ops' nodes added them
+        dx = tape._grads[nx] if nx is not None else None
+        own = dx is None
+        if nx is not None:
+            dx = np.empty((B, C, T)) if own else np.ascontiguousarray(dx)
+            tape._grads[nx] = dx
+            dx_lanes = dx.reshape(n, T)
+        gk = np.empty((n, k)) if nk is not None else None
+        gb = np.empty(n) if nb is not None else None
+        gw = np.zeros((C, C)) if nw is not None else None
+        flat = np.empty((3 if mix is None else 4, rows * (steps + k)))
+        unpinned = np.empty(rows * steps, dtype=bool)
+        dpre = np.empty(rows * T)  # the conv output's gradient over whole lanes
+        for ls, m in blocks:
+            sig, xl, hl = sigma[ls], lanes[ls], h[ls]
+            dp = _rows(dpre, m, T)
+            carry = zeros[:m]
+            for t1 in range(T, 0, -steps):
+                t0 = max(t1 - steps, 0)
+                w, on = t1 - t0, min(t1 + 1, T) - t0  # on: alpha one step past t1
+                p, a = nm._pinned_power(sig[:, t0:t0 + on], e, _rows(flat[0], m, on),
+                                        _rows(flat[1], m, on))
+                mask = np.equal(p[:, :w], a[:, :w], out=_rows(unpinned, m, w))
+                adj = _chunked_scan(a, g[ls, t0:t1], carry, True, _rows(flat[2], m, w))
+                carry = adj[:, 0].copy()
+                d = dp[:, t0:t1] if mix is None else _rows(flat[3], m, w)
+                np.subtract(hl[:, t0 - 1] if t0 else zeros[:m], xl[:, t0], out=d[:, 0])
+                np.subtract(hl[:, t0:t1 - 1], xl[:, t0 + 1:t1], out=d[:, 1:])
+                np.multiply(adj, d, out=d)  # d_alpha
+                p, a, s = p[:, :w], a[:, :w], sig[:, t0:t1]
+                if dx is not None:  # the scan's d_x
+                    np.multiply(adj, np.subtract(_ONE, a, out=a), out=a)
+                np.multiply(d, mask, out=d)
+                np.multiply(d, e, out=d)
+                np.multiply(d, np.power(s, e - 1.0, out=p), out=d)
+                np.multiply(d, s, out=d)
+                np.multiply(d, np.subtract(_ONE, s, out=p), out=d)
+                if mix is not None:  # whole lanes: t0 = 0, t1 = T
+                    d3 = d.reshape(-1, C, T)
+                    if gw is not None:
+                        pre = pre_activation(ls, 0, T, _rows(flat[0], m, T))
+                        gw += np.einsum("bdt,bct->dc", d3, pre.reshape(-1, C, T))
+                    np.einsum("dc,bdt->bct", mix.data, d3, out=dp.reshape(-1, C, T))
+                if dx is not None:
+                    t2 = min(t1 + k - 1, T)  # the conv adjoint reads dp up to t2
+                    gx = _rows(flat[2], m, t2 - t0)  # adj is spent
+                    gx.fill(0.0)
+                    nm._depthwise_taps(dp[:, t0:t2], kern[ls], gx, adjoint=True)
+                    dxl = dx_lanes[ls, t0:t1]
+                    if own:
+                        np.add(a, gx[:, :w], out=dxl)
+                    else:
+                        dxl += a
+                        dxl += gx[:, :w]
+            if gk is not None:
+                gk[ls] = nm._depthwise_kernel_grad(dp, xl, k)
+            if gb is not None:
+                np.sum(dp, axis=1, out=gb[ls])
+        if gk is not None:
+            tape._accumulate(nk, gk.reshape(B, C, k).sum(axis=0), own=True)
+        if gb is not None:
+            tape._accumulate(nb, gb.reshape(B, C).sum(axis=0), own=True)
+        if gw is not None:
+            tape._accumulate(nw, gw, own=True)
+
+    out = nm._result(h.reshape(B, C, T), "dsn_membrane", tape, nodes,
+                     backward if tape else None)
+    return out, None if alpha is None else alpha.reshape(B, C, T)
 
 
 def dsn_forward_parallel(params: DsnParams, x) -> tuple[Tensor, Tensor, Tensor]:
-    """Whole-sequence forward: conv -> sharpened sigmoid -> scan -> integer fire.
-
-    Returns (S, H, alpha), gradient-tracked end to end when x or the
-    parameters are taped.
+    """Whole-sequence forward: (S, H, alpha), with H the taped
+    ``dsn_membrane`` op, S = ``clip_round(H)`` taped through it, and alpha
+    the untaped decays that op scanned with, for callers that inspect them.
     """
-    x = nm._as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeMismatch("expected (B, C, T) input")
-    alpha = dsn_alpha_sequence(params, x)
-    h = scan(alpha, x)
-    s = nm.clip_round(h, params.n_max)
-    return s, h, alpha
+    h, alpha = _dsn_membrane(params, x, True)
+    return nm.clip_round(h, params.n_max), h, Tensor(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +889,9 @@ class DsnNeuron(Neuron):
         is the sum over taps j = 0 (oldest) .. k-1 (current) of
         kernel[:, j] * x_{t-k+1+j}, added in that order (``_ordered_sum``),
         then the bias, then the channel mix in channel order, as
-        ``depthwise_causal_conv`` and ``channel_mix`` add.  Decay and fire
-        are the taped ops' own kernels (``numerics.decay_chain``,
-        ``fire_counts``), so spikes and decays equal ``sequence`` bit for bit.
+        ``dsn_membrane`` adds them.  Decay and fire are the taped ops' own
+        kernels (``numerics.decay_chain``, ``fire_counts``), so spikes and
+        decays equal ``sequence`` bit for bit.
 
         Measured per ``Neuron.step`` call on a 2-core Xeon, float64, one BLAS
         thread, kinds interleaved, median of 11 runs (``BENCH_serial_step.json``),
@@ -792,7 +964,7 @@ class DsnNeuron(Neuron):
                                  channel_mix=weights.get("mix")))
 
     def forward(self, x) -> Tensor:
-        return dsn_forward_parallel(self.params, x)[0]
+        return nm.clip_round(dsn_membrane(self.params, x), self.params.n_max)
 
     def state_size(self, state: DsnState) -> int:
         return state.h.nbytes + state.window.nbytes

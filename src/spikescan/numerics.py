@@ -15,16 +15,18 @@ functions carry surrogate backward rules (see :class:`Rectangular`,
 Every taped op, here and in ``layers`` and ``neurons``, records through
 one path, ``_op``: the op computes its forward value and states, per
 input, how the output gradient maps to that input's gradient; ``_op``
-builds the one backward closure that puts them on the tape.  Two
+builds the one backward closure that puts them on the tape.  Three
 recorders stay apart on purpose: ``scan.scan``, whose one adjoint scan
-yields all three of its gradients at once, and the reference ops the
-tests keep as oracles.
+yields all three of its gradients at once; ``neurons.dsn_membrane``, the
+DSN's conv, decay and scan as one op whose tile-by-tile backward yields
+the input and weight gradients together and keeps only H and sigma; and
+the reference ops the tests keep as oracles.
 
 Broadcasting is deliberately minimal: scalar-against-array or exactly equal
 shapes.  Structured ops (convolutions, channel mixes) handle their own
 index bookkeeping internally.
 
-The dynamic-decay neuron's taped ops and serial step share one raw kernel
+The dynamic-decay neuron's taped op and serial step share one raw kernel
 per stage: ``decay_chain`` (decay) and ``fire_counts`` (integer fire).
 """
 
@@ -456,37 +458,52 @@ def clip_round(h, n_max: int) -> Tensor:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     rounded, out = fire_counts(h.data, n_max)
-    return _op("clip_round", out, (h, lambda g: g * (rounded == out)))  # unclipped
+    unclipped = rounded == out  # one byte an element, not the float64 rounded
+    return _op("clip_round", out, (h, lambda g: g * unclipped))
 
 
-def decay_chain(npre: np.ndarray, exponent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def decay_chain(npre: np.ndarray, exponent, power: np.ndarray | None = None,
+                alpha: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma, power, alpha) of the decay sigmoid(pre) ** exponent, for
-    ``sharpened_sigmoid``, ``DsnNeuron.step`` and the approx bank alike.
+    ``sharpened_sigmoid``, ``neurons.dsn_membrane``, ``DsnNeuron.step`` and
+    the approx bank alike.
 
     npre holds -pre and becomes sigma in place: min(-pre, 500) saturates
     extreme logits (1 + exp(-500) rounds to 1.0), then exp, +1, reciprocal.
-    alpha pins power into (1e-300, 1 - ulp), as a decay must stay strictly
-    inside (0, 1) where a saturated sigmoid rounds to 0.0 or 1.0."""
+    power and alpha are ``_pinned_power``'s, written into the buffers given
+    (alpha may be power itself, pinned in place)."""
     np.minimum(npre, _EXP_CAP, out=npre)
     np.exp(npre, out=npre)
     np.add(npre, _ONE, out=npre)
     np.divide(_ONE, npre, out=npre)
-    power = npre ** exponent
-    alpha = np.maximum(power, _UNIT_LO)
+    return (npre,) + _pinned_power(npre, exponent, power, alpha)
+
+
+def _pinned_power(sigma: np.ndarray, exponent, power: np.ndarray | None = None,
+                 alpha: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(power, alpha): sigma ** exponent, and that power pinned into
+    (1e-300, 1 - ulp), as a decay must stay strictly inside (0, 1) where a
+    saturated sigmoid rounds to 0.0 or 1.0.  Written into the buffers given;
+    alpha may be power itself."""
+    power = np.power(sigma, exponent, out=power)
+    alpha = np.maximum(power, _UNIT_LO, out=alpha)
     np.minimum(alpha, _UNIT_HI, out=alpha)
-    return npre, power, alpha
+    return power, alpha
 
 
 def sharpened_sigmoid(pre, tau: float) -> Tensor:
     """Decays sigmoid(pre) ** (1/tau) in (0, 1) (``decay_chain``).  The
     backward passes gradients only where the pin left the power unmoved,
-    then applies e sigma ** (e - 1) and sigma (1 - sigma)."""
+    then applies e sigma ** (e - 1) and sigma (1 - sigma); it keeps sigma
+    and that one-byte mask, not the power."""
     pre = _as_tensor(pre)
     exponent = 1.0 / float(tau)
     sigma, power, alpha = decay_chain(np.negative(pre.data), exponent)
+    unpinned = power == alpha
 
     def grad(g):
-        g = g * (power == alpha) * exponent  # where the pin left the power
+        g = g * unpinned * exponent
         g *= sigma ** (exponent - 1.0)
         g *= sigma
         g *= 1.0 - sigma

@@ -32,6 +32,20 @@ Measured on a 2-core Xeon, float64, ``linear_scan`` forward plus backward
 128 KiB (whole chunks at 64 lanes) and 32- or 128-lane tiles were within
 noise of 64 KiB at 64 lanes or slower.
 
+The copy back has its own tile, ``BACK_TILE_BYTES``: it reads rows of the
+chunk-major buffer that lie a power of two apart at these shapes, which a
+64 KiB tile walks with more cache conflicts than the copy in does.
+Measured as above, the copy back alone (median of 15-25, tiles interleaved
+in one process) for (lanes, KiB) tiles of (64, 64), (64, 32), (64, 16) and
+(32, 16):
+
+* 1024 lanes x 1024 steps: 9.4-11.3, 4.7-5.3, 6.0 and 4.9-6.9 ms;
+* 16 x 32768: 2.0, 1.6, 2.2 and 2.2 ms;
+* 10000 x 128: 5.3-6.1, 5.7-7.2, 7.7 and 6.4-8.2 ms;
+* 4096 x 256: 6.0-6.3, 3.1-4.1, 3.6 and 4.0-5.2 ms.
+
+Only the tile shape changed, so every element is copied as before.
+
 The carry fold is a Python loop over the chunks, which at the sizes this
 library runs (at most a few hundred chunks) needs no parallel-prefix sweep.
 
@@ -56,16 +70,18 @@ from .errors import ShapeMismatch
 from .numerics import Tensor, _as_tensor, _result, _shared_tape
 
 CHUNK = 256
-# a transposed tile: at most TILE_LANES lanes, TILE_BYTES in all
+# a transposed tile: at most TILE_LANES lanes, TILE_BYTES in all into the
+# chunk-major layout and BACK_TILE_BYTES back out of it
 TILE_LANES = 64
 TILE_BYTES = 2 ** 16
+BACK_TILE_BYTES = 2 ** 15
 
 
-def _tiles(lanes, steps, chunk, nc, head, shift):
-    """(rows, chunk, lanes; steps) index pairs of the tiles that carry a
-    (lanes, steps) array into the chunk-major layout and back."""
+def _tiles(lanes, steps, chunk, nc, head, shift, nbytes=TILE_BYTES):
+    """(rows, chunk, lanes; steps) index pairs of the tiles of ``nbytes``
+    that carry a (lanes, steps) array into the chunk-major layout and back."""
     width = min(lanes, TILE_LANES)
-    depth = min(chunk, TILE_BYTES // (8 * width))
+    depth = min(chunk, nbytes // (8 * width))
     lead = chunk - head
     for l0 in range(0, lanes, width):
         ls = slice(l0, l0 + width)
@@ -103,9 +119,11 @@ def linear_scan(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> np.ndarray:
     return h.reshape(shape)
 
 
-def _chunked_scan(a, b, h0, reverse):
+def _chunked_scan(a, b, h0, reverse, out=None):
     """h_t = a_t h_{t-1} + b_t over (lanes, T) arrays from h_{-1} = h0, or
-    with ``reverse`` h_t = a_{t+1} h_{t+1} + b_t from h_T = h0 (a_T = 1).
+    with ``reverse`` h_t = a_{t+1} h_{t+1} + b_t from h_T = h0 (a_T = 1,
+    unless a holds a T-th step past b's, as a tile cut from a longer scan
+    does), written into ``out`` when given.
 
     The reverse scan folds every chunk from its end and puts the part chunk
     at the front, so each chunk, its products and its carry round as in the
@@ -136,8 +154,10 @@ def _chunked_scan(a, b, h0, reverse):
         carries[c] = prod[prev] * carries[prev] + acc[prev]
     np.multiply(coef, carries, out=coef)
     np.add(coef, local, out=local)
-    out = np.empty_like(b)
-    for rows, c, ls, ts in _tiles(lanes, T, chunk, nc, head, 0):
+    if out is None:
+        out = np.empty_like(b)
+    for rows, c, ls, ts in _tiles(lanes, T, chunk, nc, head, 0,
+                                  nbytes=BACK_TILE_BYTES):
         out[ls, ts] = local[rows, c, ls].T
     return out
 

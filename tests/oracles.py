@@ -9,9 +9,12 @@ whole-array ``moveaxis`` and reversed copies, which ``spikescan.scan`` must
 match bit for bit.  ``dsn_dynamic_decay`` is one step's decay from a
 (B, C, k) window through the serial step's own decay kernel, and
 ``dsn_serial_trace`` is the DSN recurrence written out step by step with
-the arithmetic inlined on top of it; ``lif_step_fold`` is the per-step taped
-LIF fold (time_slice -> reshape -> charge/fire/reset on the tape, one frame
-at a time) that the taped sequence op replaced.  ``depthwise_conv_shift``
+the arithmetic inlined on top of it, and ``dsn_op_chain`` the taped DSN
+pass as the separate conv, mix, sigmoid and scan ops that
+``neurons.dsn_membrane`` fuses, which it must match bit for bit, gradients
+included; ``lif_step_fold`` is the per-step taped LIF fold (time_slice ->
+reshape -> charge/fire/reset on the tape, one frame at a time) that the
+taped sequence op replaced.  ``depthwise_conv_shift``
 and ``causal_conv_shift`` are the two causal convolutions written as one
 zero-padded shifted copy of the input per tap, with their adjoints
 (``*_grads``) in the same form.  ``round_half_away`` is the integer fire's
@@ -39,6 +42,7 @@ from spikescan import numerics as nm
 from spikescan.errors import ShapeMismatch
 from spikescan.neurons import _dsn_decay
 from spikescan.numerics import Tape, Tensor
+from spikescan.scan import scan
 from spikescan.tasks.training import leaves
 
 UNIT_OPEN_LO = 1e-300
@@ -117,6 +121,20 @@ def dsn_serial_trace(params, x: np.ndarray):
         a_out[..., t] = alpha
         window = window[..., 1:]
     return s_out, h_out, a_out
+
+
+def dsn_op_chain(params, x) -> tuple[Tensor, Tensor, Tensor]:
+    """(S, H, alpha) of a (B, C, T) input through the separate taped ops the
+    fused ``neurons.dsn_membrane`` replaced: depthwise causal conv (+ bias),
+    channel mix, sharpened sigmoid, scan, then ``clip_round``.  Every
+    output and gradient of the fused op must equal this chain's bit for
+    bit."""
+    pre = nm.depthwise_causal_conv(x, params.conv_kernel, params.conv_bias)
+    if params.channel_mix is not None:
+        pre = nm.channel_mix(params.channel_mix, pre)
+    alpha = nm.sharpened_sigmoid(pre, params.tau)
+    h = scan(alpha, x)
+    return nm.clip_round(h, params.n_max), h, alpha
 
 
 def step_fold(neuron, x: np.ndarray, state=None):

@@ -1,10 +1,12 @@
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import (dsn_dynamic_decay, dsn_serial_trace, lif_step_fold, matrix_form,
-                     round_half_away, step_fold)
+from oracles import (dsn_dynamic_decay, dsn_op_chain, dsn_serial_trace, lif_step_fold,
+                     matrix_form, round_half_away, step_fold)
 from spikescan import neurons
 from spikescan import numerics as nm
 from spikescan.errors import (LengthMismatch, NonFiniteError, ShapeMismatch,
@@ -13,7 +15,7 @@ from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
                                LifNeuron, Neuron, NeuronConfig, PsnNeuron,
                                PsnParams, dsn_forward_parallel, make_neuron,
                                psn_forward)
-from spikescan.numerics import ArcTangent, Rectangular, Tensor
+from spikescan.numerics import ArcTangent, Rectangular, Tape, Tensor
 
 
 def test_lif_step_hand_evaluated():
@@ -250,6 +252,156 @@ def test_enhanced_dsn_channel_mix_identity_is_noop():
     _, h_a, _ = dsn_forward_parallel(base, Tensor(x))
     _, h_b, _ = dsn_forward_parallel(mixed, Tensor(x))
     np.testing.assert_allclose(h_a.data, h_b.data, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the fused DSN membrane op against the separate ops
+
+
+def _dsn_params(rng, channels, k=4, tau=0.25, bias=True, mix=False):
+    base = DsnParams.init(channels=channels, k=k, tau=tau, seed=int(rng.integers(99)))
+    if isinstance(bias, bool):
+        bias = rng.normal(size=channels) * 2.0 if bias else None
+    return DsnParams(
+        conv_kernel=base.conv_kernel,
+        conv_bias=None if bias is None else Tensor(bias),
+        channel_mix=(Tensor(rng.normal(size=(channels, channels)) / np.sqrt(channels))
+                     if mix else None),
+        tau=tau, n_max=3)
+
+
+def _dsn_pass_bytes(fn, params, x, w, taped=("x", "kernel", "bias", "mix"),
+                    reuse_x=False):
+    """Bytes of S, H and alpha and of every taped gradient of one pass of
+    mean(S) + sum(H * w) (+ sum(x * w) recorded after it with ``reuse_x``,
+    so x's node holds a gradient when the pass's backward reaches it)."""
+    tape = Tape()
+    named = {"kernel": params.conv_kernel, "bias": params.conv_bias,
+             "mix": params.channel_mix}
+    leaves = {n: (tape.leaf(t.data) if n in taped else t)
+              for n, t in named.items() if t is not None}
+    xt = tape.leaf(x) if "x" in taped else Tensor(x)
+    s, h, a = fn(replace(params, conv_kernel=leaves["kernel"],
+                         conv_bias=leaves.get("bias"), channel_mix=leaves.get("mix")), xt)
+    loss = nm.add(nm.mean_all(s), nm.sum_all(nm.mul(h, Tensor(w))))
+    if reuse_x:
+        loss = nm.add(loss, nm.sum_all(nm.mul(xt, Tensor(w))))
+    tape.backward(loss)
+    grads = [tape.grad(xt)] + [tape.grad(leaves[n]) for n in sorted(leaves)]
+    return [v.tobytes() for v in (s.data, h.data, a.data)] + [
+        None if g is None else g.tobytes() for g in grads]
+
+
+# (B, C, T, k, tau, bias, mix, tile bytes, tile lanes, reuse_x); the tile
+# settings, when given, shrink the tiles so a small input spans many
+DSN_FUSED_CASES = {
+    # 900 lanes of 300 steps: tiles of 218 lanes, the last one 28
+    "lanes": (3, 300, 300, 4, 0.25, True, False, None, None, False),
+    "no-bias": (3, 300, 300, 4, 0.25, None, False, None, None, False),
+    "x-reused": (3, 20, 300, 4, 0.5, True, False, 2 ** 14, 4, True),
+    # decays pinned at both ends, where only the pin's mask zeroes gradients
+    "saturated": (3, 6, 300, 4, 0.25, [800.0, 80.0, -800.0, -180.0, 0.5, -1.0],
+                  False, 2 ** 14, 4, False),
+    # one batch row of 8 channels a tile
+    "mix": (3, 8, 300, 4, 0.25, True, True, 8 * 8 * 300, 1, False),
+    "mix-no-bias": (3, 8, 300, 5, 0.5, None, True, 8 * 8 * 300, 1, False),
+    # 4 lanes by 512 steps: 2 lane blocks of 6 time tiles, the forward's
+    # last and the backward's first 440 steps long
+    "time": (2, 3, 3000, 7, 2.0, True, False, 2 ** 14, 4, False),
+    "time-long-kernel": (1, 2, 1100, 300, 0.25, True, False, 2 ** 13, 2, False),
+}
+
+
+@pytest.mark.parametrize("case", list(DSN_FUSED_CASES))
+def test_fused_membrane_matches_separate_ops_bit_for_bit(monkeypatch, case):
+    B, C, T, k, tau, bias, mix, tile_bytes, tile_lanes, reuse_x = DSN_FUSED_CASES[case]
+    if tile_bytes is not None:
+        monkeypatch.setattr(neurons, "DSN_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(neurons, "TILE_LANES", tile_lanes)
+    rng = np.random.default_rng(40)
+    params = _dsn_params(rng, C, k=k, tau=tau, bias=bias, mix=mix)
+    rows, steps = neurons._tile_shape(params, B, T)
+    assert -(-B * C // rows) * -(-T // steps) >= 3
+    x = rng.normal(size=(B, C, T)) * 2.0
+    w = rng.normal(size=(B, C, T)) * 0.1
+    got = _dsn_pass_bytes(dsn_forward_parallel, params, x, w, reuse_x=reuse_x)
+    want = _dsn_pass_bytes(dsn_op_chain, params, x, w, reuse_x=reuse_x)
+    assert len(got) == len(want)
+    for i, (g, r) in enumerate(zip(got, want)):
+        assert g == r, i
+
+
+@pytest.mark.parametrize("mix", [False, True], ids=["plain", "mix"])
+def test_fused_membrane_takes_an_empty_sequence(mix):
+    params = _dsn_params(np.random.default_rng(44), 4, mix=mix)
+    s, h, alpha = dsn_forward_parallel(params, np.zeros((2, 4, 0)))
+    assert s.shape == h.shape == alpha.shape == (2, 4, 0)
+    assert DsnNeuron(params).sequence(np.zeros((2, 4, 0))).shape == (2, 4, 0)
+
+
+@pytest.mark.parametrize("taped", [("x",), ("kernel", "bias")], ids=["x", "weights"])
+def test_fused_membrane_differentiates_only_what_is_taped(monkeypatch, taped):
+    monkeypatch.setattr(neurons, "DSN_TILE_BYTES", 2 ** 14)
+    monkeypatch.setattr(neurons, "TILE_LANES", 4)
+    rng = np.random.default_rng(41)
+    params = _dsn_params(rng, 3)
+    x = rng.normal(size=(2, 3, 700))
+    w = rng.normal(size=x.shape)
+    got = _dsn_pass_bytes(dsn_forward_parallel, params, x, w, taped)
+    assert got == _dsn_pass_bytes(dsn_op_chain, params, x, w, taped)
+    assert (got[3] is None) == ("x" not in taped)
+
+
+def test_dsn_pass_keeps_h_sigma_and_a_mask():
+    # 2048 lanes of 256 steps, 8 tiles: after the forward the tape keeps H,
+    # sigma and clip_round's one-byte mask beyond x and S; the backward's
+    # peak, with the loss's and the fire's gradients and dx, stays within 6
+    # arrays beyond x and S (the separate ops kept 5 and peaked at 11)
+    B, C, T = 4, 512, 256
+    neuron = DsnNeuron(DsnParams.init(C, seed=1))
+    x = np.random.default_rng(42).normal(size=(B, C, T))
+    one = x.nbytes
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        leaves = {n: tape.leaf(w.data) for n, w in neuron.weights().items()}
+        xt = tape.leaf(x)
+        base = tracemalloc.get_traced_memory()[0]
+        s = neuron.with_weights(leaves).forward(xt)
+        kept = tracemalloc.get_traced_memory()[0] - base - s.data.nbytes
+        loss = nm.mean_all(s)
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base - s.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * one + one // 8 + 2 ** 17
+    assert peak <= 6 * one
+
+
+@pytest.mark.parametrize("where", ["input", "overflow", "kernel", "bias", "late-tile"])
+def test_fused_membrane_rejects_non_finite_values(monkeypatch, where):
+    monkeypatch.setattr(neurons, "DSN_TILE_BYTES", 2 ** 13)
+    monkeypatch.setattr(neurons, "TILE_LANES", 2)
+    rng = np.random.default_rng(43)
+    params = _dsn_params(rng, 2)
+    x = rng.normal(size=(2, 2, 1500))
+    if where == "input":
+        x[1, 1, 1400] = np.nan
+    elif where == "overflow":  # finite, but the conv's sum is not
+        x[1, 0, 700] = 1e308
+        params = replace(params, conv_kernel=Tensor(np.full((2, 4), 10.0)))
+    elif where in ("kernel", "bias"):  # a weight no Tensor check saw
+        bad = np.array(getattr(params, f"conv_{where}").data)
+        bad.flat[-1] = np.inf
+        params = replace(params, **{f"conv_{where}": Tensor._attach(bad, None, None)})
+    else:  # the last time tile of the last lane block
+        x[1, 1, -1] = 1e308
+        params = replace(params, conv_kernel=Tensor(np.full((2, 4), 10.0)))
+    with pytest.raises(NonFiniteError):
+        neurons.dsn_membrane(params, x)
+    with pytest.raises(NonFiniteError):
+        DsnNeuron(params).forward(Tape().leaf(x) if where != "input" else x)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +758,7 @@ def test_trace_is_the_step_fold_except_for_psn():
     assert defining("_advance") == {"Neuron", "DsnNeuron", "PsnNeuron"}
     assert defining("trace") == {"Neuron"}
     assert defining("advance") == {"Neuron"}
-    for name in ("lif_trace", "lif_sequence", "dsn_step"):
+    for name in ("lif_trace", "lif_sequence", "dsn_step", "dsn_alpha_sequence"):
         assert not hasattr(neurons, name)
     for name in ("serial_fold", "_fold"):
         assert not hasattr(Neuron, name)

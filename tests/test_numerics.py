@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -254,6 +255,26 @@ def test_sharpened_sigmoid_bits_match_three_op_chain(tau):
     assert grad.tobytes() == ref_grad.tobytes()
     assert np.all((alpha > 0.0) & (alpha < 1.0))
     assert np.any(alpha == np.nextafter(1.0, 0.0))  # the pin engaged
+
+
+@pytest.mark.parametrize("op", ["sharpened_sigmoid", "clip_round"])
+def test_decay_and_fire_keep_one_byte_masks(op):
+    # beside the array it returns, the sigmoid keeps sigma and the pin's
+    # mask (not the float64 power), the fire only its straight-through mask
+    # (not the float64 rounded values)
+    x = np.random.default_rng(12).normal(size=(8, 64, 512)) * 3.0
+    run = {"sharpened_sigmoid": lambda t: nm.sharpened_sigmoid(t, 0.25),
+           "clip_round": lambda t: clip_round(t, 4)}[op]
+    tracemalloc.start()
+    try:
+        t = Tape().leaf(x)
+        base = tracemalloc.get_traced_memory()[0]
+        out = run(t)
+        kept = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    floats = 1 if op == "sharpened_sigmoid" else 0
+    assert kept <= floats * x.nbytes + x.size + 2 ** 14
 
 
 def test_gradient_accumulates_across_reuse():
