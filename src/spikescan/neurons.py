@@ -332,13 +332,13 @@ def _last_frames(older: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
 # there a tile is whole batch rows of whole lanes.  Measured on a 2-core
 # Xeon (2 MiB L2 a core), float64, one BLAS thread, as one taped bench pass
 # (forward plus mean-spike backward), tile sizes and the separate ops
-# interleaved pass by pass in one process, median of 10-15, for 256 KiB,
+# interleaved pass by pass in one process, median of 15, for 256 KiB,
 # 512 KiB, 1 MiB and 2 MiB tiles (``BENCH_fused_dsn.json``), in ms:
 #
-# * 4x256x1024: 146, 123, 130 and 127 (separate ops 154);
-# * 1x16x32768 (16 lanes by 2048, 4096, 8192 and 16384 steps): 68, 58, 56
-#   and 58, and 57 uncut (separate ops 59);
-# * 32x128x128: 62, 54, 59 and 64 (separate ops 61).
+# * 4x256x1024: 133, 109, 108 and 114 (separate ops 127);
+# * 1x16x32768 (16 lanes by 2048, 4096, 8192 and 16384 steps): 78, 62, 63
+#   and 70, and 70 uncut (separate ops 68);
+# * 32x128x128: 56, 52, 53 and 61 (separate ops 59).
 #
 # Cut by lanes alone, 16 lanes of 32768 steps took 72 ms whole against 87
 # and 136 ms in 4- and 1-lane tiles (73 ms in 512 KiB tiles, separate ops
