@@ -326,19 +326,28 @@ def _last_frames(older: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
 
 # Bytes of one tile of ``dsn_membrane``: DSN_TILE_BYTES // (8 T) whole
 # lanes, but never fewer than the scan's ``TILE_LANES`` (a narrower tile
-# narrows every copy of the scan and pays its row loop for few lanes), so
-# where those lanes exceed DSN_TILE_BYTES the tile is cut along time too,
-# on the scan's chunk boundaries.  A channel mix couples the channels, so
-# there a tile is whole batch rows of whole lanes.  Measured on a 2-core
-# Xeon (2 MiB L2 a core), float64, one BLAS thread, as one taped bench pass
-# (forward plus mean-spike backward), tile sizes and the separate ops
-# interleaved pass by pass in one process, median of 15, for 256 KiB,
-# 512 KiB, 1 MiB and 2 MiB tiles (``BENCH_fused_dsn.json``), in ms:
+# narrows every copy of the scan and pays its row loop for few lanes).
+# Where those lanes come to more than twice DSN_TILE_BYTES, the tile is cut
+# along time into DSN_TILE_BYTES pieces on the scan's chunk boundaries;
+# below that a cut costs more row loops than it saves (4x16x2048, 1 MiB:
+# 21.8 ms cut against 19.1-20.3 whole; 1x16x16384, 2 MiB: 31 against 33).
+# A channel mix couples the channels, so there a tile is whole batch rows
+# of whole lanes.  Measured on a 2-core Xeon (2 MiB L2 a core), float64,
+# one BLAS thread, as one taped bench pass (forward plus mean-spike
+# backward), tile sizes and the separate ops interleaved pass by pass in
+# one process, median of 15, for 256 KiB, 512 KiB, 1 MiB and 2 MiB tiles,
+# in two runs (``BENCH_fused_dsn.json``; the host ran slower in the
+# second), in ms:
 #
-# * 4x256x1024: 133, 109, 108 and 114 (separate ops 127);
-# * 1x16x32768 (16 lanes by 2048, 4096, 8192 and 16384 steps): 78, 62, 63
-#   and 70, and 70 uncut (separate ops 68);
-# * 32x128x128: 56, 52, 53 and 61 (separate ops 59).
+# * 4x256x1024: 133, 109, 108 and 114 (separate ops 127); 133, 146, 134
+#   and 154 (separate ops 172);
+# * 1x16x32768 (16 lanes by 2048, 4096 and 8192 steps, then uncut): 75,
+#   59, 58 and 70 (separate ops 64); the first run, 16384 steps for 2 MiB:
+#   78, 62, 63 and 70, and 70 uncut (separate ops 68);
+# * 32x128x128: 56, 52, 53 and 61 (separate ops 59); 46, 47, 49 and 53
+#   (separate ops 57);
+# * 4x16x2048 (uncut from 512 KiB on): 16.2, 12.1 and 12.2 (separate ops
+#   11.6).
 #
 # Cut by lanes alone, 16 lanes of 32768 steps took 72 ms whole against 87
 # and 136 ms in 4- and 1-lane tiles (73 ms in 512 KiB tiles, separate ops
@@ -354,7 +363,7 @@ def _tile_shape(params: DsnParams, batch: int, T: int) -> tuple[int, int]:
         c = params.channels
         return min(max(c, rows - rows % c), n), max(T, 1)
     rows = min(rows, n)
-    if 8 * rows * T <= DSN_TILE_BYTES:
+    if 8 * rows * T <= 2 * DSN_TILE_BYTES:
         return rows, max(T, 1)
     return rows, max(CHUNK, DSN_TILE_BYTES // (8 * rows) // CHUNK * CHUNK)
 
