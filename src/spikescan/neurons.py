@@ -4,9 +4,10 @@ Every kind sits behind one interface, :class:`Neuron`: ``step`` for serial
 inference with bounded state, ``advance`` for the same inference a (B, C, T)
 block at a time, ``trace`` for serial (S, H) trajectories, ``forward`` for
 taped training over a whole (B, C, T) sequence, ``sequence`` for the
-offline parallel map, and ``weights``/``with_weights`` for the trainable
-tensors.  :func:`make_neuron` is the one place that maps a kind name to a
-model; the CLI (bench included) and the tasks all build through it.
+offline map of a whole sequence, and ``weights``/``with_weights`` for the
+trainable tensors.  :func:`make_neuron` is the one place that maps a kind
+name to a model; the CLI (bench included) and the tasks all build through
+it.
 ``Neuron._advance`` is the one multi-frame serial path, behind both
 ``advance`` and ``trace`` for every kind that can step: the fold of
 ``step`` for LIF/IF, and for DSN and sliding PSN a cache-sized sub-block
@@ -26,7 +27,8 @@ Models:
   the last k inputs by a depthwise causal convolution and a sharpened
   sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via
   ``dsn_membrane`` (conv, decay and scan as one taped op), serial via an
-  O(C*k) window of the last k-1 inputs.
+  O(C*k) window of the last k-1 inputs; untaped ``sequence`` takes the
+  serial block path from ``SEQUENCE_ADVANCE_LANES`` lanes on.
 * ``PsnNeuron`` -- the learnable time-by-time weight family: full (dense,
   non-causal), masked (banded lower-triangular) and sliding (k shared
   weights).  Full/masked are locked to their training length and raise
@@ -225,6 +227,22 @@ def _finite_input(x: np.ndarray) -> None:
 #   vs 82, 512 lanes 124 vs 85, 1024 lanes 228 vs 120.
 STEP_LOOP_LANES = 512
 
+# Lanes (B*C) from which untaped ``DsnNeuron.sequence`` runs the serial
+# block path (``advance`` from ``init_state``) instead of ``dsn_membrane``
+# and ``clip_round``: the scan folds each 64-lane tile row by row, while a
+# step of the block path takes every lane of a frame in one ufunc call.
+# Measured on a 2-core Xeon, float64, one BLAS thread, B x 16 lanes, the
+# paths interleaved, median of 9 calls at T=1024 and of 3 at T=32768
+# (``BENCH_dsn_eval_route.json``), scan against block path, in ms:
+#
+# * T=1024: 16 lanes 1.3 vs 2.1, 32 lanes 2.7 vs 3.5, 64 lanes 3.9 vs 3.8,
+#   128 lanes 7.5 vs 6.1, 256 lanes 18 vs 11, 1024 lanes 58 vs 28, 2048
+#   lanes 130 vs 60;
+# * T=32768: 16 lanes 33 vs 61, 32 lanes 64 vs 59, 64 lanes 152 vs 100,
+#   128 lanes 311 vs 163, 256 lanes 894 vs 475, 1024 lanes 3377 vs 1368,
+#   2048 lanes 6267 vs 3429.
+SEQUENCE_ADVANCE_LANES = 64
+
 
 def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
     """sum over j of a[j] * b[j], a sum of the given shape ((B, C) for a
@@ -289,6 +307,16 @@ def _sub_blocks(window: np.ndarray, frames: np.ndarray):
     lives in one buffer that the next sub-block reuses, and a non-finite
     frame raises NonFiniteError.
 
+    Frames are gathered into that buffer by ``_gather``: time-major frames
+    (as ``eval_serial`` passes them) in one copy, the time-major view of
+    lane-major input ``TILE_LANES`` lanes at a time.  Copied whole, that
+    view reads each frame from B*C lanes a page apart; a tile's 64 lanes
+    stay in cache for all n frames.  Measured as the gather of every
+    sub-block of one lane-major input on a 2-core Xeon, float64, one copy
+    against tiles interleaved, median of 21 (``BENCH_dsn_eval_route.json``),
+    in ms: 9.5 vs 3.0 at 4x256x1024, 20.4 vs 8.0 at 16x128x1024, 0.49 vs
+    0.55 at 1x16x32768 and 6.6 vs 6.6 at 4x16x30000 (64 lanes, one tile).
+
     A sub-block is ``numerics.CONV_BLOCK_BYTES // (8 B C)`` frames, at
     least one.  Measured as ``advance`` from ``init_state`` on a 2-core
     Xeon, float64, one BLAS thread, median of 7, for sub-blocks of 64 KiB,
@@ -311,10 +339,28 @@ def _sub_blocks(window: np.ndarray, frames: np.ndarray):
             buf[:m] = buf[n:n + m]  # the last m frames of the sub-block before
         stop = min(t + n, T)
         block = buf[m:m + stop - t]
-        block[...] = frames[t:stop]
+        _gather(block, frames[t:stop])
         _finite_input(block)
         yield t, np.lib.stride_tricks.as_strided(buf, (m + 1,) + block.shape, strides,
                                                  writeable=False)
+
+
+def _gather(out: np.ndarray, frames: np.ndarray) -> None:
+    """out[...] = frames, for (n, B, C) frames and a C-contiguous out.
+
+    Frames whose lanes lie apart in memory (a time-major view of lane-major
+    (B, C, T) input) are copied ``TILE_LANES`` lanes at a time, so the lines
+    and pages a tile reads serve all n frames; frames that are already
+    time-major are copied whole."""
+    n, B, C = frames.shape
+    if frames.strides[2] == frames.itemsize:
+        out[...] = frames
+        return
+    if frames.strides[1] == C * frames.strides[2]:  # (B, C) is one lane axis
+        frames, out = frames.reshape(n, 1, B * C), out.reshape(n, 1, B * C)
+    for b in range(frames.shape[1]):
+        for l0 in range(0, frames.shape[2], TILE_LANES):
+            out[:, b, l0:l0 + TILE_LANES] = frames[:, b, l0:l0 + TILE_LANES]
 
 
 def _last_frames(older: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
@@ -599,10 +645,13 @@ class PsnParams:
             return cls.sliding(w)
         if not t_train:
             raise ValueError("full/masked PSN needs t_train")
-        # beta^lag only on the causal part: negative lags would overflow
-        lag = np.arange(t_train)[:, None] - np.arange(t_train)[None, :]
-        w = np.power(beta, lag, out=np.zeros((t_train, t_train)), where=lag >= 0)
-        w *= 1.0 - beta
+        # row i is powers[T-1-i:2T-1-i] of powers = [beta^(T-1), ..., beta^0,
+        # T-1 zeros]: beta^(i-j) at j <= i and 0 beyond, so no T x T array
+        # but W itself is built
+        powers = np.zeros(2 * t_train - 1)
+        powers[:t_train] = beta ** np.arange(t_train - 1, -1, -1)
+        rows = np.lib.stride_tricks.sliding_window_view(powers, t_train)[::-1]
+        w = np.multiply(rows, 1.0 - beta, out=np.empty((t_train, t_train)))
         if variant == "masked":
             return cls.masked(w, k or t_train)
         return cls.full(w)
@@ -663,8 +712,10 @@ class Neuron:
       kept.  Both run ``_advance``, and both raise StepUnavailable for a
       kind without a serial mode (full and masked PSN);
     * ``forward`` -- taped spikes over (B, C, T) input, the training path;
-    * ``sequence`` -- the offline parallel map: ``forward`` where
-      ``supports_parallel``, otherwise ParallelUnavailable;
+    * ``sequence`` -- the offline map of a whole sequence: ``forward`` where
+      ``supports_parallel``, otherwise ParallelUnavailable; the DSN runs its
+      serial block path instead for untaped input from
+      ``SEQUENCE_ADVANCE_LANES`` lanes on, where that is faster;
     * ``weights``/``with_weights`` -- the named trainable tensors, and the
       same neuron (hyperparameters unchanged) over given tensors, taped or
       not, so a training loop can leaf them onto its tape;
@@ -870,7 +921,15 @@ class LifNeuron(Neuron):
 
 
 class DsnNeuron(Neuron):
-    """Dynamic-decay neuron: scan-parallel training, windowed serial inference."""
+    """Dynamic-decay neuron: scan-parallel training, windowed serial inference.
+
+    ``forward`` is the taped parallel pass (``dsn_membrane``, then
+    ``clip_round``); ``step`` and ``_advance`` are serial inference.
+    ``sequence`` takes whichever of the two is faster: ``forward`` below
+    ``SEQUENCE_ADVANCE_LANES`` lanes (B*C) and wherever the input or a
+    weight is taped, ``advance`` from ``init_state`` from there on.  The
+    spikes are the same either way.
+    """
 
     def __init__(self, params: DsnParams):
         self.params = params
@@ -974,6 +1033,18 @@ class DsnNeuron(Neuron):
 
     def forward(self, x) -> Tensor:
         return nm.clip_round(dsn_membrane(self.params, x), self.params.n_max)
+
+    def sequence(self, x) -> Tensor:
+        """Spikes over (B, C, T) input; from ``SEQUENCE_ADVANCE_LANES``
+        lanes on, with no taped input or weight, the (B, C, T) view of the
+        time-major spikes of ``advance`` from ``init_state``."""
+        data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if (nm._shared_tape(x, *self.weights().values())[0] is not None
+                or data.ndim != 3
+                or data.shape[0] * data.shape[1] < SEQUENCE_ADVANCE_LANES):
+            return self.forward(x)
+        s, _ = self.advance(self.init_state(data.shape[0], data.shape[1]), data)
+        return Tensor._attach(s, None, None)
 
     def state_size(self, state: DsnState) -> int:
         return state.h.nbytes + state.window.nbytes

@@ -405,6 +405,89 @@ def test_fused_membrane_rejects_non_finite_values(monkeypatch, where):
 
 
 # ---------------------------------------------------------------------------
+# untaped ``DsnNeuron.sequence``: the scan below SEQUENCE_ADVANCE_LANES lanes,
+# the block path from there on
+
+
+def _sequence_path(monkeypatch, neuron, x) -> tuple[Tensor, str]:
+    """``neuron.sequence(x)`` and the path it took."""
+    taken = []
+    membrane, advance = neurons._dsn_membrane, DsnNeuron._advance
+    monkeypatch.setattr(neurons, "_dsn_membrane",
+                        lambda *a: taken.append("scan") or membrane(*a))
+    monkeypatch.setattr(DsnNeuron, "_advance",
+                        lambda *a: taken.append("advance") or advance(*a))
+    s = neuron.sequence(x)
+    assert len(taken) == 1
+    return s, taken[0]
+
+
+# (B, C, T, k, mix): lanes on both sides of the crossover (64), a lane count
+# that is no multiple of 64, a channel mix, T = 0, T = 1 and T < k
+DSN_ROUTE_CASES = {
+    "scan": (2, 31, 300, 4, False),
+    "advance": (2, 32, 300, 4, False),
+    "advance-201-lanes": (3, 67, 300, 4, False),
+    "scan-mix": (3, 8, 300, 4, True),
+    "advance-mix": (4, 16, 300, 5, True),
+    "advance-T0": (2, 40, 0, 4, False),
+    "advance-T1": (2, 40, 1, 4, False),
+    "scan-T-below-k": (1, 6, 2, 4, False),
+    "advance-T-below-k": (2, 40, 2, 4, True),
+}
+
+
+@pytest.mark.parametrize("case", list(DSN_ROUTE_CASES))
+def test_sequence_spikes_equal_the_parallel_pass_on_either_path(monkeypatch, case):
+    B, C, T, k, mix = DSN_ROUTE_CASES[case]
+    rng = np.random.default_rng(45)
+    params = _dsn_params(rng, C, k=k, mix=mix)
+    x = rng.normal(size=(B, C, T)) * 2.0
+    s, path = _sequence_path(monkeypatch, DsnNeuron(params), x)
+    assert path == case.split("-")[0]
+    assert s.tape is None and s.shape == (B, C, T)
+    assert s.data.tobytes() == dsn_forward_parallel(params, x)[0].data.tobytes()
+    assert s.data.tobytes() == dsn_op_chain(params, x)[0].data.tobytes()
+    if T > 2:  # bytes, so a -0.0 count must come out -0.0 on both paths
+        assert np.any((s.data == 0.0) & np.signbit(s.data))
+
+
+@pytest.mark.parametrize("lanes", [(1, 8), (4, 16)], ids=["scan", "advance"])
+def test_sequence_rejects_bad_input_on_either_path(lanes):
+    B, C = lanes
+    neuron = make_neuron("dsn", channels=C, seed=2)
+    x = np.random.default_rng(46).normal(size=(B, C, 50))
+    x[B - 1, C - 1, 40] = np.nan
+    with pytest.raises(NonFiniteError):
+        neuron.sequence(x)
+    with pytest.raises(ShapeMismatch):
+        neuron.sequence(np.zeros((B, C + 1, 50)))
+    with pytest.raises(ShapeMismatch):
+        neuron.sequence(np.zeros((B * C, 50)))
+
+
+def test_taped_sequence_stays_on_the_taped_pass():
+    # 128 lanes, past the crossover: a taped input or taped weights still go
+    # through ``forward`` and get the separate ops' gradients
+    rng = np.random.default_rng(47)
+    params = _dsn_params(rng, 32)
+    x = rng.normal(size=(4, 32, 200)) * 2.0
+    w = rng.normal(size=x.shape) * 0.1
+
+    def sequence(p, xt):
+        s = DsnNeuron(p).sequence(xt)
+        assert s.tape is not None
+        return s, Tensor(np.zeros(x.shape)), Tensor(np.zeros(x.shape))
+
+    def chain(p, xt):
+        return dsn_op_chain(p, xt)[0], Tensor(np.zeros(x.shape)), Tensor(np.zeros(x.shape))
+
+    for taped in (("x",), ("kernel", "bias")):
+        assert (_dsn_pass_bytes(sequence, params, x, w, taped)
+                == _dsn_pass_bytes(chain, params, x, w, taped))
+
+
+# ---------------------------------------------------------------------------
 # PSN family
 
 
@@ -676,6 +759,35 @@ def test_masked_psn_gradient_stays_in_band():
     assert g[band].any()
 
 
+def _init_decay_by_lag(t: int, beta: float = 0.5) -> np.ndarray:
+    # full/masked W from an int64 T x T lag array, beta^lag on its causal part
+    lag = np.arange(t)[:, None] - np.arange(t)[None, :]
+    w = np.power(beta, lag, out=np.zeros((t, t)), where=lag >= 0)
+    w *= 1.0 - beta
+    return w
+
+
+@pytest.mark.parametrize("t", [1, 7, 300, 2048])
+def test_init_decay_builds_the_lag_formula_bytes(t):
+    w = _init_decay_by_lag(t)
+    assert PsnParams.init_decay("full", t_train=t).weight.data.tobytes() == w.tobytes()
+    k = min(32, t)
+    masked = PsnParams.init_decay("masked", t_train=t, k=k).weight.data
+    assert masked.tobytes() == (w * neurons._band_mask(t, k)).tobytes()
+
+
+def test_init_decay_peaks_near_one_weight_matrix():
+    # T = 2048: W is 32 MiB; a T x T int64 lag array beside it doubles that
+    t = 2048
+    tracemalloc.start()
+    try:
+        w = PsnParams.init_decay("full", t_train=t).weight.data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * w.nbytes
+
+
 def test_init_decay_long_lengths_fill_only_the_causal_part():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -924,3 +1036,39 @@ def test_advance_rejects_non_finite_frames_and_other_shapes(kind, sub_block):
     for shape in ((3, 16), (2, 3), (1, 2, 3, 16), (2, 4, 16), (1, 3, 16)):
         with pytest.raises(ShapeMismatch):
             neuron.advance(state, np.zeros(shape))
+
+
+def _gather_layout(layout: str, rng) -> np.ndarray:
+    """A (B, C, T) block in the memory layout named: lane-major, time-major
+    (``eval_serial`` hands ``advance`` a transposed (T, B, C) array), a
+    non-contiguous slice whose (B, C) lanes do not form one axis, or
+    3 x 67 lane-major lanes, which span four lane tiles, the last of 9."""
+    if layout == "lane-major":
+        return rng.normal(size=(4, 48, 300)) * 2.0
+    if layout == "time-major":
+        return np.ascontiguousarray((rng.normal(size=(4, 48, 300)) * 2.0)
+                                    .transpose(2, 0, 1)).transpose(1, 2, 0)
+    if layout == "slice":
+        return (rng.normal(size=(3, 50, 600)) * 2.0)[:, 1:49, ::2]
+    return rng.normal(size=(3, 67, 300)) * 2.0
+
+
+@pytest.mark.parametrize("layout", ["lane-major", "time-major", "slice", "3x67"])
+@pytest.mark.parametrize("kind", ["dsn", "sliding-psn"])
+def test_advance_gathers_every_layout_as_the_step_fold_reads_it(kind, layout):
+    rng = np.random.default_rng(48)
+    x = _gather_layout(layout, rng)
+    B, C, T = x.shape
+    if layout == "slice":
+        assert x.strides[0] != C * x.strides[1] and x.strides[2] != x.itemsize
+    neuron = make_neuron(kind, channels=C, seed=3)
+    assert nm.CONV_BLOCK_BYTES // (8 * B * C) < T  # more than one sub-block
+    s_fold, _, _ = step_fold(neuron, x)
+    states = _step_states(neuron, x)
+    for block in (1, 7, 97, T):
+        state, spikes = states[0], []
+        for t in range(0, T, block):
+            s, state = neuron.advance(state, x[..., t:t + block])
+            spikes.append(s)
+            _assert_same_state(state, states[min(t + block, T)])
+        assert np.concatenate(spikes, axis=-1).tobytes() == s_fold.tobytes(), block
