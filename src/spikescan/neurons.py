@@ -33,6 +33,9 @@ Models:
   non-causal), masked (banded lower-triangular) and sliding (k shared
   weights).  Full/masked are locked to their training length and raise
   LengthMismatch elsewhere; sliding accepts any length and can step.
+  Parallel via ``psn_membrane``, one taped op for every variant: a product
+  with W's transposed view (full/masked) or the depthwise causal taps of
+  the k weights (sliding), with no T x T copy.
 """
 
 from __future__ import annotations
@@ -251,7 +254,7 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
 
     That is the order in which the depthwise conv's taps (oldest first)
     add into each output element and a channel mix adds its channels, in
-    ``dsn_membrane`` and the sliding PSN's conv, so every partial sum rounds
+    ``dsn_membrane`` and ``psn_membrane``, so every partial sum rounds
     as it does there and a step reproduces ``sequence`` bit for bit.  Those ops
     start from +0.0; this sum starts from the first term, which changes
     only the sign of a sum whose every term is -0.0 (adding +0.0 to the
@@ -608,8 +611,8 @@ class PsnParams:
             if self.variant == "masked":
                 if not self.k or not 1 <= self.k <= w.shape[0]:
                     raise ValueError("masked PSN needs 1 <= k <= T")
-                bad = ~_band_mask(w.shape[0], self.k)
-                if np.any(w.data[bad] != 0.0):
+                if any(np.any(v, where=where)
+                       for v, where in _outside_band_parts(w.data, self.k)):
                     raise ValueError("masked PSN weight has entries outside its band")
 
     @property
@@ -624,7 +627,9 @@ class PsnParams:
     @classmethod
     def masked(cls, weight, k: int) -> "PsnParams":
         weight = nm._as_tensor(weight)
-        masked = weight.data * _band_mask(weight.shape[0], k)
+        if weight.ndim != 2:
+            raise ShapeMismatch("full/masked PSN weight must be square")
+        masked = _zero_outside_band(weight.data.copy(), k)
         return cls(weight=Tensor(masked), variant="masked", k=k,
                    t_train=weight.shape[0])
 
@@ -657,15 +662,38 @@ class PsnParams:
         return cls.full(w)
 
 
-def _band_mask(t: int, k: int) -> np.ndarray:
-    i = np.arange(t)[:, None]
-    j = np.arange(t)[None, :]
-    return (j <= i) & (j > i - k)
+# Rows per block in which a masked PSN's band check and band mask walk a
+# T x T matrix, so neither makes a T x T temporary.
+BAND_ROWS = 64
+
+
+def _outside_band_parts(a: np.ndarray, k: int):
+    """(view, where) over the entries of square a outside the band
+    j in (i - k, i], ``BAND_ROWS`` rows at a time: where is True for the
+    columns past a block's diagonal square or before the square where its
+    band ends, else the triangle of that square outside the band."""
+    t = a.shape[0]
+    for r0 in range(0, t, BAND_ROWS):
+        r1 = min(r0 + BAND_ROWS, t)
+        lo, hi = max(r0 - k + 1, 0), max(r1 - k + 1, 0)
+        rows, i = a[r0:r1], np.arange(r0, r1)[:, None]
+        yield rows[:, r1:], True
+        yield rows[:, r0:r1], np.arange(r0, r1) > i
+        yield rows[:, :lo], True
+        yield rows[:, lo:hi], np.arange(lo, hi) <= i - k
+
+
+def _zero_outside_band(a: np.ndarray, k: int) -> np.ndarray:
+    # a times the band's 0/1 mask, in place: -0.0 where a < 0 lies outside
+    for v, where in _outside_band_parts(a, k):
+        np.multiply(v, 0.0, out=v, where=where)
+    return a
 
 
 def psn_forward(params: PsnParams, x, v_th: float = 1.0,
                 sg: SurrogateKind = Rectangular()) -> Tensor:
-    """Spikes of a PSN-family neuron on (B, C, T) input.
+    """Spikes of a PSN-family neuron on (B, C, T) input: the threshold of
+    its membrane, one taped ``psn_membrane`` op (``_psn_membrane``).
 
     Full/masked variants demand T == t_train; the LengthMismatch they raise
     elsewhere is the executable form of their timestep-coupled parameters.
@@ -674,25 +702,52 @@ def psn_forward(params: PsnParams, x, v_th: float = 1.0,
 
 
 def _psn_membrane(params: PsnParams, x) -> Tensor:
+    """Membrane H of a PSN-family neuron over (B, C, T) input as one taped
+    op, ``psn_membrane``, on its B*C lanes.
+
+    Full/masked: H = lanes @ W.T on W's transposed view, dx = g @ W and
+    dW = g.T @ lanes, times the band for masked PSN (whose W ``PsnParams``
+    keeps zero outside it, so the forward needs no mask).  Sliding: the
+    depthwise causal taps of the lag-indexed weights reversed (current step
+    last) and tiled over the lanes; dx from the adjoint taps, and dW the
+    per-lane kernel gradient summed over the batch, the channels, reversed.
+    """
     x = nm._as_tensor(x)
     if x.ndim != 3:
         raise ShapeMismatch("expected (B, C, T) input")
     b, c, t = x.shape
+    n, w = b * c, params.weight.data
+    lanes = np.ascontiguousarray(x.data.reshape(n, t))
     if params.variant == "sliding":
-        # weights are indexed by lag (0 = current); conv kernels put the
-        # current step last, so reverse
-        kernel = nm.tile_channels(nm.reverse_last(params.weight), c)
-        return nm.depthwise_causal_conv(x, kernel)
-    if t != params.t_train:
-        raise LengthMismatch(
-            f"{params.variant} PSN built for T={params.t_train}, got T={t}")
-    weight = params.weight
-    if params.variant == "masked":
-        # taped band mask: entries outside the band get no gradient
-        weight = nm.mul(weight, Tensor(_band_mask(t, params.k)))
-    flat = nm.reshape(x, (b * c, t))
-    h2 = nm.matmul(flat, nm.transpose(weight, (1, 0)))
-    return nm.reshape(h2, (b, c, t))
+        k = w.shape[0]
+        kern = np.tile(w[::-1], (n, 1))
+        h = np.zeros((n, t))
+        nm._depthwise_taps(lanes, kern, h, adjoint=False)
+
+        def grad_x(g):
+            gx = np.zeros((n, t))
+            nm._depthwise_taps(g, kern, gx, adjoint=True)
+            return gx
+
+        def grad_w(g):
+            gk = nm._depthwise_kernel_grad(g, lanes, k).reshape(b, c, k)
+            return np.ascontiguousarray(gk.sum(axis=0).sum(axis=0)[::-1])
+    else:
+        if t != params.t_train:
+            raise LengthMismatch(
+                f"{params.variant} PSN built for T={params.t_train}, got T={t}")
+        h = lanes @ w.T
+
+        def grad_x(g):
+            return g @ w
+
+        def grad_w(g):
+            gw = g.T @ lanes
+            return _zero_outside_band(gw, params.k) if params.variant == "masked" else gw
+
+    return nm._op("psn_membrane", h.reshape(b, c, t),
+                  (x, lambda g: grad_x(g.reshape(n, t)).reshape(b, c, t)),
+                  (params.weight, lambda g: grad_w(g.reshape(n, t))))
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1152,7 @@ class PsnNeuron(Neuron):
 
         Tap order: the membrane is the sum over taps j = 0 (oldest) .. k-1
         (current) of weight[k-1-j] * x_{t-k+1+j}, added in that order from
-        +0.0 (``_ordered_sum``), the order of the depthwise conv that
+        +0.0 (``_ordered_sum``), the order of the depthwise taps that
         ``sequence`` runs, so membranes and spikes equal it bit for bit.
 
         Measured as for ``DsnNeuron.step`` (k=32): 17 us at 1x16 and 133 us at
@@ -1134,7 +1189,7 @@ class PsnNeuron(Neuron):
 
     def _window_sum(self, window: np.ndarray) -> np.ndarray:
         """Membranes from a tap-major (k, ..., B, C) window of inputs, oldest
-        first, summed as the depthwise conv sums them."""
+        first, summed as the depthwise taps of ``psn_membrane`` sum them."""
         taps = self.params.weight.data[::-1, None, None]  # lag order -> window order
         h = _ordered_sum(window, taps, window.shape[1:])
         np.add(h, _ZERO, out=h)  # the conv's sum starts at +0.0

@@ -12,6 +12,11 @@ complete before any of its producers read it.  Non-differentiable spike
 functions carry surrogate backward rules (see :class:`Rectangular`,
 :class:`ArcTangent`, :class:`StraightThrough`).
 
+The ops here are elementwise arithmetic, sums, reshape, time_slice,
+matmul, the spike functions, the decay, the dense causal conv and the
+channel mix and bias.  The depthwise causal taps are raw kernels with no op
+of their own; ``neurons.psn_membrane`` and ``dsn_membrane`` run them.
+
 Every taped op, here and in ``layers`` and ``neurons``, records through
 one path, ``_op``: the op computes its forward value and states, per
 input, how the output gradient maps to that input's gradient; ``_op``
@@ -33,7 +38,7 @@ per stage: ``decay_chain`` (decay) and ``fire_counts`` (integer fire).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -334,15 +339,6 @@ def reshape(a, shape) -> Tensor:
     return _op("reshape", out, (a, lambda g: g.reshape(a.data.shape)))
 
 
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    out = np.ascontiguousarray(np.transpose(a.data, axes))
-    inverse = tuple(np.argsort(axes))
-    return _op("transpose", out,
-               (a, lambda g: np.ascontiguousarray(np.transpose(g, inverse))))
-
-
 def time_slice(a, start: int, stop: int) -> Tensor:
     """Slice the innermost (time) axis; backward zero-pads outside the slice."""
     a = _as_tensor(a)
@@ -516,9 +512,9 @@ def sharpened_sigmoid(pre, tau: float) -> Tensor:
 # causal convolutions and channel mixing (time innermost)
 
 
-# Bytes of one lane block of the depthwise conv: the block's input, output
+# Bytes of one lane block of the depthwise taps: the block's input, output
 # and product rows (3 x 256 KiB) stay in a core's 2 MiB L2 while all k taps
-# pass over them; depthwise_causal_conv gives the measured cost of the sizes
+# pass over them; ``_depthwise_taps`` gives the measured cost of the sizes
 # around it.  ``Neuron._advance`` sizes its sub-blocks of frames by it too
 # (``neurons._sub_blocks`` gives that sweep).
 CONV_BLOCK_BYTES = 2 ** 18
@@ -556,6 +552,23 @@ def _depthwise_taps(src: np.ndarray, kern: np.ndarray, dst: np.ndarray,
 
     src, dst: (L, T) lanes, dst C-contiguous; kern: (L, k) per-lane kernel
     rows, column k-1 on lag 0.  Taps run j = 0..k-1 on every element.
+
+    Lanes go in blocks of ``CONV_BLOCK_BYTES // (8*T)`` (at least one); in
+    a block each tap multiplies them by its kernel column into one reused
+    buffer and adds that into dst shifted by its lag (``_add_shifted``), so
+    every output element sees the additions of a serial step's window sum
+    in the same order.  Measured on a 2-core Xeon, float64, one BLAS thread,
+    as a depthwise conv's taps, adjoint taps and ``_depthwise_kernel_grad``
+    (median of 7) for blocks of 16 KiB, 64 KiB, 256 KiB, 1 MiB and 4 MiB:
+
+    * 4x256x1024, k=32: 446, 193, 155, 185 and 205 ms;
+    * 1x16x32768, k=32: 43, 50, 46, 73 and 77 ms (one lane per block at
+      256 KiB and below, so the first three differ by noise only);
+    * 1250x8x128, k=4 (a checker's many short lanes): 82, 47, 38, 43 and
+      47 ms.
+
+    The per-tap shifted copies this replaced took 491, 203 and 90 ms there,
+    with 31.6k page faults per pass at k=32 against 0.7k now.
     """
     n, T = src.shape
     k = kern.shape[1]
@@ -582,65 +595,6 @@ def _depthwise_kernel_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return gk
 
 
-def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
-    """Per-channel causal convolution over time.
-
-    x: (B, C, T); kernel: (C, k) with column k-1 weighting the current step
-    and column 0 the oldest of the k-window; bias: (C,) or None.  The first
-    k-1 steps see an implicit zero history.
-
-    x is viewed as B*C lanes of T steps and walked in blocks of
-    ``CONV_BLOCK_BYTES // (8*T)`` lanes (at least one).  Within a block each
-    tap j = 0..k-1 multiplies the lanes by its kernel column into one reused
-    product buffer and adds that into the output shifted by the tap's lag
-    (``_add_shifted``), so no tap allocates a full-size array and every
-    output element sees the additions of ``DsnNeuron.step``'s window sum
-    in the same order.  The input gradient is the mirror image; the kernel
-    gradient is one dot product per lane per tap, summed over the batch.
-
-    Measured on a 2-core Xeon, float64, one BLAS thread, this op's taped
-    forward plus backward (median of 7) for blocks of 16 KiB, 64 KiB,
-    256 KiB, 1 MiB and 4 MiB:
-
-    * 4x256x1024, k=32: 446, 193, 155, 185 and 205 ms;
-    * 1x16x32768, k=32: 43, 50, 46, 73 and 77 ms (one lane per block at
-      256 KiB and below, so the first three differ by noise only);
-    * 1250x8x128, k=4 (a checker's many short lanes): 82, 47, 38, 43 and
-      47 ms.
-
-    The per-tap shifted copies this replaced took 491, 203 and 90 ms there,
-    with 31.6k page faults per pass at k=32 against 0.7k now.
-    """
-    x = _as_tensor(x)
-    kernel = _as_tensor(kernel)
-    if x.ndim != 3 or kernel.ndim != 2 or x.shape[1] != kernel.shape[0]:
-        raise ShapeMismatch(f"depthwise conv: x {x.shape} vs kernel {kernel.shape}")
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (x.shape[1],):
-            raise ShapeMismatch(f"bias shape {bias.shape} != ({x.shape[1]},)")
-    B, C, T = x.shape
-    k = kernel.shape[1]
-    lanes = x.data.reshape(B * C, T)
-    kern = np.tile(kernel.data, (B, 1))  # lane b*C + c uses channel c's row
-    out = np.zeros_like(x.data)
-    _depthwise_taps(lanes, kern, out.reshape(B * C, T), adjoint=False)
-    if bias is not None:
-        out += bias.data[None, :, None]
-
-    def grad_x(g):
-        gx = np.zeros_like(x.data)
-        _depthwise_taps(g.reshape(B * C, T), kern, gx.reshape(B * C, T), adjoint=True)
-        return gx
-
-    def grad_kernel(g):
-        gk = _depthwise_kernel_grad(g.reshape(B * C, T), lanes, k)
-        return gk.reshape(B, C, k).sum(axis=0)
-
-    return _op("depthwise_causal_conv", out, (x, grad_x), (kernel, grad_kernel),
-               (bias, lambda g: np.sum(g, axis=(0, 2))))
-
-
 def _dense_taps(w_taps: np.ndarray, src: np.ndarray, dst: np.ndarray,
                 adjoint: bool) -> None:
     """Add sum over taps of w_taps[j] @ (src lagged by k-1-j) into zero-filled
@@ -664,7 +618,7 @@ def causal_conv(x, weight, bias=None) -> Tensor:
     shifted by the tap's lag; the input gradient mirrors it with the
     transposed slices, and the weight gradient of tap j is
     sum_b g[b, :, lag:] @ x[b, :, :T-lag].T.  Measured as for
-    depthwise_causal_conv, at the approx task's k=8 convs (6 -> 48 -> 6
+    ``_depthwise_taps``, at the approx task's k=8 convs (6 -> 48 -> 6
     channels), forward plus backward: 32 and 31 ms at batch 128 x T=128,
     16 and 11 ms at batch 4 x T=2048, against 120, 139, 59 and 68 ms for
     per-tap einsums over shifted copies.
@@ -712,22 +666,6 @@ def channel_mix(w, x) -> Tensor:
     return _op("channel_mix", np.einsum("dc,bct->bdt", w.data, x.data),
                (w, lambda g: np.einsum("bdt,bct->dc", g, x.data)),
                (x, lambda g: np.einsum("dc,bdt->bct", w.data, g)))
-
-
-def tile_channels(w, channels: int) -> Tensor:
-    """Broadcast a shared (k,) weight row to (channels, k); backward sums rows."""
-    w = _as_tensor(w)
-    if w.ndim != 1:
-        raise ShapeMismatch("tile_channels expects a rank-1 weight")
-    return _op("tile_channels", np.tile(w.data[None, :], (channels, 1)),
-               (w, lambda g: np.sum(g, axis=0)))
-
-
-def reverse_last(a) -> Tensor:
-    """Reverse the innermost axis."""
-    a = _as_tensor(a)
-    return _op("reverse_last", np.ascontiguousarray(a.data[..., ::-1]),
-               (a, lambda g: np.ascontiguousarray(g[..., ::-1])))
 
 
 def add_channel_bias(x, bias) -> Tensor:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (LengthMismatch, ParallelUnavailable, ReplayMismatch,
                      StepUnavailable)
 from .neurons import Neuron
-from .numerics import Tensor
+from .numerics import Tape, Tensor
 
 DEFAULT_TRIALS = 10_000
 DIVERGENCE_STEPS = 100_000
@@ -228,9 +228,9 @@ def _check_divergence(neuron: Neuron, c_bound: float, divergence_factor: float,
 # structural conditions for parallel training with serial inference
 
 
-def _sequence_or_none(neuron: Neuron, x: np.ndarray):
+def _sequence_or_none(neuron: Neuron, x: Tensor):
     try:
-        return neuron.sequence(Tensor(x)).data
+        return neuron.sequence(x).data
     except (LengthMismatch, ParallelUnavailable):
         return None
 
@@ -239,7 +239,7 @@ def _eval_spikes(neuron: Neuron, x: np.ndarray):
     """Spikes in the neuron's primary evaluation mode, or None if the length
     is rejected."""
     if neuron.supports_parallel:
-        return _sequence_or_none(neuron, x)
+        return _sequence_or_none(neuron, Tensor(x))
     try:
         s, _ = neuron.trace(x)
         return s
@@ -255,7 +255,9 @@ def check_conditions_table(neuron: Neuron, rng_seed: int = 0) -> dict[str, bool]
     condition2: a step mode exists whose per-step state does not grow with t
     and whose fold matches ``trace``, the block path (``Neuron._advance``);
     condition3: an offline sequence evaluation exists and (when a step mode
-    exists too) matches ``trace``.
+    exists too) matches ``trace``.  Its input is a leaf of a throwaway tape,
+    so ``sequence`` runs the taped parallel pass (``forward``) at any width,
+    never the block path ``trace`` runs.
     """
     rng = np.random.default_rng(rng_seed)
     t_full = neuron.t_train or 32
@@ -285,7 +287,7 @@ def check_conditions_table(neuron: Neuron, rng_seed: int = 0) -> dict[str, bool]
 
     condition3 = False
     if neuron.supports_parallel:
-        s_par = _sequence_or_none(neuron, x)
+        s_par = _sequence_or_none(neuron, Tape().leaf(x))
         if s_par is not None:
             if neuron.supports_step:
                 condition3 = np.array_equal(s_par, neuron.trace(x)[0])

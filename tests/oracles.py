@@ -10,9 +10,13 @@ match bit for bit.  ``dsn_dynamic_decay`` is one step's decay from a
 (B, C, k) window through the serial step's own decay kernel, and
 ``dsn_serial_trace`` is the DSN recurrence written out step by step with
 the arithmetic inlined on top of it, and ``dsn_op_chain`` the taped DSN
-pass as the separate conv, mix, sigmoid and scan ops that
+pass as the separate conv (``depthwise_causal_conv``, the taped depthwise
+causal conv no program path records any more), mix, sigmoid and scan ops that
 ``neurons.dsn_membrane`` fuses, which it must match bit for bit, gradients
-included; ``lif_step_fold`` is the per-step taped LIF fold (time_slice ->
+included; ``psn_dense`` is the PSN membrane and its gradients as dense
+numpy on one T x T matrix (``band_mask`` for masked PSN, the Toeplitz band
+of the k weights for sliding PSN), which ``neurons.psn_membrane`` must
+match within rounding; ``lif_step_fold`` is the per-step taped LIF fold (time_slice ->
 reshape -> charge/fire/reset on the tape, one frame at a time) that the
 taped sequence op replaced.  ``depthwise_conv_shift``
 and ``causal_conv_shift`` are the two causal convolutions written as one
@@ -123,18 +127,95 @@ def dsn_serial_trace(params, x: np.ndarray):
     return s_out, h_out, a_out
 
 
+def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
+    """Per-channel causal convolution over time, as a taped op.
+
+    x: (B, C, T); kernel: (C, k) with column k-1 weighting the current step
+    and column 0 the oldest of the k-window; bias: (C,) or None.  The first
+    k-1 steps see an implicit zero history.  The B*C lanes run through
+    ``numerics._depthwise_taps`` (its adjoint for the input gradient) and
+    ``numerics._depthwise_kernel_grad`` summed over the batch, the kernels
+    ``neurons.dsn_membrane`` and the sliding PSN's ``psn_membrane`` run.
+    """
+    x = nm._as_tensor(x)
+    kernel = nm._as_tensor(kernel)
+    if x.ndim != 3 or kernel.ndim != 2 or x.shape[1] != kernel.shape[0]:
+        raise ShapeMismatch(f"depthwise conv: x {x.shape} vs kernel {kernel.shape}")
+    if bias is not None:
+        bias = nm._as_tensor(bias)
+        if bias.shape != (x.shape[1],):
+            raise ShapeMismatch(f"bias shape {bias.shape} != ({x.shape[1]},)")
+    B, C, T = x.shape
+    k = kernel.shape[1]
+    lanes = x.data.reshape(B * C, T)
+    kern = np.tile(kernel.data, (B, 1))  # lane b*C + c uses channel c's row
+    out = np.zeros(x.shape)
+    nm._depthwise_taps(lanes, kern, out.reshape(B * C, T), adjoint=False)
+    if bias is not None:
+        out += bias.data[None, :, None]
+
+    def grad_x(g):
+        gx = np.zeros(x.shape)
+        nm._depthwise_taps(g.reshape(B * C, T), kern, gx.reshape(B * C, T),
+                           adjoint=True)
+        return gx
+
+    def grad_kernel(g):
+        gk = nm._depthwise_kernel_grad(g.reshape(B * C, T), lanes, k)
+        return gk.reshape(B, C, k).sum(axis=0)
+
+    return nm._op("depthwise_causal_conv", out, (x, grad_x), (kernel, grad_kernel),
+                  (bias, lambda g: np.sum(g, axis=(0, 2))))
+
+
 def dsn_op_chain(params, x) -> tuple[Tensor, Tensor, Tensor]:
     """(S, H, alpha) of a (B, C, T) input through the separate taped ops the
     fused ``neurons.dsn_membrane`` replaced: depthwise causal conv (+ bias),
     channel mix, sharpened sigmoid, scan, then ``clip_round``.  Every
     output and gradient of the fused op must equal this chain's bit for
     bit."""
-    pre = nm.depthwise_causal_conv(x, params.conv_kernel, params.conv_bias)
+    pre = depthwise_causal_conv(x, params.conv_kernel, params.conv_bias)
     if params.channel_mix is not None:
         pre = nm.channel_mix(params.channel_mix, pre)
     alpha = nm.sharpened_sigmoid(pre, params.tau)
     h = scan(alpha, x)
     return nm.clip_round(h, params.n_max), h, alpha
+
+
+def band_mask(t: int, k: int) -> np.ndarray:
+    """The T x T bool band j in (i - k, i] of a masked PSN, built whole."""
+    i = np.arange(t)[:, None]
+    j = np.arange(t)[None, :]
+    return (j <= i) & (j > i - k)
+
+
+def psn_dense(variant: str, weight: np.ndarray, x: np.ndarray, g: np.ndarray,
+              k: int | None = None):
+    """(H, dx, dW) of a PSN membrane over (B, C, T) input x, with output
+    gradient g, as dense numpy on one T x T matrix D = W * band: H = x D^T,
+    dx = g D and dD = (g^T x) * band over the B*C lanes.  Full PSN's band is
+    all of D and masked PSN's ``band_mask(T, k)``; sliding PSN's D is the
+    Toeplitz band D[i, j] = w[i - j] for 0 <= i - j < k, whose weight
+    gradient sums dD along each of those diagonals."""
+    t = x.shape[-1]
+    if variant == "sliding":
+        k = weight.shape[0]
+        lag = np.arange(t)[:, None] - np.arange(t)[None, :]
+        band = (lag >= 0) & (lag < k)
+        dense = np.where(band, weight[np.clip(lag, 0, k - 1)], 0.0)
+    elif variant == "masked":
+        band = band_mask(t, k)
+        dense = weight * band
+    else:
+        band = np.ones((t, t), dtype=bool)
+        dense = weight
+    lanes, g_lanes = x.reshape(-1, t), g.reshape(-1, t)
+    h = (lanes @ dense.T).reshape(x.shape)
+    dx = (g_lanes @ dense).reshape(x.shape)
+    d_dense = (g_lanes.T @ lanes) * band
+    if variant == "sliding":
+        return h, dx, np.array([np.trace(d_dense, offset=-lag) for lag in range(k)])
+    return h, dx, d_dense
 
 
 def step_fold(neuron, x: np.ndarray, state=None):

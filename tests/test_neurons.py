@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (dsn_dynamic_decay, dsn_op_chain, dsn_serial_trace, lif_step_fold,
-                     matrix_form, round_half_away, step_fold)
+from oracles import (band_mask, dsn_dynamic_decay, dsn_op_chain, dsn_serial_trace,
+                     lif_step_fold, matrix_form, psn_dense, round_half_away, step_fold)
 from spikescan import neurons
 from spikescan import numerics as nm
 from spikescan.errors import (LengthMismatch, NonFiniteError, ShapeMismatch,
@@ -582,6 +582,101 @@ def test_sliding_psn_window_matches_step_fold_and_banded_matrix():
     assert np.max(np.abs(h - h_band)) <= 1e-12 * np.max(np.abs(h_band))
 
 
+@pytest.mark.parametrize("variant, t, k", [
+    ("full", 20, None), ("full", 80, None), ("masked", 20, 7), ("masked", 80, 37),
+    ("sliding", 20, 37), ("sliding", 80, 37)])
+def test_psn_membrane_matches_dense_oracle_with_random_weights(variant, t, k):
+    # random weights across the whole band (the init weights past lag 32
+    # are below 2^-33), so a band or window one step too wide or too narrow,
+    # or reversed, moves H and both gradients far past rounding
+    rng = np.random.default_rng(t)
+    w = rng.normal(size=k if variant == "sliding" else (t, t))
+    params = {"full": PsnParams.full, "sliding": PsnParams.sliding,
+              "masked": lambda w: PsnParams.masked(w, k)}[variant](w)
+    x = rng.normal(size=(2, 3, t))
+    g = rng.normal(size=x.shape)
+    tape = Tape()
+    xt, wt = tape.leaf(x), tape.leaf(params.weight.data)
+    h = neurons._psn_membrane(replace(params, weight=wt), xt)
+    tape.backward(h, seed=g)
+    for got, want in zip((h.data, tape.grad(xt), tape.grad(wt)),
+                         psn_dense(variant, w, x, g, k)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_sliding_psn_membrane_of_a_time_major_view():
+    # a (B, C, T) view of time-major memory, as the LIF's taped spikes are:
+    # the membrane and its gradients equal those of a contiguous copy
+    rng = np.random.default_rng(18)
+    frames = rng.normal(size=(40, 2, 3))
+    g = rng.normal(size=(2, 3, 40))
+    params = PsnParams.sliding(rng.normal(size=5))
+    results = []
+    for x in (frames.transpose(1, 2, 0), np.ascontiguousarray(frames.transpose(1, 2, 0))):
+        tape = Tape()
+        xt = Tensor._attach(x, tape, tape.leaf(x)._node)
+        wt = tape.leaf(params.weight.data)
+        h = neurons._psn_membrane(replace(params, weight=wt), xt)
+        tape.backward(h, seed=g)
+        results.append([h.data, tape.grad(xt), tape.grad(wt)])
+    assert np.any(results[1][0])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("i, j, outside", [
+    (3, 4, True), (3, 140, True), (100, 101, True), (149, 128, False),
+    (140, 100, True), (140, 108, True), (140, 109, False), (140, 10, True),
+    (40, 8, True), (40, 9, False), (0, 0, False)])
+def test_masked_psn_rejects_any_entry_outside_its_band(i, j, outside):
+    # 150 rows make three row blocks of the check; k = 32 puts the band's
+    # lower edge at lag 31, inside a block's triangle and past its columns
+    t, k = 150, 32
+    params = PsnParams.init_decay("masked", t_train=t, k=k)
+    w = params.weight.data.copy()
+    w[i, j] = 5e-324  # the smallest nonzero double
+    if outside:
+        with pytest.raises(ValueError, match="outside its band"):
+            replace(params, weight=Tensor(w))
+    else:
+        assert replace(params, weight=Tensor(w)).weight.data[i, j] == 5e-324
+    w[i, j] = -0.0  # a signed zero is still zero
+    replace(params, weight=Tensor(w))
+
+
+def test_masked_psn_band_check_makes_no_square_temporary():
+    # T = 2048: W is 32 MiB, and its bool band alone would be 4 MiB
+    params = PsnParams.init_decay("masked", t_train=2048, k=32)
+    tracemalloc.start()
+    try:
+        replace(params, weight=params.weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 18
+
+
+TAPED_OPS = {"dsn": ["dsn_membrane", "clip_round"],
+             "psn": ["psn_membrane", "spike_threshold"],
+             "masked-psn": ["psn_membrane", "spike_threshold"],
+             "sliding-psn": ["psn_membrane", "spike_threshold"]}
+
+
+@pytest.mark.parametrize("kind", NEURON_KINDS)
+def test_taped_forward_records_one_sequence_op_per_kind(kind):
+    # one taped membrane (or sequence) op per kind, then its fire: no chain
+    # of generic ops, whose T x T copies full PSN once held
+    neuron = make_neuron(kind, channels=3, t_train=16, k=5)
+    tape = Tape()
+    x = tape.leaf(np.random.default_rng(0).normal(size=(2, 3, 16)))
+    weights = {name: tape.leaf(w.data) for name, w in neuron.weights().items()}
+    neuron.with_weights(weights).forward(x)
+    assert [op for op in tape._ops if op != "leaf"] == TAPED_OPS.get(kind, ["lif_sequence"])
+    for name in ("transpose", "tile_channels", "reverse_last", "depthwise_causal_conv"):
+        assert not hasattr(nm, name)
+
+
 # ---------------------------------------------------------------------------
 # nonlinearity witnesses
 
@@ -773,7 +868,7 @@ def test_init_decay_builds_the_lag_formula_bytes(t):
     assert PsnParams.init_decay("full", t_train=t).weight.data.tobytes() == w.tobytes()
     k = min(32, t)
     masked = PsnParams.init_decay("masked", t_train=t, k=k).weight.data
-    assert masked.tobytes() == (w * neurons._band_mask(t, k)).tobytes()
+    assert masked.tobytes() == (w * band_mask(t, k)).tobytes()
 
 
 def test_init_decay_peaks_near_one_weight_matrix():

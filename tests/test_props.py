@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from spikescan import neurons
 from spikescan.errors import ReplayMismatch, SpikescanError
 from spikescan.neurons import (NEURON_KINDS, DsnParams, DsnNeuron, LifNeuron,
                                make_neuron)
@@ -416,6 +417,30 @@ def test_conditions_table_fails_a_block_path_unlike_step():
     neuron = _LateBlocks(make_neuron("dsn", channels=3, seed=0).params)
     table = check_conditions_table(neuron)
     assert table == {"condition1": True, "condition2": False, "condition3": False}
+
+
+def test_condition3_runs_the_parallel_pass_at_any_width(monkeypatch):
+    # 2 x 32 channels make 64 lanes, where untaped ``sequence`` runs the
+    # same block path as ``trace``: the probe must take ``_dsn_membrane``
+    neuron = make_neuron("dsn", channels=32)
+    membrane = neurons._dsn_membrane
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return membrane(*args)
+
+    monkeypatch.setattr(neurons, "_dsn_membrane", spy)
+    assert check_conditions_table(neuron)["condition3"]
+    assert calls
+
+    def perturbed(*args):
+        h, alpha = membrane(*args)
+        return Tensor._attach(h.data + 0.75, h.tape, h._node), alpha
+
+    monkeypatch.setattr(neurons, "_dsn_membrane", perturbed)
+    table = check_conditions_table(neuron)
+    assert table == {"condition1": True, "condition2": True, "condition3": False}
 
 
 def test_expected_control_registry_consistent():
