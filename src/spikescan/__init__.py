@@ -9,9 +9,9 @@ energy per layer.
 __version__ = "0.1.0"
 
 from .errors import (CorruptContainer, DivisionByZero, LengthMismatch,
-                     MissingFiringRate, NonFiniteError, ParallelUnavailable,
-                     ReplayMismatch, ShapeMismatch, SpikescanError,
-                     StepUnavailable)
+                     MissingFiringRate, NonFiniteError, OutOfMemory,
+                     ParallelUnavailable, ReplayMismatch, ShapeMismatch,
+                     SpikescanError, StepUnavailable)
 from .numerics import (ArcTangent, Rectangular, StraightThrough,
                        SurrogateKind, Tape, Tensor, clip_round, matmul,
                        spike_threshold, zeros)

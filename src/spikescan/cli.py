@@ -2,17 +2,19 @@
 
 Every command writes its tabular results as CSV, a JSON mirror, and a run
 manifest capturing the full configuration, seed, library version, wall-clock
-timings and the SHA-256 of every output file.  ``spikescan rerun MANIFEST``
-replays a manifest; all CSV/JSON outputs are byte-identical across reruns
-(wall-clock fields live only in the manifest, and the benchmark's timing CSV
-is inherently measurement -- its deterministic artifact is the numerics
-digest in the JSON).
+timings, the process's peak RSS and the SHA-256 of every output file.
+``spikescan rerun MANIFEST`` replays a manifest; all CSV/JSON outputs are
+byte-identical across reruns (wall-clock and memory fields live only in the
+manifest, and the benchmark's timing CSV is inherently measurement -- its
+deterministic artifact is the numerics digest in the JSON).
 
 Exit codes: 0 = every expected-outcome assertion passed (including cases
 that are supposed to fail the way the analysis predicts); 1 = an expectation
 was violated; 2 = usage error; 3 = a length-locked neuron rejected an
 off-length sequence (EXIT_LENGTH_MISMATCH, the documented outcome for
-full/masked PSN extrapolation).
+full/masked PSN extrapolation); 4 = the run ran out of memory
+(EXIT_OUT_OF_MEMORY: ``bench`` names the pass that did, on one line, and
+writes no outputs).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from . import numerics as nm
+from .errors import OutOfMemory
 from .neurons import NEURON_KINDS, make_neuron
 from .numerics import Tape
 from .energy import (REFERENCE_ENERGY_TOTALS, REFERENCE_FIRING_RATES,
@@ -44,6 +48,7 @@ from .tasks.extrapolate import EXTRAP_KINDS, run_extrapolation
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_LENGTH_MISMATCH = 3
+EXIT_OUT_OF_MEMORY = 4
 
 BENCH_WARMUP = 3  # untimed passes before the timed ones, per neuron and length
 PROPS_CHANNELS = 3  # the width of the neuron every props check builds
@@ -82,6 +87,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "seed": config.get("seed"),
         "version": __version__,
         "timings": {"wall_s": wall_s},
+        # the process's own peak resident set so far (Linux counts KiB)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
     path = out_dir / "manifest.json"
@@ -102,20 +109,29 @@ def _fmt(v) -> str:
     return str(v)
 
 
+class _OutOfMemoryExit(click.ClickException):
+    """Ends the command with a one-line message and EXIT_OUT_OF_MEMORY."""
+
+    exit_code = EXIT_OUT_OF_MEMORY
+
+
 def _run_command(name: str, config: dict, out_dir: Path) -> int:
     _check_config(name, config)
     # the directories this call creates, deepest first; a core that refuses
-    # its config (UsageError) leaves them as they were: absent
+    # its config (UsageError) or runs out of memory leaves them as they
+    # were: absent
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
         outputs, code = _CORES[name](config, out_dir)
-    except click.UsageError:
+    except (click.UsageError, OutOfMemory) as exc:
         for d in created:
             if any(d.iterdir()):
                 break
             d.rmdir()
+        if isinstance(exc, OutOfMemory):
+            raise _OutOfMemoryExit(str(exc)) from None
         raise
     _write_manifest(out_dir, name, config, outputs, time.perf_counter() - t0)
     return code
@@ -169,7 +185,13 @@ def _core_bench(config: dict, out_dir: Path):
             fwd, bwd = [], []
             for rep in range(BENCH_WARMUP + reps):
                 spikes = None  # the last pass's spikes go before the next pass
-                f, b, spikes = _bench_pass(neuron, x)
+                try:
+                    f, b, spikes = _bench_pass(neuron, x)
+                except MemoryError as exc:
+                    raise OutOfMemory(
+                        f"bench: the {kind} pass at length {length}, "
+                        f"B x C = {config['batch']} x {config['channels']}, "
+                        f"ran out of memory: {exc}") from exc
                 if rep >= BENCH_WARMUP:
                     fwd.append(f)
                     bwd.append(b)
@@ -222,7 +244,8 @@ def cmd_bench(neurons, lengths, batch, channels, reps, seed, out_dir):
     """Time forward/backward per neuron per length; fit log-log slopes.
 
     Full/masked PSN cost grows quadratically in length -- budget accordingly
-    at the default batch/channel sizes.
+    at the default batch/channel sizes.  Exits 4 (EXIT_OUT_OF_MEMORY),
+    naming the pass, when one runs out of memory.
     """
     config = {"neurons": [n.strip() for n in neurons.split(",")],
               "lengths": sorted(_int_list("bench --lengths", lengths)),

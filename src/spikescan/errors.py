@@ -51,3 +51,9 @@ class CorruptContainer(SpikescanError, ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
         self.offset = offset
+
+
+class OutOfMemory(SpikescanError, MemoryError):
+    """A computation could not allocate the memory it needs; the message
+    names the work that ran out.  Also a MemoryError, so callers that catch
+    MemoryError for an allocation that failed keep working."""

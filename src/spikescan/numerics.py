@@ -515,7 +515,8 @@ def sharpened_sigmoid(pre, tau: float) -> Tensor:
 # Bytes of one lane block of the depthwise taps: the block's input, output
 # and product rows (3 x 256 KiB) stay in a core's 2 MiB L2 while all k taps
 # pass over them; ``_depthwise_taps`` gives the measured cost of the sizes
-# around it.  ``Neuron._advance`` sizes its sub-blocks of frames by it too
+# around it.  ``_dense_taps`` sizes its batch blocks by it (its sweep is in
+# its docstring), and ``Neuron._advance`` its sub-blocks of frames
 # (``neurons._sub_blocks`` gives that sweep).
 CONV_BLOCK_BYTES = 2 ** 18
 
@@ -598,13 +599,45 @@ def _depthwise_kernel_grad(g: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 def _dense_taps(w_taps: np.ndarray, src: np.ndarray, dst: np.ndarray,
                 adjoint: bool) -> None:
     """Add sum over taps of w_taps[j] @ (src lagged by k-1-j) into zero-filled
-    dst (adjoint: lagged the other way), one BLAS matmul per tap into a
-    reused buffer."""
+    dst (adjoint: lagged the other way), block by block.
+
+    w_taps: (k, O, I); src: (B, I, T); dst: (B, O, T), C-contiguous.  The
+    batch goes in blocks of ``_block_rows(max(I, O) * T)`` rows (at least
+    one), so a block's src, product and dst rows fit the
+    ``CONV_BLOCK_BYTES`` budget of the depthwise taps.  In a block each tap
+    is one BLAS matmul per batch row into one reused buffer, added into dst
+    shifted by its lag (``_add_shifted``): every output element sees the
+    same GEMM and the same tap order as a whole-batch pass, so the bytes do
+    not change.  Measured on a 2-core Xeon, float64, one BLAS thread, k=8,
+    forward/adjoint in ms (median over 9 processes of each one's median of
+    15 calls) for the whole batch at once, then blocks of 64 KiB, 128 KiB,
+    256 KiB, 512 KiB and 1 MiB:
+
+    * 128x(6->48)x128: 15.2/5.4; 14.3/12.0, 9.5/6.7, 7.9/5.5, 8.2/4.7 and
+      10.6/4.9;
+    * 128x(48->6)x128: 5.6/12.4; 12.1/10.9, 7.6/9.3, 5.0/8.0, 4.2/7.9 and
+      4.0/10.3;
+    * 4x(6->48)x2048, one 768 KiB batch row a block at every size:
+      6.5/2.9; 3.9/2.1, 4.1/1.8, 4.3/1.8, 4.5/1.9 and 4.3/1.9.
+
+    Small blocks pay one matmul call per tap and block; past 256 KiB the
+    48-channel side falls out of L2.  The six sum to 48.0 ms whole and
+    32.5 at 256 KiB (31.5 at 512 KiB, within the noise).  A direction with
+    a 6-channel output gains nothing, as its whole output already fits L2:
+    in alternating processes the 6->48 adjoint took 6.0 against 4.9 ms
+    whole and the 48->6 forward 5.6 against 5.3 (the approx bank never
+    runs that adjoint, as its input is untaped).
+    """
     k = w_taps.shape[0]
-    tmp = np.empty(dst.shape)
-    for j in range(max(0, k - src.shape[-1]), k):
-        np.matmul(w_taps[j], src, out=tmp)
-        _add_shifted(dst, tmp, k - 1 - j, adjoint)
+    B, _, T = dst.shape
+    rows = _block_rows(max(src.shape[1], dst.shape[1]) * T)
+    tmp = np.empty((min(rows, B),) + dst.shape[1:])
+    for b0 in range(0, B, rows):
+        s, d = src[b0:b0 + rows], dst[b0:b0 + rows]
+        prod = tmp[:s.shape[0]]
+        for j in range(max(0, k - T), k):
+            np.matmul(w_taps[j], s, out=prod)
+            _add_shifted(d, prod, k - 1 - j, adjoint)
 
 
 def causal_conv(x, weight, bias=None) -> Tensor:
@@ -613,15 +646,16 @@ def causal_conv(x, weight, bias=None) -> Tensor:
     x: (B, C_in, T); weight: (C_out, C_in, k), index k-1 on the current
     step; bias: (C_out,) or None.
 
-    Each tap is one batched BLAS matmul of its (C_out, C_in) weight slice
-    with x, written into one reused buffer and added into the output
-    shifted by the tap's lag; the input gradient mirrors it with the
-    transposed slices, and the weight gradient of tap j is
-    sum_b g[b, :, lag:] @ x[b, :, :T-lag].T.  Measured as for
-    ``_depthwise_taps``, at the approx task's k=8 convs (6 -> 48 -> 6
-    channels), forward plus backward: 32 and 31 ms at batch 128 x T=128,
-    16 and 11 ms at batch 4 x T=2048, against 120, 139, 59 and 68 ms for
-    per-tap einsums over shifted copies.
+    The forward and the input gradient run ``_dense_taps``: a block of
+    batch rows at a time, each tap one BLAS matmul of its (C_out, C_in)
+    weight slice (transposed for the gradient) into one block-sized buffer,
+    added into the output shifted by the tap's lag.  The weight gradient of
+    tap j is sum_b g[b, :, lag:] @ x[b, :, :T-lag].T over the whole batch.
+    At the approx task's k=8 convs (2-core Xeon, float64, one BLAS thread,
+    median of 9 processes each), the 6 -> 48 forward at batch 128 x T=128
+    takes 8.5 ms and the 48 -> 6 input gradient 7.5 ms, against 13.9 and
+    12.4 ms for whole-batch taps into an output-sized buffer;
+    ``_dense_taps`` gives the block sweep.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)

@@ -49,9 +49,13 @@ def target_traces(target: ApproxTarget, signal: np.ndarray,
                   integer: bool = False, n_max: int = 4):
     """Membranes and spikes of every target channel on (n, 1, T) signals.
 
-    Returns (H, S) of shape (n, C, T).  The integer readout quantizes the
-    same pre-reset membrane the binary variant thresholds; soft reset is a
-    precondition because counts above 1 presuppose subtractive semantics.
+    Returns (H, S) of shape (n, C, T), one ``LifNeuron.trace`` (one fold)
+    per channel over all n signals.  Each signal folds in its own lane, so
+    a row does not depend on the other signals in the call, which lets
+    ``run_approx_experiment`` trace train and test signals together.  The
+    integer readout quantizes the same pre-reset membrane the binary
+    variant thresholds; soft reset is a precondition because counts above 1
+    presuppose subtractive semantics.
     """
     n, _, T = signal.shape
     C = len(target.channels)
@@ -130,6 +134,15 @@ def _spike_accuracy(model: ApproxModel, x: np.ndarray, s_target: np.ndarray,
     return np.mean(s_pred == s_target, axis=(0, 2))
 
 
+def _split_traces(targets: ApproxTarget, signal: np.ndarray,
+                  train_idx: np.ndarray, test_idx: np.ndarray, integer: bool,
+                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H of the train signals, S of the test signals): one fold per target
+    channel over every signal, split; nothing else outlives the call."""
+    h_all, s_all = target_traces(targets, signal, integer, n_max)
+    return h_all[train_idx], s_all[test_idx]
+
+
 def run_approx_experiment(dataset: str = "a", targets: ApproxTarget | None = None,
                           cfg: TrainConfig | None = None, n_train: int = 2000,
                           n_test: int = 200, integer: bool = False,
@@ -148,18 +161,18 @@ def run_approx_experiment(dataset: str = "a", targets: ApproxTarget | None = Non
 
     if dataset == "a":
         signal = gen_dataset_a(n_train + n_test, T=T, seed=cfg.seed).data
-        train_sig, test_sig = signal[:n_train], signal[n_train:]
+        train_idx = np.arange(n_train)
+        test_idx = np.arange(n_train, n_train + n_test)
     elif dataset == "b":
-        data, _ = gen_dataset_b(seed=cfg.seed, T=T)
-        train_idx, test_idx = split_train_test(data.shape[0], 0.1, cfg.seed)
-        train_sig, test_sig = data.data[train_idx], data.data[test_idx]
+        signal = gen_dataset_b(seed=cfg.seed, T=T)[0].data
+        train_idx, test_idx = split_train_test(signal.shape[0], 0.1, cfg.seed)
     else:
         raise ValueError(f"unknown dataset {dataset!r}")
 
-    h_train, _ = target_traces(targets, train_sig, integer, n_max)
-    _, s_test = target_traces(targets, test_sig, integer, n_max)
-    x_train = np.repeat(train_sig, channels, axis=1)
-    x_test = np.repeat(test_sig, channels, axis=1)
+    h_train, s_test = _split_traces(targets, signal, train_idx, test_idx,
+                                    integer, n_max)
+    x_train = np.repeat(signal[train_idx], channels, axis=1)
+    x_test = np.repeat(signal[test_idx], channels, axis=1)
 
     model = ApproxModel(channels=channels, seed=cfg.seed)
 

@@ -21,8 +21,11 @@ reshape -> charge/fire/reset on the tape, one frame at a time) that the
 taped sequence op replaced.  ``depthwise_conv_shift``
 and ``causal_conv_shift`` are the two causal convolutions written as one
 zero-padded shifted copy of the input per tap, with their adjoints
-(``*_grads``) in the same form.  ``round_half_away`` is the integer fire's
-rounding written as floor(|x| + 0.5) with the sign put back, and
+(``*_grads``) in the same form; ``dense_taps_whole_batch`` is the dense
+conv's taps as one whole-batch matmul per tap into an output-sized buffer,
+which the batch-blocked ``numerics._dense_taps`` must match bit for bit.
+``round_half_away`` is the integer fire's rounding written as
+floor(|x| + 0.5) with the sign put back, and
 ``sigmoid_power_clamp`` is the sharpened-sigmoid decay as the three taped
 ops it used to be (sigmoid, power, unit-interval clamp, each with its own
 backward), which ``numerics.fire_counts`` and ``numerics.sharpened_sigmoid``
@@ -364,6 +367,18 @@ def causal_conv_shift_grads(x: np.ndarray, weight: np.ndarray, g: np.ndarray):
             gx[..., :T - lag] += piece[..., lag:]
         gw[:, :, j] = np.einsum("bot,bit->oi", g, shift_right(x, lag))
     return gx, gw, np.sum(g, axis=(0, 2))
+
+
+def dense_taps_whole_batch(w_taps: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                           adjoint: bool) -> None:
+    """Add sum over taps of w_taps[j] @ (src lagged by k-1-j) into zero-filled
+    dst (adjoint: lagged the other way), one whole-batch BLAS matmul per tap
+    into one output-sized buffer."""
+    k = w_taps.shape[0]
+    tmp = np.empty(dst.shape)
+    for j in range(max(0, k - src.shape[-1]), k):
+        np.matmul(w_taps[j], src, out=tmp)
+        nm._add_shifted(dst, tmp, k - 1 - j, adjoint)
 
 
 def scan_moveaxis(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> np.ndarray:

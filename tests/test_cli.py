@@ -10,6 +10,7 @@ from oracles import step_fold
 from spikescan import cli as cli_module
 from spikescan import numerics as nm
 from spikescan.cli import cli
+from spikescan.errors import OutOfMemory, SpikescanError
 from spikescan.numerics import Tape
 from spikescan.serialize import load_tensors
 
@@ -135,6 +136,61 @@ def test_energy_rerun_byte_identical(runner, tmp_path):
     assert res.exit_code == 0, res.output
     assert _files_identical(first / "energy.csv", second / "energy.csv")
     assert _files_identical(first / "energy.json", second / "energy.json")
+
+
+def test_manifest_records_peak_rss_and_outputs_stay_identical(runner, tmp_path):
+    first, second = tmp_path / "m1", tmp_path / "m2"
+    res = runner.invoke(cli, ["energy", "--out", str(first)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(cli, ["rerun", str(first / "manifest.json"),
+                              "--out", str(second)])
+    assert res.exit_code == 0, res.output
+    for out in (first, second):
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0.0
+    for name in ("energy.csv", "energy.json"):
+        assert _files_identical(first / name, second / name), name
+
+
+def _out_of_memory_at(length):
+    # the error numpy raises for an allocation it cannot make, with no
+    # gigabytes allocated
+    def bench_pass(neuron, x):
+        if x.shape[-1] == length:
+            raise np._core._exceptions._ArrayMemoryError((16384, 16384),
+                                                         np.dtype(np.float64))
+        return real(neuron, x)
+
+    real = cli_module._bench_pass
+    return bench_pass
+
+
+def test_bench_out_of_memory_exits_with_one_line(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_module, "_bench_pass", _out_of_memory_at(16))
+    out = tmp_path / "new" / "out"
+    res = runner.invoke(cli, ["bench", "--neurons", "dsn", "--lengths", "8,16",
+                              "--batch", "1", "--channels", "2", "--reps", "1",
+                              "--out", str(out)])
+    assert res.exit_code == cli_module.EXIT_OUT_OF_MEMORY == 4, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines() == [
+        "Error: bench: the dsn pass at length 16, B x C = 1 x 2, ran out of "
+        "memory: Unable to allocate 2.00 GiB for an array with shape "
+        "(16384, 16384) and data type float64"]
+    assert not (tmp_path / "new").exists()
+
+
+def test_bench_out_of_memory_is_a_documented_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_module, "_bench_pass", _out_of_memory_at(8))
+    config = {"neurons": ["sliding-psn"], "lengths": [8], "batch": 3,
+              "channels": 2, "reps": 1, "seed": 0}
+    with pytest.raises(OutOfMemory, match="sliding-psn pass at length 8, "
+                                          "B x C = 3 x 2") as err:
+        cli_module._core_bench(config, tmp_path)
+    assert isinstance(err.value, SpikescanError)
+    assert isinstance(err.value, MemoryError)
+    assert isinstance(err.value.__cause__, MemoryError)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_smoke_row_and_digest_stability(runner, tmp_path):

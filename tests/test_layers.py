@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (causal_conv_shift, causal_conv_shift_grads,
-                     depthwise_causal_conv, depthwise_conv_shift, depthwise_conv_shift_grads,
-                     grad_check)
+                     dense_taps_whole_batch, depthwise_causal_conv,
+                     depthwise_conv_shift, depthwise_conv_shift_grads, grad_check)
 from spikescan import layers as ly
 from spikescan import numerics as nm
 from spikescan.numerics import Tape, Tensor
@@ -107,6 +109,56 @@ def test_convs_match_shifted_copy_oracles(B, C, T, k, c_out, seed):
     want = (causal_conv_shift(x, w, bias),) + causal_conv_shift_grads(x, w, g)
     for a, b in zip(got, want):
         assert _rel_err(a, b) <= 1e-12
+
+
+@pytest.mark.parametrize("B, c_in, c_out, T, k", [
+    (7, 6, 48, 128, 8),      # 5 batch rows a block: 5 + a ragged 2
+    (1, 6, 48, 128, 8),      # B = 1
+    (3, 6, 48, 5, 8),        # k > T: the first taps fall off the start
+    (128, 6, 48, 128, 8),    # expansion at the approx shape: 25 blocks + 3
+    (128, 48, 6, 128, 8),    # contraction at the approx shape
+    (4, 6, 48, 2048, 8),     # one 768 KiB batch row, more than a block
+], ids=["ragged", "b1", "k-gt-t", "expand", "contract", "long-rows"])
+def test_causal_conv_matches_whole_batch_taps_bytes(B, c_in, c_out, T, k):
+    rng = np.random.default_rng(B * 1000 + T)
+    x = rng.normal(size=(B, c_in, T))
+    w = rng.normal(size=(c_out, c_in, k))
+    bias = rng.normal(size=c_out)
+    g = rng.normal(size=(B, c_out, T))
+    out, gx, _, _ = _taped_conv(nm.causal_conv, x, w, bias, g)
+    w_taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))
+    want = np.zeros_like(out)
+    dense_taps_whole_batch(w_taps, x, want, adjoint=False)
+    want += bias[None, :, None]
+    want_gx = np.zeros_like(x)
+    dense_taps_whole_batch(np.ascontiguousarray(w_taps.transpose(0, 2, 1)), g,
+                           want_gx, adjoint=True)
+    assert out.tobytes() == want.tobytes()
+    assert gx.tobytes() == want_gx.tobytes()
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_dense_taps_scratch_is_one_block(adjoint):
+    # 64 x (6 -> 48) x 128: the forward's output is 3 MiB and a block is 5
+    # batch rows (240 KiB of product); the adjoint's block is 5 rows of 6
+    # channels (30 KiB) against a 384 KiB output
+    B, c_in, c_out, T, k = 64, 6, 48, 128, 8
+    rng = np.random.default_rng(5)
+    w_taps = rng.normal(size=(k, c_out, c_in))
+    if adjoint:
+        w_taps = np.ascontiguousarray(w_taps.transpose(0, 2, 1))
+    src = rng.normal(size=(B, w_taps.shape[2], T))
+    dst = np.zeros((B, w_taps.shape[1], T))
+    block = nm._block_rows(max(c_in, c_out) * T) * dst[0].nbytes
+    assert block <= nm.CONV_BLOCK_BYTES < dst.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nm._dense_taps(w_taps, src, dst, adjoint)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= block + 4096
 
 
 def test_depthwise_conv_ragged_lane_blocks_match_oracle():

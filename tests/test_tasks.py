@@ -10,6 +10,8 @@ from spikescan import numerics as nm
 from spikescan.errors import NonFiniteError
 from spikescan.numerics import Tensor
 from spikescan.tasks import TrainConfig
+from spikescan.neurons import LifNeuron, Neuron
+from spikescan.tasks import approx
 from spikescan.tasks.approx import (ApproxModel, ApproxTarget,
                                     run_approx_experiment, target_traces)
 from spikescan.tasks.datasets import (dataset_b_specs, gen_dataset_a,
@@ -165,6 +167,48 @@ def test_approx_dataset_b_path():
     res = run_approx_experiment("b", cfg=cfg)
     assert res.dataset == "b"
     assert 0.0 <= res.average_accuracy <= 1.0
+
+
+def _approx_call(dataset, integer):
+    run_approx_experiment(dataset, cfg=TrainConfig(epochs=1, batch_size=64, seed=2),
+                          n_train=40, n_test=8, integer=integer, T=32)
+
+
+@pytest.mark.parametrize("dataset, integer, channels", [
+    ("a", False, 6), ("a", True, 3), ("b", False, 6), ("b", True, 3)],
+    ids=["a-binary", "a-integer", "b-binary", "b-integer"])
+def test_approx_folds_each_target_once(monkeypatch, dataset, integer, channels):
+    # one LIF fold per target channel over train and test signals together,
+    # not one per split
+    folds = []
+
+    def advance(self, *args):
+        folds.append(self.name)
+        return Neuron._advance(self, *args)
+
+    monkeypatch.setattr(LifNeuron, "_advance", advance)
+    _approx_call(dataset, integer)
+    assert len(folds) == channels
+
+
+@pytest.mark.parametrize("dataset, integer", [("a", False), ("b", True)],
+                         ids=["a-binary", "b-integer"])
+def test_approx_split_equals_tracing_each_split(monkeypatch, dataset, integer):
+    splits = []
+    split_traces = approx._split_traces
+
+    def split(*args):
+        splits.append((args, split_traces(*args)))
+        return splits[-1][1]
+
+    monkeypatch.setattr(approx, "_split_traces", split)
+    _approx_call(dataset, integer)
+    ((targets, signal, train_idx, test_idx, _, _), (h_train, s_test)), = splits
+    assert len(train_idx) == (40 if dataset == "a" else 720)
+    h_apart = target_traces(targets, signal[train_idx], integer)[0]
+    s_apart = target_traces(targets, signal[test_idx], integer)[1]
+    assert h_train.tobytes() == h_apart.tobytes()
+    assert s_test.tobytes() == s_apart.tobytes()
 
 
 # ---------------------------------------------------------------------------
