@@ -331,13 +331,22 @@ BENCH_GRAD_DIGESTS = {
 
 # the same for the spikes and input gradient of the classical neurons at
 # batch 2, 4 channels, seed 3, recorded with the charge-fire-reset fold that
-# wrote (B, C, T) arrays frame by frame; 300 steps carry the reset through
-# a long backward recurrence
+# wrote (B, C, T) arrays frame by frame (lif-none and if-hard: with the fold
+# of ``LifNeuron.step`` that the block kernel replaced); 300 steps carry the
+# reset through a long backward recurrence
 LIF_GRAD_DIGESTS = {
     ("lif-hard", 16): ("94bc762b432a105514c331b77aa303bdf96ee3f2a1a63a9cb547b7a48505ee09",
                        "eae9f70d5a13f6b99398e9f91191d39cd39c476721b73b495c402e3549f52dc1"),
     ("lif-hard", 300): ("d4d98ceb7539bfd35d7c17cf88d8a38d76acff11f705f3df5aa067b26acdc043",
                         "686735285c133cb5266ab615f60728c27a04988afa57dc6200046fc84113dbd8"),
+    ("lif-none", 16): ("d78bc8588441bfbe94262e6b9861683736914cec56907b04abae7cf7d0c780ce",
+                       "db100566507a3922ef7d02a04de9046c126e65cf0d9141a9ef22e52843a3c416"),
+    ("lif-none", 300): ("97a135e9a3e11e261252f06b5bd5ad4b3b5ce84f1cf9c9457286687dc283c007",
+                        "bd72e7357866af2c5b30676cdb4bc2a80f3a99b96276808625f0b4a2494e79c2"),
+    ("if-hard", 16): ("4f57595652e36835dea58c89c1901fe285ce95d87aaed0e1b3670fb2f520cb38",
+                      "529217084bc1edc06f5c36c80d1ebe473da3679aa4a92b64bd785ddbdef1329f"),
+    ("if-hard", 300): ("a0fa7eb1fe5fba725db5471ee3ffee9d590fd9b9c12618d15dbffaa6500b19a4",
+                       "610f76360599ea19a4d93985f70d8d2733fc3826778afc905d4b1ad6a1d1c30e"),
     ("lif-soft", 16): ("94bc762b432a105514c331b77aa303bdf96ee3f2a1a63a9cb547b7a48505ee09",
                        "4856a4195f4b6b3de11735d99a5f8a0961530838012796f925635be2d1a3cb80"),
     ("lif-soft", 300): ("d4d98ceb7539bfd35d7c17cf88d8a38d76acff11f705f3df5aa067b26acdc043",

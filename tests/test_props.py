@@ -241,6 +241,43 @@ def test_if_none_diverges():
     assert not verdict.holds
 
 
+# _digest of check_long_control(make_neuron(kind), c_bound, rng_seed=0,
+# **kwargs) for the kinds whose membrane diverges, with (holds, steps,
+# violated_t), recorded while the divergence check called ``step`` once a
+# frame.  if-none at C = 1 climbs by exactly 1 a step, so a divergence
+# factor f crosses at step floor(f) + 1: before, at and after a 1024-frame
+# boundary, and with max_steps one short of the crossing and at it
+DIVERGENCE_DIGESTS = [
+    ("if-soft", 2.0, {}, (False, 20000, 19999),
+     "5f1d93de2a3f8cea44b8a6827126c930cdd5f28f158c7b1dec61544973b0d824"),
+    ("if-none", 2.0, {}, (False, 10001, 10000),
+     "65a489fd58ac0a6f38b920f3a1cb66a8c63485bc227e8bc13df6edcf777c43c6"),
+    ("if-soft", 2.0, {"max_steps": 1000}, (True, 1000, None),
+     "483f600540a261eadde543a559ce47fa0213de4040c54d6bd619b4d6fd62bc9e"),
+    ("if-none", 1.0, {"divergence_factor": 100.0}, (False, 101, 100),
+     "310d9d7dedd390be2ec7dffb341c1861ff8e9394f2aba42e6aea8c4d736ea31d"),
+    ("if-none", 1.0, {"divergence_factor": 1023.5}, (False, 1024, 1023),
+     "28bdffd9e99ca97e3db2116a8b0d6a3f3c8b77ad7bb9455ce41dba32aad255ee"),
+    ("if-none", 1.0, {"divergence_factor": 1024.5}, (False, 1025, 1024),
+     "33ce53788b771e656fb6a343a88eee21f914020ee377043d7194a231f2d1d02d"),
+    ("if-none", 1.0, {"divergence_factor": 1023.5, "max_steps": 1024},
+     (False, 1024, 1023),
+     "28bdffd9e99ca97e3db2116a8b0d6a3f3c8b77ad7bb9455ce41dba32aad255ee"),
+    ("if-none", 1.0, {"divergence_factor": 1023.5, "max_steps": 1023},
+     (True, 1023, None),
+     "06301070ca7919a9d9103dc1a73023f3a1915fd5938195fb79a9e1376e0f3732"),
+]
+
+
+@pytest.mark.parametrize("kind, c_bound, kwargs, outcome, digest", DIVERGENCE_DIGESTS,
+                         ids=lambda v: v if isinstance(v, str) and len(v) < 20 else None)
+def test_divergence_verdicts_match_golden_digest(kind, c_bound, kwargs, outcome, digest):
+    verdict = check_long_control(make_neuron(kind), c_bound, rng_seed=0, **kwargs)
+    w = verdict.witness
+    assert (verdict.holds, verdict.detail["steps"], w and w.violated_t) == outcome
+    assert _digest(verdict.to_dict()) == digest
+
+
 def test_dsn_long_control_bound_max_zero_c():
     neuron = DsnNeuron(DsnParams.init(channels=2, seed=1))
     verdict = check_long_control(neuron, 2.0, T=96, trials=TRIALS, rng_seed=0)
