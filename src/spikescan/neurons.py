@@ -9,9 +9,10 @@ trainable tensors.  :func:`make_neuron` is the one place that maps a kind
 name to a model; the CLI (bench included) and the tasks all build through
 it.
 ``Neuron._advance`` is the one multi-frame serial path, behind both
-``advance`` and ``trace`` for every kind that can step: the fold of
-``step`` for LIF/IF, and for DSN and sliding PSN a cache-sized sub-block
-of frames at a time, equal to that fold bit for bit.  Full and masked PSN
+``advance`` and ``trace`` for every kind that can step: for LIF/IF the
+block kernel ``_lif_fold``, a few whole-row ufuncs a frame, and for DSN and
+sliding PSN a cache-sized sub-block of frames at a time, each equal to the
+fold of ``step`` bit for bit.  Full and masked PSN
 have no serial mode: their ``step``, ``advance`` and ``trace`` raise
 StepUnavailable.  Folding ``step`` over time and calling ``sequence``
 produce the same spikes wherever both exist.
@@ -19,10 +20,13 @@ produce the same spikes wherever both exist.
 Models:
 
 * ``LifNeuron`` -- leaky (or non-leaky) integrate-and-fire with hard, soft
-  or no reset.  ``step`` is its one serial implementation: the trace, the
-  taped training pass (that fold forward, reverse-time BPTT backward) and
-  the approx task's targets all fold it.  Only the no-reset variant, a
-  linear recurrence, has a parallel path, through the scan.
+  or no reset.  ``step`` is its single-step definition, and ``_lif_fold``
+  its one block kernel, equal to the fold of ``step`` bit for bit, with
+  per-lane betas: the trace, the taped training pass (that kernel forward,
+  reverse-time BPTT backward) and the approx task's targets, a bank of
+  channels as lanes of one call per reset mode, all run it.  Only the
+  no-reset variant, a linear recurrence, has a parallel path, through the
+  scan.
 * ``DsnNeuron`` -- reset-free neuron whose decay is produced per step from
   the last k inputs by a depthwise causal convolution and a sharpened
   sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via
@@ -66,7 +70,7 @@ class NeuronConfig:
     """Parameters of a classical neuron.
 
     beta is the decay factor 1 - 1/tau_m and is ignored for the pure
-    accumulator (leak='if').
+    accumulator (leak='if').  v_th is positive and finite, v_reset finite.
     """
 
     beta: float = 0.5
@@ -80,8 +84,10 @@ class NeuronConfig:
             raise ValueError(f"leak must be 'lif' or 'if', got {self.leak!r}")
         if self.leak == "lif" and not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1) for a leaky neuron")
-        if self.v_th <= 0:
-            raise ValueError("v_th must be positive")
+        if not 0 < self.v_th < math.inf:
+            raise ValueError("v_th must be positive and finite")
+        if not math.isfinite(self.v_reset):
+            raise ValueError("v_reset must be finite")
         if self.reset_mode not in _RESETS:
             raise ValueError(f"reset_mode must be one of {_RESETS}")
 
@@ -98,33 +104,124 @@ class NeuronConfig:
                    reset_mode=reset_mode, leak="if")
 
 
+def _lif_fold(frames: np.ndarray, v: np.ndarray, cfg: NeuronConfig, beta=None):
+    """(H, S, V): ``LifNeuron.step`` folded over (T, ...) frames from the
+    membrane v, bit for bit, with H and S time-major (T, *v.shape).
+
+    The one multi-frame LIF/IF path.  beta (default ``cfg.beta``) may be an
+    array that broadcasts over v's lanes, with the frames broadcast to those
+    lanes too: a (C,) vector of betas runs C channels of one (n, 1) signal
+    as n x C lanes; ``cfg`` gives the leak, threshold and reset.  The drive
+    (1 - beta) x (x for IF) is one op over the whole block, into the buffer
+    that S = [H >= v_th] overwrites in one op after the fold; in between,
+    each frame is a few ``out=`` ufuncs on one flat row of lanes, with
+    read-only 0-d scalar operands (``_lif_membranes``).  ``step`` fires on
+    heaviside(H - v_th), the same test for a finite v_th: a difference of
+    two floats rounds to zero only when they are equal (subnormals are
+    kept), never across zero, and NaN fails both.  Non-finite frames raise
+    NonFiniteError.  V, the final membrane, owns its memory, and v is not
+    modified.
+    """
+    drive = np.empty((frames.shape[0],) + v.shape)
+    if frames.shape == drive.shape:
+        _gather(drive, frames)
+    else:
+        drive[...] = frames
+    _finite_input(drive)
+    if cfg.leak == "lif":
+        beta = cfg.beta if beta is None else np.asarray(beta, dtype=float)
+        np.multiply(drive, np.subtract(_ONE, beta), out=drive)
+        beta = (nm._constant(beta) if np.ndim(beta) == 0
+                else np.broadcast_to(beta, v.shape).reshape(-1))
+    h = np.empty(drive.shape)
+    v_end = _lif_membranes(drive, h, v, cfg, beta, False)
+    if cfg.reset_mode == HARD and np.isposinf(h).any():
+        v_end = _lif_membranes(drive, h, v, cfg, beta, True)
+    return h, np.greater_equal(h, nm._constant(cfg.v_th), out=drive), v_end
+
+
+def _lif_membranes(drive: np.ndarray, h_all: np.ndarray, v: np.ndarray,
+                   cfg: NeuronConfig, beta, overflowed: bool) -> np.ndarray:
+    """The frame loop of ``_lif_fold``: H into h_all from the drive, and the
+    final membrane, each element rounded as in ``step``.
+
+    H_t = beta V + drive_t (V + x_t for IF), never in place: numpy resolves
+    an output that is also an input of one element through a copy, which
+    made a 1-lane frame about 1.5 us slower.  The resets select, per lane,
+    between two values that round as the step's do: soft reset's
+    H - v_th S is H - v_th where H fires and H - 0.0 = H elsewhere, and hard
+    reset's H (1 - S) + v_reset S is H + v_reset 0.0 elsewhere (which turns
+    a -0.0 membrane into +0.0 when v_reset is not negative, as the step
+    does) and H 0.0 + v_reset where H fires.  For a finite H that is the
+    constant 0.0 + v_reset; the one firing H that is not finite, +inf,
+    gives NaN, so ``_lif_fold`` reruns a hard-reset block in which H
+    overflowed with ``overflowed`` set, which computes H 0.0 + v_reset.
+    """
+    T, lanes = drive.shape[0], v.shape
+    reset, v_th, v_reset = cfg.reset_mode, nm._constant(cfg.v_th), nm._constant(cfg.v_reset)
+    kept, fired_v = nm._constant(cfg.v_reset * 0.0), nm._constant(0.0 + cfg.v_reset)
+    v = np.array(v, dtype=float).reshape(-1)
+    tmp, mask = np.empty(v.shape), np.empty(v.shape, dtype=bool)
+    for d, h in zip(drive.reshape(T, v.size), h_all.reshape(T, v.size)):
+        if cfg.leak == "lif":
+            np.add(np.multiply(beta, v, out=tmp), d, out=h)
+        else:
+            np.add(v, d, out=h)
+        if reset == HARD:
+            np.greater_equal(h, v_th, out=mask)
+            np.add(h, kept, out=v)
+            if overflowed:
+                fired_v = np.add(np.multiply(h, _ZERO, out=tmp), v_reset, out=tmp)
+            np.copyto(v, fired_v, where=mask)
+        elif reset == SOFT:
+            np.less(h, v_th, out=mask)
+            np.subtract(h, v_th, out=v)
+            np.copyto(v, h, where=mask)
+        else:
+            v = h
+    return (v.copy() if reset == NONE else v).reshape(lanes)
+
+
 def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray,
               g: np.ndarray) -> np.ndarray:
     """dL/dx from dL/dS, with the surrogate standing in for dS/dH.
 
     Every array is time-major, (T, B, C), so each reverse step reads and
-    writes whole (B, C) rows of the memory ``Neuron._advance`` wrote.
+    writes whole (B, C) rows of the memory ``_lif_fold`` wrote.
     dL/dH_t = g_t sg'_t + dL/dV_t dV_t/dH_t, where dV/dH is
     (1 - s) + (v_reset - h) sg' for hard reset, 1 - v_th sg' for soft reset
     and 1 without reset; dL/dV_{t-1} and dL/dx_t are dL/dH_t scaled by
     beta and 1 - beta (both 1 for the pure accumulator).
+
+    dL/dH is built in place in the buffer of g sg', one multiply-add a step
+    (the step's leak multiply first for LIF), and scaled by 1 - beta once
+    after the loop; the x1 multiplies of no reset and of IF are skipped,
+    since they change no bits.  ``tests/oracles.lif_bptt`` is the per-step
+    form this equals bit for bit.
     """
-    sgp = surrogate_grad(sg, h - cfg.v_th)
+    sgp = surrogate_grad(sg, np.subtract(h, cfg.v_th))
+    dh = np.multiply(g, sgp, out=np.empty(h.shape))
     if cfg.reset_mode == HARD:
-        dv_dh = (1.0 - s) + (cfg.v_reset - h) * sgp
+        dv_dh = np.subtract(cfg.v_reset, h)
+        np.multiply(dv_dh, sgp, out=dv_dh)
+        np.add(np.subtract(_ONE, s, out=sgp), dv_dh, out=dv_dh)
     elif cfg.reset_mode == SOFT:
-        dv_dh = 1.0 - cfg.v_th * sgp
+        dv_dh = np.subtract(_ONE, np.multiply(cfg.v_th, sgp, out=sgp), out=sgp)
     else:
-        dv_dh = np.ones_like(h)
-    leak, gain = (1.0, 1.0) if cfg.leak == "if" else (cfg.beta, 1.0 - cfg.beta)
-    direct = g * sgp
-    gx = np.empty_like(h)
-    dv = np.zeros(h.shape[1:], dtype=h.dtype)
+        dv_dh = None
+    leaky = cfg.leak == "lif"
+    leak = nm._constant(cfg.beta)
+    dv, term = np.zeros(h.shape[1:]), np.empty(h.shape[1:])
     for t in range(h.shape[0] - 1, -1, -1):
-        dh = direct[t] + dv * dv_dh[t]
-        gx[t] = dh * gain
-        dv = dh * leak
-    return gx
+        row = dh[t]
+        np.add(row, dv if dv_dh is None else np.multiply(dv, dv_dh[t], out=term), out=row)
+        if leaky:
+            np.multiply(row, leak, out=dv)
+        else:
+            dv = row
+    if leaky:
+        np.multiply(dh, nm._constant(1.0 - cfg.beta), out=dh)
+    return dh
 
 
 # ---------------------------------------------------------------------------
@@ -850,32 +947,19 @@ class Neuron:
     def _advance(self, state, x: np.ndarray, membranes: bool):
         """(spikes, membranes or None, final state) over a (B, C, T) block
         from ``state``, spikes and membranes time-major (T, B, C): the one
-        multi-frame serial path, behind ``trace`` and ``advance``.
-
-        Here it folds ``step`` one whole frame at a time from the (B, C)
-        membrane state of LIF/IF, keeping H as it goes, which makes it also
-        the LIF's taped training forward; DSN and sliding PSN override it
-        with a sub-block form equal to this fold bit for bit.  Measured as
-        lif-hard ``trace`` on a 2-core Xeon, float64, medians of 5-11 calls,
-        the range over four runs on a noisy host, in ms: 3.6-5.9 at
-        4x256x128, 22-36 at 1x16x2048, 31-45 at 4x256x1024 and 394-556 at
-        1x16x32768.
-        """
-        frames = np.ascontiguousarray(_block_frames(x, state.shape))
-        _finite_input(frames)
-        s_out = np.empty_like(frames)
-        h_out = np.empty_like(frames)
-        for t in range(frames.shape[0]):
-            s_out[t], h_out[t], state = self.step(state, frames[t])
-        return s_out, h_out if membranes else None, state
+        multi-frame serial path, behind ``trace`` and ``advance``, equal to
+        the fold of ``step`` bit for bit.  Every kind that can step defines
+        it."""
+        raise NotImplementedError
 
 
 class LifNeuron(Neuron):
     """Classical stepper, parallel only in the reset-free linear case.
 
-    ``step`` is the one serial implementation: ``trace`` and ``advance`` are
-    its fold (the base ``_advance``), and ``forward``, the taped training
-    pass, runs that fold forward and BPTT backward.
+    ``step`` is the single-step definition; ``_advance``, behind ``trace``
+    and ``advance``, runs the block kernel ``_lif_fold``, which equals the
+    fold of ``step`` bit for bit.  ``forward``, the taped training pass, runs
+    that kernel forward and BPTT (``_lif_bptt``) backward.
     """
 
     def __init__(self, cfg: NeuronConfig, sg: SurrogateKind = Rectangular()):
@@ -902,11 +986,22 @@ class LifNeuron(Neuron):
             return s, h, h - cfg.v_th * s
         return s, h, h
 
+    def _advance(self, state, x, membranes: bool):
+        """``_lif_fold`` over the block's time-major frames from the (B, C)
+        membrane state, with this neuron's config.
+
+        Measured as lif-hard ``trace`` on a 2-core Xeon, float64, one BLAS
+        thread, median of 7, kernel against the fold of ``step`` it replaced,
+        interleaved (``BENCH_lif_fold.json``), in ms: TIMINGS.
+        """
+        h, s, v = _lif_fold(_block_frames(x, state.shape), state, self.cfg)
+        return s, h if membranes else None, v
+
     def forward(self, x) -> Tensor:
         """Taped spikes over (B, C, T) input, recorded as ``lif_sequence``.
 
         The forward is ``trace``; the backward is BPTT (:func:`_lif_bptt`)
-        over the time-major memory the fold wrote, with dL/dS viewed the
+        over the time-major memory the kernel wrote, with dL/dS viewed the
         same way, so neither direction makes a transposed copy.
         """
         x = nm._as_tensor(x)

@@ -2,7 +2,7 @@
 
 Tensors wrap float64 numpy buffers shaped batch x channel x time.  Ops
 make them contiguous, time innermost, except the LIF's taped spikes: a
-(B, C, T) view of the time-major memory its serial fold writes.
+(B, C, T) view of the time-major memory its block kernel writes.
 Every library operation validates finiteness of its result: NaN/Inf raise
 :class:`~spikescan.errors.NonFiniteError` instead of propagating.
 

@@ -38,6 +38,8 @@ DIVERGENCE_STEPS = 100_000
 # a run is declared divergent once H exceeds this multiple of max(v_th, C);
 # it is reached quickly under any super-threshold constant drive
 DIVERGENCE_FACTOR = 1e4
+# frames per block of the divergence run's block path
+DIVERGENCE_BLOCK = 1024
 
 
 @dataclass
@@ -193,31 +195,36 @@ def check_long_control(neuron: Neuron, c_bound: float, T: int = 128,
 
 def _check_divergence(neuron: Neuron, c_bound: float, divergence_factor: float,
                       max_steps: int) -> ControlVerdict:
+    """Drive channel 0 with constant c_bound until H passes the bar or
+    max_steps frames have run, ``DIVERGENCE_BLOCK`` frames at a time through
+    the neuron's block path (``Neuron._advance``), which equals stepping it
+    frame by frame.  The run stops at the first crossing, inside its block;
+    the witness keeps the last 256 membranes up to and including it."""
     channels = neuron.channels or 1
     bar = divergence_factor * max(neuron.v_th, c_bound)
     state = neuron.init_state(1, channels)
-    x_t = np.full((1, channels), c_bound)
+    drive = np.full((1, channels, max(0, min(DIVERGENCE_BLOCK, max_steps))), c_bound)
     keep = 256  # witness keeps only the trailing membrane values
-    tail = np.empty(keep)
+    tail = np.empty(0)
     crossed = None
     steps = 0
-    for t in range(max_steps):
-        _, h, state = neuron.step(state, x_t)
-        tail[t % keep] = h[0, 0]
-        steps = t + 1
-        if h[0, 0] > bar:
-            crossed = t
-            break
+    while steps < max_steps and crossed is None:
+        _, h, state = neuron._advance(state, drive[..., :max_steps - steps], True)
+        h = h[:, 0, 0]  # time-major
+        over = np.flatnonzero(h > bar)
+        if over.size:
+            crossed = steps + int(over[0])
+            h = h[:over[0] + 1]
+        tail = np.concatenate((tail, h))[-keep:]
+        steps += h.size
     holds = crossed is None
     witness = None
     if not holds:
-        n = min(steps, keep)
-        trace = tail[:n] if steps <= keep else np.roll(tail, -(steps % keep))[:n]
-        witness = Witness(inputs=np.array([c_bound]), trace=trace,
+        witness = Witness(inputs=np.array([c_bound]), trace=tail,
                           violated_t=crossed,
                           note=f"H passed {bar:.3g} after {steps} steps of "
                                f"constant input {c_bound} (trace holds the "
-                               f"last {n} values)")
+                               f"last {tail.size} values)")
     return ControlVerdict(neuron=neuron.name, prop="long-control",
                           holds=holds, trials=1, witness=witness,
                           detail={"c_bound": c_bound, "claimed_bound": None,

@@ -4,7 +4,9 @@ Six target channels (hard and soft reset, three membrane time constants
 each, threshold 1) process the same input signal; a bank of dynamic-decay
 neurons is trained with MSE on the pre-reset membrane potential and scored
 by spike firing accuracy: the fraction of test timesteps whose predicted
-spike equals the target neuron's spike.
+spike equals the target neuron's spike.  The targets come from the LIF
+block kernel, one call per reset mode with that mode's channels as lanes,
+each with its own beta (``target_traces``).
 
 The decay generator is wider than the inference-path one: an expansion
 causal conv, ReLU, contraction causal conv, then the DSN's own
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import numerics as nm
-from ..neurons import LifNeuron, NeuronConfig
+from ..errors import ShapeMismatch
+from ..neurons import NeuronConfig, _lif_fold
 from ..numerics import Tensor, fire_counts, heaviside
 from ..scan import scan
 from .datasets import gen_dataset_a, gen_dataset_b, split_train_test
@@ -49,25 +52,36 @@ def target_traces(target: ApproxTarget, signal: np.ndarray,
                   integer: bool = False, n_max: int = 4):
     """Membranes and spikes of every target channel on (n, 1, T) signals.
 
-    Returns (H, S) of shape (n, C, T), one ``LifNeuron.trace`` (one fold)
-    per channel over all n signals.  Each signal folds in its own lane, so
-    a row does not depend on the other signals in the call, which lets
-    ``run_approx_experiment`` trace train and test signals together.  The
-    integer readout quantizes the same pre-reset membrane the binary
-    variant thresholds; soft reset is a precondition because counts above 1
-    presuppose subtractive semantics.
+    Returns (H, S) of shape (n, C, T), from one ``neurons._lif_fold`` call
+    per reset mode: the channels of a mode run as lanes of one fold, each
+    with its own beta, over the signals broadcast to them, bit for bit
+    what a ``LifNeuron.trace`` of each channel alone gives.  Each signal
+    folds in its own lanes, so a row does not depend on the other signals
+    in the call, which lets ``run_approx_experiment`` trace train and test
+    signals together.  The integer readout quantizes the same pre-reset
+    membrane the binary variant thresholds; soft reset is a precondition,
+    checked before any fold, because counts above 1 presuppose subtractive
+    semantics.  A signal that is not (n, 1, T) raises ShapeMismatch.
     """
+    signal = np.asarray(signal)
+    if signal.ndim != 3 or signal.shape[1] != 1:
+        raise ShapeMismatch(f"expected (n, 1, T) signals, got shape {signal.shape}")
+    if integer and any(mode != "soft" for mode, _ in target.channels):
+        raise ValueError("integer readout is defined for soft reset only")
     n, _, T = signal.shape
     C = len(target.channels)
     h_all = np.empty((n, C, T))
     s_all = np.empty((n, C, T))
-    for c, (reset_mode, tau_m) in enumerate(target.channels):
-        if integer and reset_mode != "soft":
-            raise ValueError("integer readout is defined for soft reset only")
-        cfg = NeuronConfig.lif(tau_m, reset_mode, v_th=target.v_th)
-        s3, h3 = LifNeuron(cfg).trace(signal)
-        h_all[:, c, :] = h3[:, 0, :]
-        s_all[:, c, :] = fire_counts(h3[:, 0, :], n_max)[1] if integer else s3[:, 0, :]
+    frames = signal.transpose(2, 0, 1)
+    for mode in dict.fromkeys(mode for mode, _ in target.channels):
+        group = [c for c, (m, _) in enumerate(target.channels) if m == mode]
+        cfgs = [NeuronConfig.lif(target.channels[c][1], mode, v_th=target.v_th)
+                for c in group]
+        h, s, _ = _lif_fold(frames, np.zeros((n, len(group))), cfgs[0],
+                            np.array([cfg.beta for cfg in cfgs]))
+        h = h.transpose(1, 2, 0)
+        h_all[:, group] = h
+        s_all[:, group] = fire_counts(h, n_max)[1] if integer else s.transpose(1, 2, 0)
     return h_all, s_all
 
 

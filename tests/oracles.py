@@ -18,7 +18,9 @@ numpy on one T x T matrix (``band_mask`` for masked PSN, the Toeplitz band
 of the k weights for sliding PSN), which ``neurons.psn_membrane`` must
 match within rounding; ``lif_step_fold`` is the per-step taped LIF fold (time_slice ->
 reshape -> charge/fire/reset on the tape, one frame at a time) that the
-taped sequence op replaced.  ``depthwise_conv_shift``
+taped sequence op replaced, and ``lif_bptt`` that op's backward as the
+per-step reverse loop on fresh arrays, which the in-place
+``neurons._lif_bptt`` must match bit for bit.  ``depthwise_conv_shift``
 and ``causal_conv_shift`` are the two causal convolutions written as one
 zero-padded shifted copy of the input per tap, with their adjoints
 (``*_grads``) in the same form; ``dense_taps_whole_batch`` is the dense
@@ -36,7 +38,8 @@ every taped gradient is checked against.  ``soft_reset_lemma_margin``,
 lemma and decay schedules that tame a dynamic-decay membrane) the tests
 check by hand.  ``step_fold`` is a neuron's ``step`` folded over time, one
 frame at a time: ``Neuron._advance``, the block path behind ``trace`` and
-``advance``, must equal it bit for bit.  ``eval_serial_fold`` is the
+``advance`` (for LIF/IF the kernel ``neurons._lif_fold``), must equal it
+bit for bit.  ``eval_serial_fold`` is the
 extrapolation model's serial eval through that fold, which its eval through
 ``Neuron.advance`` must match exactly.
 """
@@ -305,6 +308,27 @@ def lif_step_fold(cfg, x: Tensor, sg) -> list[Tensor]:
             v = h
         frames.append(s)
     return frames
+
+
+def lif_bptt(cfg, sg, s: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dL/dx from dL/dS of a LIF/IF fold, per step on fresh arrays: the
+    time-major (T, B, C) BPTT that ``neurons._lif_bptt`` runs in place."""
+    sgp = nm.surrogate_grad(sg, h - cfg.v_th)
+    if cfg.reset_mode == "hard":
+        dv_dh = (1.0 - s) + (cfg.v_reset - h) * sgp
+    elif cfg.reset_mode == "soft":
+        dv_dh = 1.0 - cfg.v_th * sgp
+    else:
+        dv_dh = np.ones_like(h)
+    leak, gain = (1.0, 1.0) if cfg.leak == "if" else (cfg.beta, 1.0 - cfg.beta)
+    direct = g * sgp
+    gx = np.empty_like(h)
+    dv = np.zeros(h.shape[1:], dtype=h.dtype)
+    for t in range(h.shape[0] - 1, -1, -1):
+        dh = direct[t] + dv * dv_dh[t]
+        gx[t] = dh * gain
+        dv = dh * leak
+    return gx
 
 
 def shift_right(arr: np.ndarray, lag: int) -> np.ndarray:

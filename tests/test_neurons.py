@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (band_mask, dsn_dynamic_decay, dsn_op_chain, dsn_serial_trace,
-                     lif_step_fold, matrix_form, psn_dense, round_half_away, step_fold)
+                     lif_bptt, lif_step_fold, matrix_form, psn_dense, round_half_away,
+                     step_fold)
 from spikescan import neurons
 from spikescan import numerics as nm
 from spikescan.errors import (LengthMismatch, NonFiniteError, ShapeMismatch,
@@ -15,7 +16,7 @@ from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
                                LifNeuron, Neuron, NeuronConfig, PsnNeuron,
                                PsnParams, dsn_forward_parallel, make_neuron,
                                psn_forward)
-from spikescan.numerics import ArcTangent, Rectangular, Tape, Tensor
+from spikescan.numerics import ArcTangent, Rectangular, StraightThrough, Tape, Tensor
 
 
 def test_lif_step_hand_evaluated():
@@ -779,6 +780,148 @@ def test_lif_sequence_gradient_matches_step_fold(leak, reset, sg):
         assert np.max(np.abs(tape.grad(xt) - g_fold)) <= 1e-12 * scale
 
 
+# every LIF/IF kind, and each reset with a nonzero (or negative-zero) v_reset
+LIF_KERNEL_CFGS = {
+    f"{leak}-{reset}": _lif_cfg(leak, reset)
+    for leak in ("lif", "if") for reset in ("hard", "soft", "none")}
+LIF_KERNEL_CFGS.update({
+    "lif-hard-vreset-0.3": NeuronConfig.lif(4.0, "hard", v_th=0.75, v_reset=0.3),
+    "lif-hard-vreset--0.5": NeuronConfig.lif(1.5, "hard", v_reset=-0.5),
+    "lif-hard-vreset--0.0": NeuronConfig.lif(2.0, "hard", v_reset=-0.0),
+    "if-hard-vreset--0.25": NeuronConfig.integrate_fire("hard", v_th=0.5, v_reset=-0.25),
+    "lif-soft-vth-0.3": NeuronConfig.lif(3.0, "soft", v_th=0.3),
+})
+
+
+def _kernel_input(shape, cfg, seed):
+    """Normal inputs mixed with +-0.0, subnormals, the smallest normal and
+    the inputs that put H exactly at v_th from rest (and at -v_th)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) * 1.5
+    at_th = cfg.v_th if cfg.leak == "if" else cfg.v_th / (1.0 - cfg.beta)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308,
+                         at_th, -at_th, cfg.v_th])
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(specials, size=int(np.count_nonzero(pick)))
+    return x
+
+
+@pytest.mark.parametrize("start", ["rest", "negative-zero"])
+@pytest.mark.parametrize("name", list(LIF_KERNEL_CFGS))
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (1, 1, 300), (2, 3, 300),
+                                   (100, 100, 6)],
+                         ids=["1-lane-T1", "6-lanes-T1", "1-lane", "6-lanes", "10000-lanes"])
+def test_lif_kernel_equals_the_step_fold_bit_for_bit(name, shape, start):
+    cfg = LIF_KERNEL_CFGS[name]
+    neuron = LifNeuron(cfg)
+    x = _kernel_input(shape, cfg, 61)
+    v0 = np.full(shape[:2], 0.0 if start == "rest" else -0.0)
+    s_fold, h_fold, v_fold = step_fold(neuron, x, v0)
+    h, s, v = neurons._lif_fold(x.transpose(2, 0, 1), v0, cfg)
+    assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
+    assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
+    assert v.tobytes() == v_fold.tobytes() and _owns_its_memory(v)
+    assert np.all(v0 == 0.0) and np.all(np.signbit(v0) == (start != "rest"))
+    if start == "rest":
+        s_trace, h_trace = neuron.trace(x)
+        assert s_trace.tobytes() == s_fold.tobytes()
+        assert h_trace.tobytes() == h_fold.tobytes()
+
+
+def test_lif_kernel_input_reaches_every_edge_case():
+    # the kernel cases put H exactly at v_th and fire on about half the
+    # frames; from a -0.0 membrane a -0.0 input gives H = -0.0, which the
+    # hard reset's + v_reset S turns into +0.0 for v_reset = +0.0 only
+    x = _kernel_input((2, 3, 300), LIF_KERNEL_CFGS["lif-hard"], 61)
+    for name in ("lif-hard", "if-hard", "if-soft"):
+        cfg = LIF_KERNEL_CFGS[name]
+        _, h, _ = step_fold(LifNeuron(cfg), _kernel_input((2, 3, 300), cfg, 61))
+        assert np.any(h == cfg.v_th), name
+        assert 0.05 < np.mean(h >= cfg.v_th) < 0.95, name
+    assert np.any(x == 0.0) and np.any((x == 0.0) & np.signbit(x))
+    assert np.any((x != 0.0) & (np.abs(x) < 2.2250738585072014e-308))
+    minus = np.full((1, 1, 1), -0.0)
+    for name, sign in (("lif-hard", False), ("lif-hard-vreset--0.0", True)):
+        _, h, v = step_fold(LifNeuron(LIF_KERNEL_CFGS[name]), minus, minus[..., 0])
+        assert np.signbit(h[0, 0, 0]) and v[0, 0] == 0.0
+        assert np.signbit(v[0, 0]) == sign
+
+
+@pytest.mark.parametrize("x_t", [9e307, -9e307])
+@pytest.mark.parametrize("reset", ["hard", "soft", "none"])
+def test_lif_kernel_equals_the_step_fold_where_the_membrane_overflows(reset, x_t):
+    # an accumulator under a huge threshold overflows to +-inf; a hard reset
+    # of +inf is inf * 0 = NaN, which the kernel reruns its block to match
+    cfg = NeuronConfig.integrate_fire(reset, v_th=1e308, v_reset=-2.0)
+    x = np.full((1, 2, 12), x_t)
+    x[0, 1, ::3] = 1.0
+    with np.errstate(all="ignore"):
+        s_fold, h_fold, v_fold = step_fold(LifNeuron(cfg), x)
+        h, s, v = neurons._lif_fold(x.transpose(2, 0, 1), np.zeros((1, 2)), cfg)
+    assert np.any(np.isinf(h_fold))
+    assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
+    assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
+    assert v.tobytes() == v_fold.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("v_th", np.inf), ("v_th", np.nan), ("v_th", 0.0), ("v_reset", np.inf),
+    ("v_reset", -np.inf), ("v_reset", np.nan)])
+def test_neuron_config_refuses_a_threshold_or_reset_that_is_not_finite(field, value):
+    with pytest.raises(ValueError):
+        NeuronConfig(**{field: value})
+
+
+@pytest.mark.parametrize("name", list(LIF_KERNEL_CFGS))
+def test_lif_kernel_blocks_chained_through_advance_equal_one_call(name):
+    cfg = LIF_KERNEL_CFGS[name]
+    neuron = LifNeuron(cfg)
+    x = _kernel_input((2, 3, 400), cfg, 62)
+    start = step_fold(neuron, x[..., :5])[2]  # from a state that is not rest
+    x = x[..., 5:]
+    s_one, v_one = neuron.advance(start, x)
+    state, spikes, t = start, [], 0
+    for n in (1, 7, 97, x.shape[-1] - 105):
+        s, state = neuron.advance(state, x[..., t:t + n])
+        spikes.append(s)
+        t += n
+    assert np.concatenate(spikes, axis=-1).tobytes() == s_one.tobytes()
+    assert state.tobytes() == v_one.tobytes() == step_fold(neuron, x, start)[2].tobytes()
+
+
+def test_lif_kernel_runs_per_lane_betas_as_channels():
+    # a (C,) vector of betas over one broadcast (n, 1) signal equals C
+    # separate folds, one per beta
+    x = _kernel_input((5, 1, 200), NeuronConfig.lif(2.0), 63)
+    taus = (4.0 / 3.0, 2.0, 4.0, 7.5)
+    for reset in ("hard", "soft", "none"):
+        cfgs = [NeuronConfig.lif(tau, reset) for tau in taus]
+        h, s, v = neurons._lif_fold(x.transpose(2, 0, 1), np.zeros((5, len(taus))),
+                                    cfgs[0], np.array([c.beta for c in cfgs]))
+        for c, cfg in enumerate(cfgs):
+            s_c, h_c, v_c = step_fold(LifNeuron(cfg), x)
+            assert h[:, :, c].T.tobytes() == h_c[:, 0].tobytes()
+            assert s[:, :, c].T.tobytes() == s_c[:, 0].tobytes()
+            assert v[:, c].tobytes() == v_c[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("sg", [Rectangular(), ArcTangent(), StraightThrough()],
+                         ids=["rect", "atan", "straight"])
+@pytest.mark.parametrize("name", list(LIF_KERNEL_CFGS))
+def test_in_place_lif_bptt_equals_the_per_step_oracle(name, sg):
+    cfg = LIF_KERNEL_CFGS[name]
+    rng = np.random.default_rng(64)
+    for shape in ((1, 1, 1), (2, 3, 200)):
+        x = _kernel_input(shape, cfg, 65)
+        g = rng.normal(size=shape)
+        g[rng.random(shape) < 0.2] = -0.0
+        s, h = LifNeuron(cfg, sg).trace(x)
+        args = (cfg, sg, s.transpose(2, 0, 1), h.transpose(2, 0, 1), g.transpose(2, 0, 1))
+        want = lif_bptt(*args)
+        got = neurons._lif_bptt(*args)
+        assert got.tobytes() == want.tobytes()
+
+
 def _taped_forward(neuron, x, w):
     """Spikes and dL/dx of L = sum(w * S) through ``with_weights(...).forward``."""
     tape = nm.Tape()
@@ -951,8 +1094,9 @@ def test_step_rejects_a_frame_unlike_its_state(kind):
 
 def test_trace_is_the_step_fold_except_for_psn():
     # one multi-frame serial path: ``trace`` and ``advance`` both run
-    # ``_advance``, the step fold unless DSN or sliding PSN replace it with
-    # their block form; full/masked PSN, which cannot step, have no ``trace``
+    # ``_advance``, which every stepping kind defines (the LIF's block kernel,
+    # the DSN's and sliding PSN's sub-blocks) and the base leaves abstract;
+    # full/masked PSN, which cannot step, have no ``trace``
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
@@ -962,7 +1106,9 @@ def test_trace_is_the_step_fold_except_for_psn():
         return {cls.__name__ for cls in (Neuron, *subclasses(Neuron))
                 if cls.__module__ == neurons.__name__ and name in vars(cls)}
 
-    assert defining("_advance") == {"Neuron", "DsnNeuron", "PsnNeuron"}
+    assert defining("_advance") == {"Neuron", "LifNeuron", "DsnNeuron", "PsnNeuron"}
+    with pytest.raises(NotImplementedError):
+        Neuron()._advance(np.zeros((1, 1)), np.zeros((1, 1, 1)), False)
     assert defining("trace") == {"Neuron"}
     assert defining("advance") == {"Neuron"}
     for name in ("lif_trace", "lif_sequence", "dsn_step", "dsn_alpha_sequence"):

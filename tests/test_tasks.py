@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from oracles import eval_serial_fold
+from oracles import eval_serial_fold, step_fold
 from spikescan import numerics as nm
-from spikescan.errors import NonFiniteError
+from spikescan.errors import NonFiniteError, ShapeMismatch
 from spikescan.numerics import Tensor
 from spikescan.tasks import TrainConfig
-from spikescan.neurons import LifNeuron, Neuron
+from spikescan.neurons import LifNeuron, NeuronConfig, _lif_fold
+from spikescan.numerics import fire_counts
 from spikescan.tasks import approx
 from spikescan.tasks.approx import (ApproxModel, ApproxTarget,
                                     run_approx_experiment, target_traces)
@@ -152,6 +153,43 @@ def test_target_traces_binary_vs_integer():
         target_traces(ApproxTarget(), sig, integer=True)
 
 
+@pytest.mark.parametrize("integer", [False, True], ids=["binary", "integer"])
+@pytest.mark.parametrize("dataset", ["a", "b"])
+def test_target_bank_equals_tracing_each_channel_alone(dataset, integer):
+    # the bank's one fold per reset mode, channels as lanes with their own
+    # betas, against the step fold of each target neuron by itself
+    if dataset == "a":
+        sig = gen_dataset_a(12, T=96, seed=4).data
+    else:
+        sig = gen_dataset_b(seed=4, T=48)[0].data[::40]
+    target = ApproxTarget.soft_only() if integer else ApproxTarget()
+    h, s = target_traces(target, sig, integer)
+    assert h.shape == s.shape == (sig.shape[0], len(target.channels), sig.shape[2])
+    for c, (mode, tau_m) in enumerate(target.channels):
+        cfg = NeuronConfig.lif(tau_m, mode, v_th=target.v_th)
+        s_c, h_c, _ = step_fold(LifNeuron(cfg), sig)
+        assert h[:, c].tobytes() == h_c[:, 0].tobytes()
+        want = fire_counts(h_c[:, 0], 4)[1] if integer else s_c[:, 0]
+        assert s[:, c].tobytes() == want.tobytes()
+    assert 0.01 < np.mean(s > 0) < 0.99
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 16), (3, 16), (3, 0, 16), (1, 3, 1, 16)])
+def test_target_traces_rejects_signals_that_are_not_n_by_1_by_t(shape):
+    # an (n, 2, T) signal used to trace both rows and keep only row 0
+    with pytest.raises(ShapeMismatch):
+        target_traces(ApproxTarget(), np.zeros(shape))
+
+
+def test_integer_targets_check_soft_reset_before_any_fold(monkeypatch):
+    calls = []
+    monkeypatch.setattr(approx, "_lif_fold", lambda *args: calls.append(args))
+    target = ApproxTarget(channels=(("soft", 2.0), ("hard", 2.0)))
+    with pytest.raises(ValueError, match="soft reset only"):
+        target_traces(target, gen_dataset_a(2, T=8, seed=0).data, integer=True)
+    assert calls == []
+
+
 def test_approx_training_reduces_loss_and_is_deterministic():
     cfg = TrainConfig(epochs=2, seed=0)
     r1 = run_approx_experiment("a", cfg=cfg, n_train=120, n_test=40)
@@ -174,21 +212,23 @@ def _approx_call(dataset, integer):
                           n_train=40, n_test=8, integer=integer, T=32)
 
 
-@pytest.mark.parametrize("dataset, integer, channels", [
-    ("a", False, 6), ("a", True, 3), ("b", False, 6), ("b", True, 3)],
+@pytest.mark.parametrize("dataset, integer, folds", [
+    ("a", False, 2), ("a", True, 1), ("b", False, 2), ("b", True, 1)],
     ids=["a-binary", "a-integer", "b-binary", "b-integer"])
-def test_approx_folds_each_target_once(monkeypatch, dataset, integer, channels):
-    # one LIF fold per target channel over train and test signals together,
-    # not one per split
-    folds = []
+def test_approx_folds_each_target_once(monkeypatch, dataset, integer, folds):
+    # one LIF kernel call per reset mode, its channels as lanes, over train
+    # and test signals together, not one per channel or per split
+    calls = []
 
-    def advance(self, *args):
-        folds.append(self.name)
-        return Neuron._advance(self, *args)
+    def fold(frames, v, cfg, beta=None):
+        calls.append((cfg.reset_mode, v.shape))
+        return _lif_fold(frames, v, cfg, beta)
 
-    monkeypatch.setattr(LifNeuron, "_advance", advance)
+    monkeypatch.setattr(approx, "_lif_fold", fold)
     _approx_call(dataset, integer)
-    assert len(folds) == channels
+    assert len(calls) == folds
+    assert [mode for mode, _ in calls] == (["soft"] if integer else ["hard", "soft"])
+    assert all(shape[1] == 3 for _, shape in calls)
 
 
 @pytest.mark.parametrize("dataset, integer", [("a", False), ("b", True)],
