@@ -10,9 +10,10 @@ name to a model; the CLI (bench included) and the tasks all build through
 it.
 ``Neuron._advance`` is the one multi-frame serial path, behind both
 ``advance`` and ``trace`` for every kind that can step: for LIF/IF the
-block kernel ``_lif_fold``, a few whole-row ufuncs a frame, and for DSN and
-sliding PSN a cache-sized sub-block of frames at a time, each equal to the
-fold of ``step`` bit for bit.  Full and masked PSN
+block kernel ``_lif_fold``, a few whole-row ufuncs a frame from
+``FLOAT_LOOP_LANES`` lanes on and a Python-float loop per lane below, and
+for DSN and sliding PSN a cache-sized sub-block of frames at a time, each
+equal to the fold of ``step`` bit for bit.  Full and masked PSN
 have no serial mode: their ``step``, ``advance`` and ``trace`` raise
 StepUnavailable.  Folding ``step`` over time and calling ``sequence``
 produce the same spikes wherever both exist.
@@ -32,7 +33,8 @@ Models:
   sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via
   ``dsn_membrane`` (conv, decay and scan as one taped op), serial via an
   O(C*k) window of the last k-1 inputs; untaped ``sequence`` takes the
-  serial block path from ``SEQUENCE_ADVANCE_LANES`` lanes on.
+  serial block path from ``SEQUENCE_ADVANCE_LANES`` lanes on and up to
+  ``SEQUENCE_ADVANCE_T`` frames.
 * ``PsnNeuron`` -- the learnable time-by-time weight family: full (dense,
   non-causal), masked (banded lower-triangular) and sliding (k shared
   weights).  Full/masked are locked to their training length and raise
@@ -113,9 +115,10 @@ def _lif_fold(frames: np.ndarray, v: np.ndarray, cfg: NeuronConfig, beta=None):
     lanes too: a (C,) vector of betas runs C channels of one (n, 1) signal
     as n x C lanes; ``cfg`` gives the leak, threshold and reset.  The drive
     (1 - beta) x (x for IF) is one op over the whole block, into the buffer
-    that S = [H >= v_th] overwrites in one op after the fold; in between,
-    each frame is a few ``out=`` ufuncs on one flat row of lanes, with
-    read-only 0-d scalar operands (``_lif_membranes``).  ``step`` fires on
+    that S = [H >= v_th] overwrites in one op after the fold; in between
+    runs the frame loop, ``_lif_membranes``: a few ``out=`` ufuncs a frame
+    on one flat row of lanes, or below ``FLOAT_LOOP_LANES`` lanes one loop
+    on Python floats per lane.  ``step`` fires on
     heaviside(H - v_th), the same test for a finite v_th: a difference of
     two floats rounds to zero only when they are equal (subnormals are
     kept), never across zero, and NaN fails both.  Non-finite frames raise
@@ -145,22 +148,31 @@ def _lif_membranes(drive: np.ndarray, h_all: np.ndarray, v: np.ndarray,
     """The frame loop of ``_lif_fold``: H into h_all from the drive, and the
     final membrane, each element rounded as in ``step``.
 
-    H_t = beta V + drive_t (V + x_t for IF), never in place: numpy resolves
-    an output that is also an input of one element through a copy, which
-    made a 1-lane frame about 1.5 us slower.  The resets select, per lane,
-    between two values that round as the step's do: soft reset's
-    H - v_th S is H - v_th where H fires and H - 0.0 = H elsewhere, and hard
-    reset's H (1 - S) + v_reset S is H + v_reset 0.0 elsewhere (which turns
-    a -0.0 membrane into +0.0 when v_reset is not negative, as the step
-    does) and H 0.0 + v_reset where H fires.  For a finite H that is the
-    constant 0.0 + v_reset; the one firing H that is not finite, +inf,
-    gives NaN, so ``_lif_fold`` reruns a hard-reset block in which H
-    overflowed with ``overflowed`` set, which computes H 0.0 + v_reset.
+    Below ``FLOAT_LOOP_LANES`` lanes each lane runs on Python floats
+    (``_float_membranes``), where a frame's few ufunc calls would cost more
+    than its arithmetic; from there on, each frame is a few ufuncs over the
+    whole row.  H_t = beta V + drive_t (V + x_t for IF), never in place.
+    The resets select, per lane, between two values that round as the
+    step's do: soft reset's H - v_th S is H - v_th where H fires and
+    H - 0.0 = H elsewhere, and hard reset's H (1 - S) + v_reset S is
+    H + v_reset 0.0 elsewhere (which turns a -0.0 membrane into +0.0 when
+    v_reset is not negative, as the step does) and H 0.0 + v_reset where H
+    fires.  For a finite H that is the constant 0.0 + v_reset; the one
+    firing H that is not finite, +inf, gives NaN, so ``_lif_fold`` reruns a
+    hard-reset block in which H overflowed with ``overflowed`` set, which
+    computes H 0.0 + v_reset (the float loop always does, so its rerun
+    repeats the same values).
     """
     T, lanes = drive.shape[0], v.shape
+    v = np.array(v, dtype=float).reshape(-1)
+    if v.size < FLOAT_LOOP_LANES:
+        drive, h_all = drive.reshape(T, v.size), h_all.reshape(T, v.size)
+        betas = np.broadcast_to(_ONE if cfg.leak == "if" else beta, v.shape).tolist()
+        for i, b in enumerate(betas):
+            h_all[:, i], v[i] = _float_membranes(drive[:, i].tolist(), v.item(i), b, cfg)
+        return v.reshape(lanes)
     reset, v_th, v_reset = cfg.reset_mode, nm._constant(cfg.v_th), nm._constant(cfg.v_reset)
     kept, fired_v = nm._constant(cfg.v_reset * 0.0), nm._constant(0.0 + cfg.v_reset)
-    v = np.array(v, dtype=float).reshape(-1)
     tmp, mask = np.empty(v.shape), np.empty(v.shape, dtype=bool)
     for d, h in zip(drive.reshape(T, v.size), h_all.reshape(T, v.size)):
         if cfg.leak == "lif":
@@ -182,6 +194,26 @@ def _lif_membranes(drive: np.ndarray, h_all: np.ndarray, v: np.ndarray,
     return (v.copy() if reset == NONE else v).reshape(lanes)
 
 
+def _float_membranes(drive: list, v: float, beta: float, cfg: NeuronConfig):
+    """(H list, final V) of one lane of ``_lif_membranes`` on Python floats,
+    IEEE doubles rounded once per operation as each ufunc is.  H_t =
+    beta V + drive_t, with beta 1.0 for IF (1.0 V is V, bit for bit); a hard
+    reset of a firing H is H 0.0 + v_reset, the step's own form, which is
+    0.0 + v_reset for a finite H and NaN for +inf."""
+    v_th, v_reset, kept, reset = cfg.v_th, cfg.v_reset, cfg.v_reset * 0.0, cfg.reset_mode
+    hs = []
+    for d in drive:
+        h = beta * v + d
+        hs.append(h)
+        if reset == NONE:
+            v = h
+        elif reset == SOFT:
+            v = h if h < v_th else h - v_th
+        else:
+            v = h * 0.0 + v_reset if h >= v_th else h + kept
+    return hs, v
+
+
 def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray,
               g: np.ndarray) -> np.ndarray:
     """dL/dx from dL/dS, with the surrogate standing in for dS/dH.
@@ -196,8 +228,10 @@ def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray
     dL/dH is built in place in the buffer of g sg', one multiply-add a step
     (the step's leak multiply first for LIF), and scaled by 1 - beta once
     after the loop; the x1 multiplies of no reset and of IF are skipped,
-    since they change no bits.  ``tests/oracles.lif_bptt`` is the per-step
-    form this equals bit for bit.
+    since they change no bits.  The reverse loop takes the lane route of
+    ``_lif_membranes``: below ``FLOAT_LOOP_LANES`` lanes it runs per lane on
+    Python floats (``_float_bptt``), else on whole rows.
+    ``tests/oracles.lif_bptt`` is the per-step form this equals bit for bit.
     """
     sgp = surrogate_grad(sg, np.subtract(h, cfg.v_th))
     dh = np.multiply(g, sgp, out=np.empty(h.shape))
@@ -210,18 +244,38 @@ def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray
     else:
         dv_dh = None
     leaky = cfg.leak == "lif"
-    leak = nm._constant(cfg.beta)
-    dv, term = np.zeros(h.shape[1:]), np.empty(h.shape[1:])
-    for t in range(h.shape[0] - 1, -1, -1):
-        row = dh[t]
-        np.add(row, dv if dv_dh is None else np.multiply(dv, dv_dh[t], out=term), out=row)
-        if leaky:
-            np.multiply(row, leak, out=dv)
-        else:
-            dv = row
+    T, lanes = h.shape[0], math.prod(h.shape[1:])
+    if lanes < FLOAT_LOOP_LANES:
+        rows = dh.reshape(T, lanes)[::-1]  # reverse time
+        gains = np.ones(rows.shape) if dv_dh is None else dv_dh.reshape(T, lanes)[::-1]
+        for i in range(lanes):
+            rows[:, i] = _float_bptt(rows[:, i].tolist(), gains[:, i].tolist(),
+                                     cfg.beta if leaky else 1.0)
+    else:
+        leak = nm._constant(cfg.beta)
+        dv, term = np.zeros(h.shape[1:]), np.empty(h.shape[1:])
+        for t in range(T - 1, -1, -1):
+            row = dh[t]
+            np.add(row, dv if dv_dh is None else np.multiply(dv, dv_dh[t], out=term), out=row)
+            if leaky:
+                np.multiply(row, leak, out=dv)
+            else:
+                dv = row
     if leaky:
         np.multiply(dh, nm._constant(1.0 - cfg.beta), out=dh)
     return dh
+
+
+def _float_bptt(dh: list, dv_dh: list, leak: float) -> list:
+    """dL/dH of one lane in reverse time on Python floats: dh_t +
+    dL/dV_t dV_t/dH_t, then dL/dV_{t-1} = leak dL/dH_t, with dV/dH 1.0
+    without reset and leak 1.0 for IF (1.0 y is y, bit for bit)."""
+    dv, out = 0.0, []
+    for d, q in zip(dh, dv_dh):
+        d = d + dv * q
+        out.append(d)
+        dv = d * leak
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +381,9 @@ def _finite_input(x: np.ndarray) -> None:
 #   vs 82, 512 lanes 124 vs 85, 1024 lanes 228 vs 120.
 STEP_LOOP_LANES = 512
 
+# Lanes below which the LIF/IF kernel loops on Python floats (BENCH_lif_narrow.json).
+FLOAT_LOOP_LANES = 8
+
 # Lanes (B*C) from which untaped ``DsnNeuron.sequence`` runs the serial
 # block path (``advance`` from ``init_state``) instead of ``dsn_membrane``
 # and ``clip_round``: the scan folds each 64-lane tile row by row, while a
@@ -342,6 +399,8 @@ STEP_LOOP_LANES = 512
 #   128 lanes 311 vs 163, 256 lanes 894 vs 475, 1024 lanes 3377 vs 1368,
 #   2048 lanes 6267 vs 3429.
 SEQUENCE_ADVANCE_LANES = 64
+# Frames up to which it does so at any lane count (BENCH_dsn_eval_route.json).
+SEQUENCE_ADVANCE_T = 256
 
 
 def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
@@ -869,7 +928,8 @@ class Neuron:
     * ``sequence`` -- the offline map of a whole sequence: ``forward`` where
       ``supports_parallel``, otherwise ParallelUnavailable; the DSN runs its
       serial block path instead for untaped input from
-      ``SEQUENCE_ADVANCE_LANES`` lanes on, where that is faster;
+      ``SEQUENCE_ADVANCE_LANES`` lanes on or up to ``SEQUENCE_ADVANCE_T``
+      frames, where that is faster;
     * ``weights``/``with_weights`` -- the named trainable tensors, and the
       same neuron (hyperparameters unchanged) over given tensors, taped or
       not, so a training loop can leaf them onto its tape;
@@ -990,14 +1050,8 @@ class LifNeuron(Neuron):
 
     def _advance(self, state, x, membranes: bool):
         """``_lif_fold`` over the block's time-major frames from the (B, C)
-        membrane state, with this neuron's config.
-
-        Measured as lif-hard ``trace`` on a 2-core Xeon, float64, one BLAS
-        thread, the fold of ``step`` it replaced against the kernel, median
-        over 9 alternating processes of each one's median of 7 calls
-        (``BENCH_lif_fold.json``), in ms: 28.6 against 12.1 at 1x16x2048,
-        5.2 against 3.3 at 4x256x128 and 267 against 91 at 1x1x20000.
-        """
+        membrane state, with this neuron's config (timed against the step
+        fold in ``BENCH_lif_fold.json`` and ``BENCH_lif_narrow.json``)."""
         h, s, v = _lif_fold(_block_frames(x, state.shape), state, self.cfg)
         return s, h if membranes else None, v
 
@@ -1080,9 +1134,10 @@ class DsnNeuron(Neuron):
     ``forward`` is the taped parallel pass (``dsn_membrane``, then
     ``clip_round``); ``step`` and ``_advance`` are serial inference.
     ``sequence`` takes whichever of the two is faster: ``forward`` below
-    ``SEQUENCE_ADVANCE_LANES`` lanes (B*C) and wherever the input or a
-    weight is taped, ``advance`` from ``init_state`` from there on.  The
-    spikes are the same either way.
+    ``SEQUENCE_ADVANCE_LANES`` lanes (B*C) over more than
+    ``SEQUENCE_ADVANCE_T`` frames and wherever the input or a weight is
+    taped, ``advance`` from ``init_state`` elsewhere.  The spikes are the
+    same either way.
     """
 
     def __init__(self, params: DsnParams):
@@ -1190,12 +1245,14 @@ class DsnNeuron(Neuron):
 
     def sequence(self, x) -> Tensor:
         """Spikes over (B, C, T) input; from ``SEQUENCE_ADVANCE_LANES``
-        lanes on, with no taped input or weight, the (B, C, T) view of the
-        time-major spikes of ``advance`` from ``init_state``."""
+        lanes on or up to ``SEQUENCE_ADVANCE_T`` frames, with no taped input
+        or weight, the (B, C, T) view of the time-major spikes of
+        ``advance`` from ``init_state``."""
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         if (nm._shared_tape(x, *self.weights().values())[0] is not None
                 or data.ndim != 3
-                or data.shape[0] * data.shape[1] < SEQUENCE_ADVANCE_LANES):
+                or (data.shape[0] * data.shape[1] < SEQUENCE_ADVANCE_LANES
+                    and data.shape[2] > SEQUENCE_ADVANCE_T)):
             return self.forward(x)
         s, _ = self.advance(self.init_state(data.shape[0], data.shape[1]), data)
         return Tensor._attach(s, None, None)

@@ -37,7 +37,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     """Write named arrays; values are converted to float64."""
     buf = bytearray(MAGIC)
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        arr = np.asarray(arr, dtype="<f8")  # rank 0 stays rank 0
         encoded = name.encode("utf-8")
         buf += struct.pack("<I", len(encoded))
         buf += encoded

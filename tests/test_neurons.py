@@ -17,6 +17,7 @@ from spikescan.neurons import (NEURON_KINDS, DsnNeuron, DsnParams, DsnState,
                                PsnParams, dsn_forward_parallel, make_neuron,
                                psn_forward)
 from spikescan.numerics import ArcTangent, Rectangular, StraightThrough, Tape, Tensor
+from spikescan.props import check_long_control
 
 
 def test_lif_step_hand_evaluated():
@@ -406,8 +407,8 @@ def test_fused_membrane_rejects_non_finite_values(monkeypatch, where):
 
 
 # ---------------------------------------------------------------------------
-# untaped ``DsnNeuron.sequence``: the scan below SEQUENCE_ADVANCE_LANES lanes,
-# the block path from there on
+# untaped ``DsnNeuron.sequence``: the scan below SEQUENCE_ADVANCE_LANES lanes
+# over more than SEQUENCE_ADVANCE_T frames, the block path elsewhere
 
 
 def _sequence_path(monkeypatch, neuron, x) -> tuple[Tensor, str]:
@@ -423,17 +424,20 @@ def _sequence_path(monkeypatch, neuron, x) -> tuple[Tensor, str]:
     return s, taken[0]
 
 
-# (B, C, T, k, mix): lanes on both sides of the crossover (64), a lane count
-# that is no multiple of 64, a channel mix, T = 0, T = 1 and T < k
+# (B, C, T, k, mix): lanes on both sides of the lane crossover (64) above
+# the frame crossover (256), T on both sides of it below 64 lanes, a lane
+# count that is no multiple of 64, a channel mix, T = 0, T = 1 and T < k
 DSN_ROUTE_CASES = {
     "scan": (2, 31, 300, 4, False),
     "advance": (2, 32, 300, 4, False),
     "advance-201-lanes": (3, 67, 300, 4, False),
     "scan-mix": (3, 8, 300, 4, True),
     "advance-mix": (4, 16, 300, 5, True),
+    "scan-T257": (1, 6, 257, 4, False),
+    "advance-T256": (1, 6, 256, 4, False),
     "advance-T0": (2, 40, 0, 4, False),
     "advance-T1": (2, 40, 1, 4, False),
-    "scan-T-below-k": (1, 6, 2, 4, False),
+    "advance-6-lanes-T-below-k": (1, 6, 2, 4, False),
     "advance-T-below-k": (2, 40, 2, 4, True),
 }
 
@@ -453,18 +457,18 @@ def test_sequence_spikes_equal_the_parallel_pass_on_either_path(monkeypatch, cas
         assert np.any((s.data == 0.0) & np.signbit(s.data))
 
 
-@pytest.mark.parametrize("lanes", [(1, 8), (4, 16)], ids=["scan", "advance"])
-def test_sequence_rejects_bad_input_on_either_path(lanes):
-    B, C = lanes
+@pytest.mark.parametrize("shape", [(1, 8, 300), (4, 16, 50)], ids=["scan", "advance"])
+def test_sequence_rejects_bad_input_on_either_path(shape):
+    B, C, T = shape
     neuron = make_neuron("dsn", channels=C, seed=2)
-    x = np.random.default_rng(46).normal(size=(B, C, 50))
-    x[B - 1, C - 1, 40] = np.nan
+    x = np.random.default_rng(46).normal(size=shape)
+    x[B - 1, C - 1, T - 10] = np.nan
     with pytest.raises(NonFiniteError):
         neuron.sequence(x)
     with pytest.raises(ShapeMismatch):
-        neuron.sequence(np.zeros((B, C + 1, 50)))
+        neuron.sequence(np.zeros((B, C + 1, T)))
     with pytest.raises(ShapeMismatch):
-        neuron.sequence(np.zeros((B * C, 50)))
+        neuron.sequence(np.zeros((B * C, T)))
 
 
 def test_taped_sequence_stays_on_the_taped_pass():
@@ -920,6 +924,90 @@ def test_in_place_lif_bptt_equals_the_per_step_oracle(name, sg):
         want = lif_bptt(*args)
         got = neurons._lif_bptt(*args)
         assert got.tobytes() == want.tobytes()
+
+
+def _both_loops(monkeypatch, run):
+    """run() on Python floats and on whole-row ufuncs, the lane route forced
+    each way through ``FLOAT_LOOP_LANES``."""
+    out = []
+    for lanes in (10 ** 9, 0):
+        monkeypatch.setattr(neurons, "FLOAT_LOOP_LANES", lanes)
+        out.append(run())
+    return out
+
+
+FLOAT_ROUTE_LANES = range(1, neurons.FLOAT_LOOP_LANES + 2)
+
+
+@pytest.mark.parametrize("start", ["rest", "negative-zero"])
+@pytest.mark.parametrize("name", list(LIF_KERNEL_CFGS))
+def test_float_loop_equals_the_numpy_loop_bit_for_bit(monkeypatch, name, start):
+    cfg = LIF_KERNEL_CFGS[name]
+    rng = np.random.default_rng(66)
+    for n in FLOAT_ROUTE_LANES:
+        frames = _kernel_input((1, n, 150), cfg, n).transpose(2, 0, 1)
+        v0 = np.full((1, n), 0.0 if start == "rest" else -0.0)
+        betas = [None]
+        if cfg.leak == "lif":  # per-lane betas, 0.0 among them
+            betas.append(np.concatenate(([0.0], rng.uniform(0.0, 0.99, n - 1))))
+        for beta in betas:
+            got, want = _both_loops(monkeypatch, lambda: neurons._lif_fold(frames, v0, cfg, beta))
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (n, beta)
+            assert _owns_its_memory(got[2]) and np.all(np.signbit(v0) == (start != "rest"))
+
+
+@pytest.mark.parametrize("sg", [Rectangular(), ArcTangent()], ids=["rect", "atan"])
+@pytest.mark.parametrize("name", list(LIF_KERNEL_CFGS))
+def test_float_bptt_equals_the_numpy_loop_and_the_oracle(monkeypatch, name, sg):
+    cfg = LIF_KERNEL_CFGS[name]
+    rng = np.random.default_rng(67)
+    for n in FLOAT_ROUTE_LANES:
+        x = _kernel_input((1, n, 150), cfg, n)
+        g = rng.normal(size=x.shape)
+        g[rng.random(x.shape) < 0.2] = -0.0
+        s, h = LifNeuron(cfg, sg).trace(x)
+        args = (cfg, sg, s.transpose(2, 0, 1), h.transpose(2, 0, 1), g.transpose(2, 0, 1))
+        got, want = _both_loops(monkeypatch, lambda: neurons._lif_bptt(*args))
+        assert got.tobytes() == want.tobytes() == lif_bptt(*args).tobytes(), n
+
+
+@pytest.mark.parametrize("x_t", [9e307, -9e307])
+@pytest.mark.parametrize("reset", ["hard", "soft", "none"])
+def test_float_loop_equals_the_step_fold_where_one_lane_overflows(monkeypatch, reset, x_t):
+    cfg = NeuronConfig.integrate_fire(reset, v_th=1e308, v_reset=-2.0)
+    x = np.full((1, 1, 12), x_t)
+    x[0, 0, 5] = 1.0
+    with np.errstate(all="ignore"):
+        s_fold, h_fold, v_fold = step_fold(LifNeuron(cfg), x)
+        folds = _both_loops(monkeypatch, lambda: neurons._lif_fold(
+            x.transpose(2, 0, 1), np.zeros((1, 1)), cfg))
+        args = (cfg, Rectangular(), folds[0][1], folds[0][0], np.ones((12, 1, 1)))
+        grads = _both_loops(monkeypatch, lambda: neurons._lif_bptt(*args))
+        want_grad = lif_bptt(*args)
+    assert np.any(np.isinf(h_fold))
+    for h, s, v in folds:
+        assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
+        assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
+        assert v.tobytes() == v_fold.tobytes()
+    assert grads[0].tobytes() == grads[1].tobytes() == want_grad.tobytes()
+
+
+def test_divergence_run_takes_the_float_loop_and_16_lanes_do_not(monkeypatch):
+    calls = []
+    float_loop = neurons._float_membranes
+
+    def spy(drive, *rest):
+        calls.append(len(drive))
+        return float_loop(drive, *rest)
+
+    monkeypatch.setattr(neurons, "_float_membranes", spy)
+    verdict = check_long_control(make_neuron("if-soft"), 2.0)
+    assert not verdict.holds and verdict.detail["steps"] == 20_000
+    assert calls == [1024] * 20  # one lane, one call per block
+    calls.clear()
+    neurons._lif_fold(np.ones((50, 1, 16)), np.zeros((1, 16)), NeuronConfig.integrate_fire("soft"))
+    assert not calls
 
 
 def _taped_forward(neuron, x, w):

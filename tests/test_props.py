@@ -451,9 +451,11 @@ class _LateBlocks(DsnNeuron):
 
 
 def test_conditions_table_fails_a_block_path_unlike_step():
+    # at T = 16 and 32 untaped ``sequence`` runs the block path too, so the
+    # rolled spikes also break condition 1's prefix equality
     neuron = _LateBlocks(make_neuron("dsn", channels=3, seed=0).params)
     table = check_conditions_table(neuron)
-    assert table == {"condition1": True, "condition2": False, "condition3": False}
+    assert table == {"condition1": False, "condition2": False, "condition3": False}
 
 
 def test_condition3_runs_the_parallel_pass_at_any_width(monkeypatch):

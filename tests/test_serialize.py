@@ -68,6 +68,32 @@ def _valid_container(tmp_path):
     return path, path.read_bytes()
 
 
+def test_rank_zero_array_roundtrips_as_rank_zero(tmp_path):
+    path = tmp_path / "scalar.spkn"
+    save_tensors(path, {"s": np.array(-2.5)})
+    assert path.read_bytes() == (MAGIC + struct.pack("<I", 1) + b"s" + struct.pack("<I", 0)
+                                 + struct.pack("<d", -2.5))
+    loaded = load_tensors(path)["s"]
+    assert loaded.shape == () and loaded == -2.5
+
+
+def test_damaged_container_with_a_rank_zero_record_roundtrips_byte_for_byte(tmp_path):
+    # _valid_container with its scalar stored as shape (1,): XOR 8 on byte 62,
+    # the first byte of that record's name length (6 -> 14), makes the name
+    # swallow the rank and half the extent, and the extent's zero upper half
+    # becomes a rank of 0
+    rng = np.random.default_rng(7)
+    path = tmp_path / "rank1.spkn"
+    save_tensors(path, {"m": rng.normal(size=(2, 2)), "scalar": np.array([1.5]),
+                        "vec": rng.normal(size=3), "é": np.zeros((2, 0, 3))})
+    damaged = bytearray(path.read_bytes())
+    damaged[62] ^= 8
+    path.write_bytes(bytes(damaged))
+    name = "scalar" + struct.pack("<I", 1).decode() + struct.pack("<I", 1).decode()
+    assert load_tensors(path)[name].shape == ()
+    _roundtrips_or_corrupt(path, bytes(damaged))
+
+
 @pytest.mark.parametrize("cut", [7, 10, 14, 20])
 def test_cut_inside_a_header_is_corrupt(tmp_path, cut):
     path, raw = _valid_container(tmp_path)
