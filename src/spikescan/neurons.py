@@ -13,7 +13,12 @@ it.
 block kernel ``_lif_fold``, a few whole-row ufuncs a frame from
 ``FLOAT_LOOP_LANES`` lanes on and a Python-float loop per lane below, and
 for DSN and sliding PSN a cache-sized sub-block of frames at a time, each
-equal to the fold of ``step`` bit for bit.  Full and masked PSN
+equal to the fold of ``step`` bit for bit.  A leaky fold of few lanes
+over many frames, and its BPTT, run parallel over time: every time block
+at once from a guessed start, then repaired from the block before until
+it merges with its first run bit for bit (``_merge_blocks``), which a
+leak makes happen within about as many frames as beta^n takes to fall
+below 2^-53.  Full and masked PSN
 have no serial mode: their ``step``, ``advance`` and ``trace`` raise
 StepUnavailable.  Folding ``step`` over time and calling ``sequence``
 produce the same spikes wherever both exist.
@@ -27,7 +32,8 @@ Models:
   reverse-time BPTT backward) and the approx task's targets, a bank of
   channels as lanes of one call per reset mode, all run it.  Only the
   no-reset variant, a linear recurrence, has a parallel path, through the
-  scan.
+  scan; with a leak, the kernel's frame loops run time blocks side by
+  side instead (``_time_blocks``).
 * ``DsnNeuron`` -- reset-free neuron whose decay is produced per step from
   the last k inputs by a depthwise causal convolution and a sharpened
   sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via
@@ -116,90 +122,153 @@ def _lif_fold(frames: np.ndarray, v: np.ndarray, cfg: NeuronConfig, beta=None):
     as n x C lanes; ``cfg`` gives the leak, threshold and reset.  The drive
     (1 - beta) x (x for IF) is one op over the whole block, into the buffer
     that S = [H >= v_th] overwrites in one op after the fold; in between
-    runs the frame loop, ``_lif_membranes``: a few ``out=`` ufuncs a frame
-    on one flat row of lanes, or below ``FLOAT_LOOP_LANES`` lanes one loop
-    on Python floats per lane.  ``step`` fires on
-    heaviside(H - v_th), the same test for a finite v_th: a difference of
-    two floats rounds to zero only when they are equal (subnormals are
-    kept), never across zero, and NaN fails both.  Non-finite frames raise
-    NonFiniteError.  V, the final membrane, owns its memory, and v is not
-    modified.
+    runs the frame loop, ``_lif_membranes``.  Where that loop cuts time
+    into blocks (``_time_blocks``), the drive and H buffers run on to a
+    whole number of blocks, through frames of zero drive past T whose H is
+    dropped.  The final membrane V is the reset of the last H
+    (``_lif_reset``).  ``step`` fires on heaviside(H - v_th), the same test
+    for a finite v_th: a difference of two floats rounds to zero only when
+    they are equal (subnormals are kept), never across zero, and NaN fails
+    both.  Frames of shape (T, B, C) are gathered a tile of lanes at a
+    time (``_gather``), any other shape broadcast.  Non-finite frames raise
+    NonFiniteError.  V owns its memory, and v is not modified.
     """
-    drive = np.empty((frames.shape[0],) + v.shape)
-    if frames.shape == drive.shape:
-        _gather(drive, frames)
-    else:
-        drive[...] = frames
-    _finite_input(drive)
+    T = frames.shape[0]
     if cfg.leak == "lif":
         beta = cfg.beta if beta is None else np.asarray(beta, dtype=float)
+    blocks, n = _time_blocks(T, v.size, cfg, beta)
+    drive = np.empty((blocks * n,) + v.shape)
+    live = drive[:T]
+    if frames.ndim == 3 and frames.shape == live.shape:
+        _gather(live, frames)
+    else:
+        live[...] = frames
+    drive[T:] = 0.0
+    _finite_input(live)
+    if cfg.leak == "lif":
         np.multiply(drive, np.subtract(_ONE, beta), out=drive)
         beta = (nm._constant(beta) if np.ndim(beta) == 0
                 else np.broadcast_to(beta, v.shape).reshape(-1))
-    h = np.empty(drive.shape)
-    v_end = _lif_membranes(drive, h, v, cfg, beta, False)
-    if cfg.reset_mode == HARD and np.isposinf(h).any():
-        v_end = _lif_membranes(drive, h, v, cfg, beta, True)
-    return h, np.greater_equal(h, nm._constant(cfg.v_th), out=drive), v_end
+    h_all = np.empty(drive.shape)
+    h = h_all[:T]
+    _lif_membranes(drive, h_all, v, cfg, beta, blocks, False)
+    overflowed = cfg.reset_mode == HARD and bool(np.isposinf(h).any())
+    if overflowed:
+        _lif_membranes(drive, h_all, v, cfg, beta, blocks, True)
+    v = _reset_copy(h[-1:].reshape(v.shape), cfg, overflowed) if T else np.array(v, dtype=float)
+    return h, np.greater_equal(h, nm._constant(cfg.v_th), out=live), v
 
 
 def _lif_membranes(drive: np.ndarray, h_all: np.ndarray, v: np.ndarray,
-                   cfg: NeuronConfig, beta, overflowed: bool) -> np.ndarray:
-    """The frame loop of ``_lif_fold``: H into h_all from the drive, and the
-    final membrane, each element rounded as in ``step``.
+                   cfg: NeuronConfig, beta, blocks: int, overflowed: bool) -> None:
+    """The frame loop of ``_lif_fold``: H into h_all from the drive and the
+    membrane v, each element rounded as in ``step``, on one of three routes.
 
-    Below ``FLOAT_LOOP_LANES`` lanes each lane runs on Python floats
-    (``_float_membranes``), where a frame's few ufunc calls would cost more
-    than its arithmetic; from there on, each frame is a few ufuncs over the
-    whole row.  H_t = beta V + drive_t (V + x_t for IF), never in place.
-    The resets select, per lane, between two values that round as the
-    step's do: soft reset's H - v_th S is H - v_th where H fires and
-    H - 0.0 = H elsewhere, and hard reset's H (1 - S) + v_reset S is
-    H + v_reset 0.0 elsewhere (which turns a -0.0 membrane into +0.0 when
-    v_reset is not negative, as the step does) and H 0.0 + v_reset where H
-    fires.  For a finite H that is the constant 0.0 + v_reset; the one
-    firing H that is not finite, +inf, gives NaN, so ``_lif_fold`` reruns a
-    hard-reset block in which H overflowed with ``overflowed`` set, which
-    computes H 0.0 + v_reset (the float loop always does, so its rerun
-    repeats the same values).
+    * Below ``FLOAT_LOOP_LANES`` lanes, where a frame's few ufunc calls
+      would cost more than its arithmetic: a loop on Python floats per
+      lane (``_float_membranes``).
+    * One block from there on: ``_lif_frames``, a few ufuncs a frame over
+      the row of all lanes.
+    * Several blocks (leaky neurons only, ``_time_blocks``): the frame axis
+      is cut into that many blocks of equal length, and the same loop runs
+      frame j of every block as one (blocks x lanes) row, block 0 from v
+      and the others from v as a guess; ``_merge_blocks`` then repairs
+      each block from the end state of the one before it until H agrees
+      bit for bit.  A frame's H and V depend only on the V before it and
+      that frame's drive, so a block whose H agrees with its repair at one
+      frame is exact from there on, and a block that started from an exact
+      state is exact throughout: the result equals the one-block loop in
+      every case.  A leak shrinks a wrong start by beta each frame until
+      it is rounded away, so blocks agree after about as many frames as
+      beta^n takes to fall below 2^-53.  Without a leak (IF) a wrong start
+      is never forgotten, so IF keeps one block.
     """
-    T, lanes = drive.shape[0], v.shape
+    frames, lanes = drive.shape[0], v.size
     v = np.array(v, dtype=float).reshape(-1)
-    if v.size < FLOAT_LOOP_LANES:
-        drive, h_all = drive.reshape(T, v.size), h_all.reshape(T, v.size)
+    if lanes < FLOAT_LOOP_LANES:
+        drive, h_all = drive.reshape(frames, lanes), h_all.reshape(frames, lanes)
         betas = np.broadcast_to(_ONE if cfg.leak == "if" else beta, v.shape).tolist()
         for i, b in enumerate(betas):
-            h_all[:, i], v[i] = _float_membranes(drive[:, i].tolist(), v.item(i), b, cfg)
-        return v.reshape(lanes)
-    reset, v_th, v_reset = cfg.reset_mode, nm._constant(cfg.v_th), nm._constant(cfg.v_reset)
-    kept, fired_v = nm._constant(cfg.v_reset * 0.0), nm._constant(0.0 + cfg.v_reset)
-    tmp, mask = np.empty(v.shape), np.empty(v.shape, dtype=bool)
-    for d, h in zip(drive.reshape(T, v.size), h_all.reshape(T, v.size)):
-        if cfg.leak == "lif":
-            np.add(np.multiply(beta, v, out=tmp), d, out=h)
-        else:
-            np.add(v, d, out=h)
-        if reset == HARD:
-            np.greater_equal(h, v_th, out=mask)
-            np.add(h, kept, out=v)
-            if overflowed:
-                fired_v = np.add(np.multiply(h, _ZERO, out=tmp), v_reset, out=tmp)
-            np.copyto(v, fired_v, where=mask)
-        elif reset == SOFT:
+            h_all[:, i] = _float_membranes(drive[:, i].tolist(), v.item(i), b, cfg)
+        return
+    run = _lif_frames(cfg, beta, overflowed)
+    drive, h_all = (a.reshape(blocks, -1, lanes).swapaxes(0, 1) for a in (drive, h_all))
+    if blocks == 1:
+        run([drive[:, 0]], h_all[:, 0], v)
+    else:
+        _merge_blocks(run, [drive], h_all, v, lambda h: _reset_copy(h, cfg, overflowed))
+
+
+def _lif_reset(cfg: NeuronConfig, overflowed: bool):
+    """reset(h, v, tmp, mask) -> V, the membrane after H = h, written into v
+    (h itself without reset), with tmp and mask scratch of h's shape.
+
+    Each selects, per lane, between two values that round as the step's
+    do: soft reset's H - v_th S is H - v_th where H fires and H - 0.0 = H
+    elsewhere, and hard reset's H (1 - S) + v_reset S is H + v_reset 0.0
+    elsewhere (which turns a -0.0 membrane into +0.0 when v_reset is not
+    negative, as the step does) and H 0.0 + v_reset where H fires.  For a
+    finite H that is the constant 0.0 + v_reset; the one firing H that is
+    not finite, +inf, gives NaN, so ``_lif_fold`` reruns a hard-reset block
+    in which H overflowed with ``overflowed`` set, which computes
+    H 0.0 + v_reset.
+    """
+    v_th, v_reset = nm._constant(cfg.v_th), nm._constant(cfg.v_reset)
+    kept, fired = nm._constant(cfg.v_reset * 0.0), nm._constant(0.0 + cfg.v_reset)
+    if cfg.reset_mode == NONE:
+        return lambda h, v, tmp, mask: h
+    if cfg.reset_mode == SOFT:
+        def soft(h, v, tmp, mask):
             np.less(h, v_th, out=mask)
             np.subtract(h, v_th, out=v)
             np.copyto(v, h, where=mask)
+            return v
+        return soft
+
+    def hard(h, v, tmp, mask):
+        np.greater_equal(h, v_th, out=mask)
+        np.add(h, kept, out=v)
+        if overflowed:
+            np.copyto(v, np.add(np.multiply(h, _ZERO, out=tmp), v_reset, out=tmp), where=mask)
         else:
-            v = h
-    return (v.copy() if reset == NONE else v).reshape(lanes)
+            np.copyto(v, fired, where=mask)
+        return v
+    return hard
 
 
-def _float_membranes(drive: list, v: float, beta: float, cfg: NeuronConfig):
-    """(H list, final V) of one lane of ``_lif_membranes`` on Python floats,
-    IEEE doubles rounded once per operation as each ufunc is.  H_t =
-    beta V + drive_t, with beta 1.0 for IF (1.0 V is V, bit for bit); a hard
-    reset of a firing H is H 0.0 + v_reset, the step's own form, which is
-    0.0 + v_reset for a finite H and NaN for +inf."""
+def _reset_copy(h: np.ndarray, cfg: NeuronConfig, overflowed: bool) -> np.ndarray:
+    """The membrane after H = h (``_lif_reset``) in memory of its own."""
+    v = _lif_reset(cfg, overflowed)(h, np.empty(h.shape), np.empty(h.shape),
+                                    np.empty(h.shape, dtype=bool))
+    return v.copy() if v is h else v
+
+
+def _lif_frames(cfg: NeuronConfig, beta, overflowed: bool):
+    """run([drive], h_all, v) -> V: H_t = beta V + drive_t (V + x_t for
+    IF), never in place, into each row of h_all, then V = the reset of H_t
+    (``_lif_reset``), from v over the frame axis of rows of any shape; v is
+    overwritten."""
+    reset, leaky = _lif_reset(cfg, overflowed), cfg.leak == "lif"
+
+    def run(ins, h_all, v):
+        tmp, mask = np.empty(v.shape), np.empty(v.shape, dtype=bool)
+        for d, h in zip(ins[0], h_all):
+            if leaky:
+                np.add(np.multiply(beta, v, out=tmp), d, out=h)
+            else:
+                np.add(v, d, out=h)
+            v = reset(h, v, tmp, mask)
+        return v
+    return run
+
+
+def _float_membranes(drive: list, v: float, beta: float, cfg: NeuronConfig) -> list:
+    """H of one lane of ``_lif_membranes`` on Python floats, IEEE doubles
+    rounded once per operation as each ufunc is.  H_t = beta V + drive_t,
+    with beta 1.0 for IF (1.0 V is V, bit for bit); a hard reset of a
+    firing H is H 0.0 + v_reset, the step's own form, which is 0.0 + v_reset
+    for a finite H and NaN for +inf, so the +inf rerun repeats the same
+    values."""
     v_th, v_reset, kept, reset = cfg.v_th, cfg.v_reset, cfg.v_reset * 0.0, cfg.reset_mode
     hs = []
     for d in drive:
@@ -211,7 +280,60 @@ def _float_membranes(drive: list, v: float, beta: float, cfg: NeuronConfig):
             v = h if h < v_th else h - v_th
         else:
             v = h * 0.0 + v_reset if h >= v_th else h + kept
-    return hs, v
+    return hs
+
+
+def _time_blocks(T: int, lanes: int, cfg: NeuronConfig, beta,
+                 max_lanes: float = math.inf) -> tuple[int, int]:
+    """(blocks, frames per block) a LIF frame loop cuts T frames of
+    ``lanes`` lanes into: (1, T), the plain loop, for IF, outside
+    [``FLOAT_LOOP_LANES``, max_lanes) lanes or where fewer than
+    ``BLOCK_MIN_COUNT`` blocks fit.  Otherwise a block is at least
+    ``BLOCK_MARGIN`` times the frames in which the largest beta's powers
+    fall below 2^-53, a frame of all blocks holds at most ``BLOCK_ROW``
+    elements (which bounds the lanes too), and the blocks are lengthened
+    to cover T with fewer padding frames than blocks."""
+    if cfg.leak != "lif" or not FLOAT_LOOP_LANES <= lanes < max_lanes:
+        return 1, T
+    top = float(np.max(beta))
+    forget = 53.0 / -math.log2(top) if top > 0.0 else 1.0
+    blocks = min(T // max(MERGE_CHECK_FRAMES, math.ceil(BLOCK_MARGIN * forget)),
+                 BLOCK_ROW // lanes)
+    return (blocks, -(-T // blocks)) if blocks >= BLOCK_MIN_COUNT else (1, T)
+
+
+def _merge_blocks(run, ins: list, out: np.ndarray, start, carry) -> None:
+    """``run`` folded over time blocks, speculated in parallel and repaired
+    until they merge, bit for bit as one fold over the blocks in order.
+
+    ins and out are (n, blocks, ...) views, frame j of every block in row
+    j.  run(ins, out, state) -> state folds the frame axis of its views
+    from state, which it may overwrite; carry(rows) is the state that
+    follows out rows, a block's last.  Block 0 runs from start, and so do
+    the others, as a guess.  Each repair pass reruns the blocks after the
+    first one not known exact, each from the carry of the block before,
+    ``MERGE_CHECK_FRAMES`` frames at a time, and stops at the first checked
+    frame whose out agrees bit for bit with the last pass in every block:
+    every later frame follows from that one alone, so from there on the
+    blocks are exact.  A pass that ends without agreeing still leaves its
+    first block exact, since that block started from an exact state, and
+    the next pass starts after it.
+    """
+    n, blocks = out.shape[:2]
+    state = np.empty(out.shape[1:])
+    state[...] = start
+    run(ins, out, state)
+    redo = np.empty((n, blocks - 1) + out.shape[2:])
+    for first in range(1, blocks):
+        later = [a[:, first:] for a in ins]
+        new, state = redo[:, :blocks - first], carry(out[-1, first - 1:-1])
+        for j in range(0, n, MERGE_CHECK_FRAMES):
+            k = min(j + MERGE_CHECK_FRAMES, n)
+            state = run([a[j:k] for a in later], new[j:k], state)
+            if np.array_equal(new[k - 1].view(np.int64), out[k - 1, first:].view(np.int64)):
+                out[:k, first:] = new[:k]
+                return
+        out[:, first:] = new
 
 
 def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray,
@@ -228,10 +350,16 @@ def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray
     dL/dH is built in place in the buffer of g sg', one multiply-add a step
     (the step's leak multiply first for LIF), and scaled by 1 - beta once
     after the loop; the x1 multiplies of no reset and of IF are skipped,
-    since they change no bits.  The reverse loop takes the lane route of
-    ``_lif_membranes``: below ``FLOAT_LOOP_LANES`` lanes it runs per lane on
-    Python floats (``_float_bptt``), else on whole rows.
-    ``tests/oracles.lif_bptt`` is the per-step form this equals bit for bit.
+    since they change no bits.  The reverse loop takes the routes of
+    ``_lif_membranes`` in reverse time: per lane on Python floats
+    (``_float_bptt``), on whole rows (``_bptt_frames``), or, where
+    ``_time_blocks`` cuts time, on rows of reverse-time blocks through
+    ``_merge_blocks``, from a copy of g sg' padded with zeros past frame 0.
+    There the state is dL/dV and the merge test is on dL/dH: two blocks
+    whose dL/dH agree at a frame agree at every earlier one.  The leak
+    scales a wrong start by beta each frame, times the dV/dH gains; IF has
+    no leak and keeps one block.  ``tests/oracles.lif_bptt`` is the
+    per-step form this equals bit for bit.
     """
     sgp = surrogate_grad(sg, np.subtract(h, cfg.v_th))
     dh = np.multiply(g, sgp, out=np.empty(h.shape))
@@ -245,25 +373,51 @@ def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray
         dv_dh = None
     leaky = cfg.leak == "lif"
     T, lanes = h.shape[0], math.prod(h.shape[1:])
+    blocks, n = _time_blocks(T, lanes, cfg, cfg.beta, BPTT_BLOCK_MAX_LANES)
+    rows = [a.reshape(T, lanes)[::-1] for a in (dh, dv_dh) if a is not None]  # reverse time
     if lanes < FLOAT_LOOP_LANES:
-        rows = dh.reshape(T, lanes)[::-1]  # reverse time
-        gains = np.ones(rows.shape) if dv_dh is None else dv_dh.reshape(T, lanes)[::-1]
+        gains = rows[1] if len(rows) > 1 else np.ones(rows[0].shape)
         for i in range(lanes):
-            rows[:, i] = _float_bptt(rows[:, i].tolist(), gains[:, i].tolist(),
-                                     cfg.beta if leaky else 1.0)
+            rows[0][:, i] = _float_bptt(rows[0][:, i].tolist(), gains[:, i].tolist(),
+                                        cfg.beta if leaky else 1.0)
     else:
-        leak = nm._constant(cfg.beta)
-        dv, term = np.zeros(h.shape[1:]), np.empty(h.shape[1:])
-        for t in range(T - 1, -1, -1):
-            row = dh[t]
-            np.add(row, dv if dv_dh is None else np.multiply(dv, dv_dh[t], out=term), out=row)
-            if leaky:
-                np.multiply(row, leak, out=dv)
-            else:
-                dv = row
+        leak = nm._constant(cfg.beta) if leaky else None
+        run = _bptt_frames(leak)
+        if blocks == 1:
+            run(rows, rows[0], np.zeros(lanes))
+        else:
+            pads = [np.zeros((blocks * n, lanes)) for _ in rows]
+            for pad, a in zip(pads, rows):
+                pad[:T] = a
+            out = np.empty(pads[0].shape)
+            _merge_blocks(run, [p.reshape(blocks, n, lanes).swapaxes(0, 1) for p in pads],
+                          out.reshape(blocks, n, lanes).swapaxes(0, 1), _ZERO,
+                          lambda d: np.multiply(d, leak))
+            rows[0][...] = out[:T]
     if leaky:
         np.multiply(dh, nm._constant(1.0 - cfg.beta), out=dh)
     return dh
+
+
+def _bptt_frames(leak):
+    """run([dh, dv_dh], out, dv) -> dL/dV: dL/dH_t = dh_t + dL/dV_t dv_dh_t
+    (+ dL/dV_t without a dv_dh, for no reset) into each row of out, in
+    place over a copy of dh unless out is dh, then dL/dV_{t-1} =
+    leak dL/dH_t (dL/dH_t itself for IF, leak None), from dv over the
+    frame axis of rows of any shape; dv is overwritten."""
+    def run(ins, out, dv):
+        if ins[0] is not out:
+            np.copyto(out, ins[0])
+        term = np.empty(dv.shape)
+        gains = ins[1] if len(ins) > 1 else [None] * len(out)
+        for q, o in zip(gains, out):
+            np.add(o, dv if q is None else np.multiply(dv, q, out=term), out=o)
+            if leak is None:
+                dv = o
+            else:
+                np.multiply(o, leak, out=dv)
+        return dv
+    return run
 
 
 def _float_bptt(dh: list, dv_dh: list, leak: float) -> list:
@@ -383,6 +537,16 @@ STEP_LOOP_LANES = 512
 
 # Lanes below which the LIF/IF kernel loops on Python floats (BENCH_lif_narrow.json).
 FLOAT_LOOP_LANES = 8
+# Lanes below which a leaky BPTT runs time blocks (BENCH_lif_blocks.json).
+BPTT_BLOCK_MAX_LANES = 64
+# Elements a frame of the time-block loop holds at most (BENCH_lif_blocks.json).
+BLOCK_ROW = 1024
+# Fewest blocks worth a speculative pass (BENCH_lif_blocks.json).
+BLOCK_MIN_COUNT = 6
+# Block length over the frames in which beta^n falls below 2^-53 (BENCH_lif_blocks.json).
+BLOCK_MARGIN = 1.5
+# Frames between two merge checks of a repair pass (BENCH_lif_blocks.json).
+MERGE_CHECK_FRAMES = 8
 
 # Lanes (B*C) from which untaped ``DsnNeuron.sequence`` runs the serial
 # block path (``advance`` from ``init_state``) instead of ``dsn_membrane``
@@ -1051,7 +1215,8 @@ class LifNeuron(Neuron):
     def _advance(self, state, x, membranes: bool):
         """``_lif_fold`` over the block's time-major frames from the (B, C)
         membrane state, with this neuron's config (timed against the step
-        fold in ``BENCH_lif_fold.json`` and ``BENCH_lif_narrow.json``)."""
+        fold in ``BENCH_lif_fold.json``, ``BENCH_lif_narrow.json`` and
+        ``BENCH_lif_blocks.json``)."""
         h, s, v = _lif_fold(_block_frames(x, state.shape), state, self.cfg)
         return s, h if membranes else None, v
 

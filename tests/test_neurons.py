@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (band_mask, dsn_dynamic_decay, dsn_op_chain, dsn_serial_trace,
                      lif_bptt, lif_step_fold, matrix_form, psn_dense, round_half_away,
@@ -926,14 +927,51 @@ def test_in_place_lif_bptt_equals_the_per_step_oracle(name, sg):
         assert got.tobytes() == want.tobytes()
 
 
-def _both_loops(monkeypatch, run):
-    """run() on Python floats and on whole-row ufuncs, the lane route forced
-    each way through ``FLOAT_LOOP_LANES``."""
+# The route constants that force each route of the LIF frame loops: Python
+# floats, one block of whole rows, and time blocks at any lane count from
+# two blocks on (IF keeps one block), by default half as long as
+# ``BLOCK_MARGIN`` makes them.
+ROUTES = {
+    "float": {"FLOAT_LOOP_LANES": 10 ** 9},
+    "one-block": {"FLOAT_LOOP_LANES": 0, "BLOCK_MIN_COUNT": 10 ** 9},
+    "blocks": {"FLOAT_LOOP_LANES": 0, "BLOCK_MIN_COUNT": 2, "BPTT_BLOCK_MAX_LANES": 10 ** 9},
+}
+HALF_MARGIN = neurons.BLOCK_MARGIN / 2
+
+
+def _route(monkeypatch, name, margin=HALF_MARGIN):
+    for constant, value in ROUTES[name].items():
+        monkeypatch.setattr(neurons, constant, value)
+    monkeypatch.setattr(neurons, "BLOCK_MARGIN", margin)
+
+
+def _all_routes(monkeypatch, run, margin=HALF_MARGIN):
+    """run() on each route of ``ROUTES``, in that order, with time blocks
+    ``margin`` times the frames that forget a start; the constants stay at
+    the last route's until the test ends."""
     out = []
-    for lanes in (10 ** 9, 0):
-        monkeypatch.setattr(neurons, "FLOAT_LOOP_LANES", lanes)
+    for name in ROUTES:
+        _route(monkeypatch, name, margin)
         out.append(run())
     return out
+
+
+def _spy_merges(monkeypatch):
+    """A list that gets the carry rows of every repair pass of
+    ``_merge_blocks`` (one list of row counts per call)."""
+    merge, passes = neurons._merge_blocks, []
+
+    def spy(run, ins, out, start, carry):
+        rows = []
+        passes.append(rows)
+
+        def counted(r):
+            rows.append(r.shape[0])
+            return carry(r)
+        return merge(run, ins, out, start, counted)
+
+    monkeypatch.setattr(neurons, "_merge_blocks", spy)
+    return passes
 
 
 FLOAT_ROUTE_LANES = range(1, neurons.FLOAT_LOOP_LANES + 2)
@@ -951,9 +989,11 @@ def test_float_loop_equals_the_numpy_loop_bit_for_bit(monkeypatch, name, start):
         if cfg.leak == "lif":  # per-lane betas, 0.0 among them
             betas.append(np.concatenate(([0.0], rng.uniform(0.0, 0.99, n - 1))))
         for beta in betas:
-            got, want = _both_loops(monkeypatch, lambda: neurons._lif_fold(frames, v0, cfg, beta))
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes(), (n, beta)
+            got, *others = _all_routes(monkeypatch, lambda: neurons._lif_fold(frames, v0, cfg, beta))
+            for want in others:
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), (n, beta)
+                assert _owns_its_memory(want[2])
             assert _owns_its_memory(got[2]) and np.all(np.signbit(v0) == (start != "rest"))
 
 
@@ -968,8 +1008,8 @@ def test_float_bptt_equals_the_numpy_loop_and_the_oracle(monkeypatch, name, sg):
         g[rng.random(x.shape) < 0.2] = -0.0
         s, h = LifNeuron(cfg, sg).trace(x)
         args = (cfg, sg, s.transpose(2, 0, 1), h.transpose(2, 0, 1), g.transpose(2, 0, 1))
-        got, want = _both_loops(monkeypatch, lambda: neurons._lif_bptt(*args))
-        assert got.tobytes() == want.tobytes() == lif_bptt(*args).tobytes(), n
+        got = _all_routes(monkeypatch, lambda: neurons._lif_bptt(*args))
+        assert len({a.tobytes() for a in got} | {lif_bptt(*args).tobytes()}) == 1, n
 
 
 @pytest.mark.parametrize("x_t", [9e307, -9e307])
@@ -980,17 +1020,17 @@ def test_float_loop_equals_the_step_fold_where_one_lane_overflows(monkeypatch, r
     x[0, 0, 5] = 1.0
     with np.errstate(all="ignore"):
         s_fold, h_fold, v_fold = step_fold(LifNeuron(cfg), x)
-        folds = _both_loops(monkeypatch, lambda: neurons._lif_fold(
+        folds = _all_routes(monkeypatch, lambda: neurons._lif_fold(
             x.transpose(2, 0, 1), np.zeros((1, 1)), cfg))
         args = (cfg, Rectangular(), folds[0][1], folds[0][0], np.ones((12, 1, 1)))
-        grads = _both_loops(monkeypatch, lambda: neurons._lif_bptt(*args))
+        grads = _all_routes(monkeypatch, lambda: neurons._lif_bptt(*args))
         want_grad = lif_bptt(*args)
     assert np.any(np.isinf(h_fold))
     for h, s, v in folds:
         assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
         assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
         assert v.tobytes() == v_fold.tobytes()
-    assert grads[0].tobytes() == grads[1].tobytes() == want_grad.tobytes()
+    assert len({a.tobytes() for a in grads} | {want_grad.tobytes()}) == 1
 
 
 def test_divergence_run_takes_the_float_loop_and_16_lanes_do_not(monkeypatch):
@@ -1002,12 +1042,180 @@ def test_divergence_run_takes_the_float_loop_and_16_lanes_do_not(monkeypatch):
         return float_loop(drive, *rest)
 
     monkeypatch.setattr(neurons, "_float_membranes", spy)
+    merges = _spy_merges(monkeypatch)
     verdict = check_long_control(make_neuron("if-soft"), 2.0)
     assert not verdict.holds and verdict.detail["steps"] == 20_000
-    assert calls == [1024] * 20  # one lane, one call per block
+    assert calls == [1024] * 20 and not merges  # one lane, one call per block
     calls.clear()
     neurons._lif_fold(np.ones((50, 1, 16)), np.zeros((1, 16)), NeuronConfig.integrate_fire("soft"))
     assert not calls
+    # a 16-lane x 2048 lif-hard fold and its BPTT take time blocks, and no
+    # IF fold does
+    x = np.random.default_rng(0).normal(size=(2048, 1, 16))
+    for kind in ("lif-hard", "if-hard", "if-soft", "if-none"):
+        merges.clear()
+        cfg = make_neuron(kind).cfg
+        h, s, _ = neurons._lif_fold(x, np.zeros((1, 16)), cfg)
+        neurons._lif_bptt(cfg, Rectangular(), s, h, x)
+        assert len(merges) == (2 if kind == "lif-hard" else 0), kind
+    assert not calls
+
+
+def test_lif_fold_takes_membranes_of_any_shape(monkeypatch):
+    # frames that are not (T, B, C) broadcast to the membrane's shape
+    cases = [(np.ones((4, 3)), np.zeros(3), NeuronConfig.lif(2.0)),
+             (_kernel_input((300,), NeuronConfig.lif(2.0), 1), np.array(0.25),
+              NeuronConfig.lif(2.0, "soft")),
+             (_kernel_input((300, 10), NeuronConfig.lif(2.0), 2), np.full(10, -0.0),
+              NeuronConfig.lif(1.5, "hard", v_reset=-0.5)),
+             (_kernel_input((300, 1), NeuronConfig.lif(2.0), 3), np.zeros(12),
+              NeuronConfig.lif(2.0, "none"))]
+    for frames, v0, cfg in cases:
+        neuron, v, hs, ss = LifNeuron(cfg), v0, [], []
+        for x_t in np.broadcast_to(frames.T, v0.shape + frames.shape[:1]).T:
+            s_t, h_t, v = neuron.step(v, x_t)
+            hs.append(h_t)
+            ss.append(s_t)
+        for h, s, v_end in _all_routes(monkeypatch, lambda: neurons._lif_fold(frames, v0, cfg)):
+            assert h.shape == s.shape == (len(frames),) + v0.shape
+            assert h.tobytes() == np.array(hs).tobytes() and s.tobytes() == np.array(ss).tobytes()
+            assert v_end.shape == v0.shape and v_end.tobytes() == v.tobytes()
+            assert _owns_its_memory(v_end)
+
+
+def _block_case_input(kind: str, shape, cfg, seed):
+    """(B, C, T) input: the kernel input, a constant drive over v_th, or a
+    period of 5 kernel-input frames repeated."""
+    if kind == "constant":
+        return np.full(shape, 1.7 * cfg.v_th)
+    x = _kernel_input(shape, cfg, seed)
+    if kind == "periodic":
+        x = np.tile(x[..., :5], shape[-1] // 5 + 1)[..., :shape[-1]]
+    return x
+
+
+BLOCK_CASES = [(name, drive, start) for name in LIF_KERNEL_CFGS
+               for drive, start in (("kernel", "rest"), ("kernel", "negative-zero"),
+                                    ("constant", "rest"), ("periodic", "negative-zero"))]
+
+
+@pytest.mark.parametrize("name, drive, start", BLOCK_CASES,
+                         ids=["-".join(case) for case in BLOCK_CASES])
+def test_time_blocks_equal_the_step_fold_and_the_bptt_oracle(monkeypatch, name, drive, start):
+    # 10 lanes of 263 frames, not a whole number of blocks; H, S, V and
+    # dL/dx through every route equal the step fold and the oracle
+    cfg = LIF_KERNEL_CFGS[name]
+    x = _block_case_input(drive, (2, 5, 263), cfg, 70)
+    v0 = np.full((2, 5), 0.0 if start == "rest" else -0.0)
+    s_fold, h_fold, v_fold = step_fold(LifNeuron(cfg), x, v0)
+    merges = _spy_merges(monkeypatch)
+    folds = _all_routes(monkeypatch, lambda: neurons._lif_fold(x.transpose(2, 0, 1), v0, cfg))
+    blocks, n = neurons._time_blocks(263, 10, cfg, cfg.beta)
+    assert len(merges) == (cfg.leak == "lif") and (blocks * n != 263 or not merges)
+    for h, s, v in folds:
+        assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
+        assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
+        assert v.tobytes() == v_fold.tobytes() and _owns_its_memory(v)
+    assert np.all(np.signbit(v0) == (start != "rest"))
+    g = np.random.default_rng(71).normal(size=x.shape).transpose(2, 0, 1)
+    args = (cfg, ArcTangent(), folds[0][1], folds[0][0], g)
+    grads = _all_routes(monkeypatch, lambda: neurons._lif_bptt(*args))
+    assert len(merges) == 2 * (cfg.leak == "lif")
+    assert len({a.tobytes() for a in grads} | {lif_bptt(*args).tobytes()}) == 1
+
+
+def test_time_blocks_run_per_lane_betas_from_0_to_0_99(monkeypatch):
+    x = _kernel_input((3, 1, 900), NeuronConfig.lif(2.0), 72)
+    betas = np.array([0.0, 0.25, 0.5, 0.9, 0.99])
+    merges = _spy_merges(monkeypatch)
+    for reset in ("hard", "soft", "none"):
+        cfgs = [NeuronConfig(beta=b, reset_mode=reset) for b in betas]
+        folds = _all_routes(monkeypatch, lambda: neurons._lif_fold(  # blocks for 0.99 too
+            x.transpose(2, 0, 1), np.zeros((3, len(betas))), cfgs[0], betas), 0.05)
+        for c, cfg in enumerate(cfgs):
+            s_c, h_c, v_c = step_fold(LifNeuron(cfg), x)
+            for h, s, v in folds:
+                assert h[:, :, c].T.tobytes() == h_c[:, 0].tobytes()
+                assert s[:, :, c].T.tobytes() == s_c[:, 0].tobytes()
+                assert v[:, c].tobytes() == v_c[:, 0].tobytes()
+    assert len(merges) == 3
+
+
+def test_time_blocks_repeat_a_repair_pass_that_does_not_merge(monkeypatch):
+    # 8-frame blocks are too short for a wrong start to be forgotten, so
+    # passes end unmerged, each leaving one more block exact
+    cfg = NeuronConfig.lif(4.0, "soft")
+    x = _kernel_input((1, 12, 400), cfg, 73)
+    merges = _spy_merges(monkeypatch)
+    folds = _all_routes(monkeypatch, lambda: neurons._lif_fold(
+        x.transpose(2, 0, 1), np.zeros((1, 12)), cfg), 0.0)
+    g = np.random.default_rng(74).normal(size=x.shape).transpose(2, 0, 1)
+    args = (cfg, Rectangular(), folds[0][1], folds[0][0], g)
+    grads = _all_routes(monkeypatch, lambda: neurons._lif_bptt(*args), 0.0)
+    assert neurons._time_blocks(400, 12, cfg, cfg.beta) == (50, 8)
+    for passes in merges:
+        assert len(passes) > 1 and passes == list(range(49, 49 - len(passes), -1))
+    s_fold, h_fold, v_fold = step_fold(LifNeuron(cfg), x)
+    for h, s, v in folds:
+        assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
+        assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
+        assert v.tobytes() == v_fold.tobytes()
+    assert len({a.tobytes() for a in grads} | {lif_bptt(*args).tobytes()}) == 1
+
+
+def test_time_blocks_equal_the_step_fold_where_a_lane_overflows(monkeypatch):
+    # a leaky H is a rounded convex combination of finite values and stays
+    # finite, so the +inf rerun only comes of IF, which keeps one block;
+    # here 8 IF lanes, one of them overflowing, through every route
+    cfg = NeuronConfig.integrate_fire("hard", v_th=1e308, v_reset=-2.0)
+    x = _kernel_input((1, 8, 300), NeuronConfig.lif(2.0), 75)
+    x[0, 3] = 9e307
+    x[0, 3, ::7] = 1.0
+    merges = _spy_merges(monkeypatch)
+    with np.errstate(all="ignore"):
+        s_fold, h_fold, v_fold = step_fold(LifNeuron(cfg), x)
+        folds = _all_routes(monkeypatch, lambda: neurons._lif_fold(
+            x.transpose(2, 0, 1), np.zeros((1, 8)), cfg))
+    assert np.any(np.isposinf(h_fold[0, 3])) and not merges
+    for h, s, v in folds:
+        assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
+        assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
+        assert v.tobytes() == v_fold.tobytes()
+
+
+@pytest.mark.parametrize("name", ["lif-hard", "lif-soft", "lif-none", "lif-hard-vreset--0.5"])
+def test_time_blocks_chained_through_advance_equal_the_step_fold(monkeypatch, name):
+    cfg = LIF_KERNEL_CFGS[name]
+    neuron = LifNeuron(cfg)
+    x = _kernel_input((2, 5, 600), cfg, 76)
+    start = step_fold(neuron, x[..., :5])[2]
+    x = x[..., 5:]
+    s_fold, _, v_fold = step_fold(neuron, x, start)
+    _route(monkeypatch, "blocks")
+    for n in (1, 97, x.shape[-1]):
+        state, spikes = start, []
+        for t in range(0, x.shape[-1], n):
+            s, state = neuron.advance(state, x[..., t:t + n])
+            spikes.append(s)
+        assert np.concatenate(spikes, axis=-1).tobytes() == s_fold.tobytes(), n
+        assert state.tobytes() == v_fold.tobytes(), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([n for n, c in LIF_KERNEL_CFGS.items() if c.leak == "lif"]),
+       st.integers(8, 24), st.integers(1, 500), st.integers(0, 2 ** 16),
+       st.sampled_from(["kernel", "constant", "periodic"]))
+def test_time_block_route_equals_the_step_fold(name, lanes, T, seed, drive):
+    cfg = LIF_KERNEL_CFGS[name]
+    x = _block_case_input(drive, (1, lanes, T), cfg, seed)
+    v0 = np.random.default_rng(seed).normal(size=(1, lanes))
+    s_fold, h_fold, v_fold = step_fold(LifNeuron(cfg), x, v0)
+    with pytest.MonkeyPatch.context() as mp:
+        _route(mp, "blocks")
+        h, s, v = neurons._lif_fold(x.transpose(2, 0, 1), v0, cfg)
+    assert h.transpose(1, 2, 0).tobytes() == h_fold.tobytes()
+    assert s.transpose(1, 2, 0).tobytes() == s_fold.tobytes()
+    assert v.tobytes() == v_fold.tobytes()
 
 
 def _taped_forward(neuron, x, w):
