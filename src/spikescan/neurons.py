@@ -13,12 +13,13 @@ it.
 block kernel ``_lif_fold``, a few whole-row ufuncs a frame from
 ``FLOAT_LOOP_LANES`` lanes on and a Python-float loop per lane below, and
 for DSN and sliding PSN a cache-sized sub-block of frames at a time, each
-equal to the fold of ``step`` bit for bit.  A leaky fold of few lanes
-over many frames, and its BPTT, run parallel over time: every time block
-at once from a guessed start, then repaired from the block before until
-it merges with its first run bit for bit (``_merge_blocks``), which a
-leak makes happen within about as many frames as beta^n takes to fall
-below 2^-53.  Full and masked PSN
+equal to the fold of ``step`` bit for bit.  A leaky LIF fold of few lanes
+over many frames, its BPTT, and the DSN's H recurrence run parallel over
+time: every time block at once from a guessed start, then repaired from
+the block before until it merges with its first run bit for bit
+(``_merge_blocks``), which a decay makes happen within about as many
+frames as its powers take to fall below 2^-53 (``_time_blocks`` plans the
+blocks from beta, or from the DSN's own decays).  Full and masked PSN
 have no serial mode: their ``step``, ``advance`` and ``trace`` raise
 StepUnavailable.  Folding ``step`` over time and calling ``sequence``
 produce the same spikes wherever both exist.
@@ -39,8 +40,8 @@ Models:
   sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via
   ``dsn_membrane`` (conv, decay and scan as one taped op), serial via an
   O(C*k) window of the last k-1 inputs; untaped ``sequence`` takes the
-  serial block path from ``SEQUENCE_ADVANCE_LANES`` lanes on and up to
-  ``SEQUENCE_ADVANCE_T`` frames.
+  serial block path, whose H recurrence runs over time blocks
+  (``_dsn_membranes``).
 * ``PsnNeuron`` -- the learnable time-by-time weight family: full (dense,
   non-causal), masked (banded lower-triangular) and sliding (k shared
   weights).  Full/masked are locked to their training length and raise
@@ -283,26 +284,32 @@ def _float_membranes(drive: list, v: float, beta: float, cfg: NeuronConfig) -> l
     return hs
 
 
-def _time_blocks(T: int, lanes: int, cfg: NeuronConfig, beta,
+def _time_blocks(T: int, lanes: int, cfg: NeuronConfig | None, decay,
                  max_lanes: float = math.inf) -> tuple[int, int]:
-    """(blocks, frames per block) a LIF frame loop cuts T frames of
-    ``lanes`` lanes into: (1, T), the plain loop, for IF, outside
-    [``FLOAT_LOOP_LANES``, max_lanes) lanes or where fewer than
-    ``BLOCK_MIN_COUNT`` blocks fit.  Otherwise a block is at least
-    ``BLOCK_MARGIN`` times the frames in which the largest beta's powers
-    fall below 2^-53, a frame of all blocks holds at most ``BLOCK_ROW``
-    elements (which bounds the lanes too), and the blocks are lengthened
-    to cover T with fewer padding frames than blocks."""
-    if cfg.leak != "lif" or not FLOAT_LOOP_LANES <= lanes < max_lanes:
+    """(blocks, frames per block) a frame loop cuts T frames of ``lanes``
+    lanes into, planned from the fold's slowest decay: the largest beta of
+    a LIF/IF neuron with config ``cfg``, or for the DSN (cfg None) the
+    geometric mean decay of the lane that forgets least.  (1, T), the plain
+    loop, where fewer than ``BLOCK_MIN_COUNT`` blocks fit, for IF or a LIF
+    outside [``FLOAT_LOOP_LANES``, max_lanes) lanes, and where the decay
+    rounds to 1 (a lane that never forgets would never merge).  Otherwise
+    a block is at least ``BLOCK_MARGIN`` times the frames in which the
+    decay's powers fall below 2^-53, a frame of all blocks holds at most
+    ``BLOCK_ROW`` elements (which bounds the lanes too), and the blocks are
+    lengthened to cover T with fewer padding frames than blocks."""
+    if cfg is not None and (cfg.leak != "lif" or not FLOAT_LOOP_LANES <= lanes < max_lanes):
         return 1, T
-    top = float(np.max(beta))
+    top = float(np.max(decay))
+    if top >= 1.0:
+        return 1, T
     forget = 53.0 / -math.log2(top) if top > 0.0 else 1.0
     blocks = min(T // max(MERGE_CHECK_FRAMES, math.ceil(BLOCK_MARGIN * forget)),
                  BLOCK_ROW // lanes)
     return (blocks, -(-T // blocks)) if blocks >= BLOCK_MIN_COUNT else (1, T)
 
 
-def _merge_blocks(run, ins: list, out: np.ndarray, start, carry) -> None:
+def _merge_blocks(run, ins: list, out: np.ndarray, start, carry,
+                  repairs: float = math.inf) -> int:
     """``run`` folded over time blocks, speculated in parallel and repaired
     until they merge, bit for bit as one fold over the blocks in order.
 
@@ -314,10 +321,12 @@ def _merge_blocks(run, ins: list, out: np.ndarray, start, carry) -> None:
     first one not known exact, each from the carry of the block before,
     ``MERGE_CHECK_FRAMES`` frames at a time, and stops at the first checked
     frame whose out agrees bit for bit with the last pass in every block:
-    every later frame follows from that one alone, so from there on the
-    blocks are exact.  A pass that ends without agreeing still leaves its
-    first block exact, since that block started from an exact state, and
-    the next pass starts after it.
+    each frame's state follows from the state before it and that frame's
+    inputs alone, so from there on the blocks are exact.  A pass that ends
+    without agreeing still leaves its first block exact, since that block
+    started from an exact state, and the next pass starts after it.
+    Returns how many leading blocks are exact: all of them, unless
+    ``repairs`` passes end without agreeing.
     """
     n, blocks = out.shape[:2]
     state = np.empty(out.shape[1:])
@@ -325,6 +334,8 @@ def _merge_blocks(run, ins: list, out: np.ndarray, start, carry) -> None:
     run(ins, out, state)
     redo = np.empty((n, blocks - 1) + out.shape[2:])
     for first in range(1, blocks):
+        if first > repairs:
+            return first
         later = [a[:, first:] for a in ins]
         new, state = redo[:, :blocks - first], carry(out[-1, first - 1:-1])
         for j in range(0, n, MERGE_CHECK_FRAMES):
@@ -332,8 +343,9 @@ def _merge_blocks(run, ins: list, out: np.ndarray, start, carry) -> None:
             state = run([a[j:k] for a in later], new[j:k], state)
             if np.array_equal(new[k - 1].view(np.int64), out[k - 1, first:].view(np.int64)):
                 out[:k, first:] = new[:k]
-                return
+                return blocks
         out[:, first:] = new
+    return blocks
 
 
 def _lif_bptt(cfg: NeuronConfig, sg: SurrogateKind, s: np.ndarray, h: np.ndarray,
@@ -521,18 +533,8 @@ def _finite_input(x: np.ndarray) -> None:
         raise NonFiniteError("non-finite input")
 
 
-# Lanes (B*C) from which a serial step forms an ordered sum as a loop of
-# row-wise multiply-adds instead of one multiply and one accumulate; the
-# sub-blocks of ``_advance`` always take the loop.  The accumulate walks its
-# terms lane by lane, so its cost grows with lanes x terms; the loop costs
-# two ufunc calls per term.  Measured per ``step`` on a 2-core Xeon,
-# float64, one BLAS thread, median of 5 folds, accumulate against loop, in
-# us:
-#
-# * dsn (k=4): 16 lanes 19 vs 35, 64 lanes 18 vs 20, 256 lanes 35 vs 41,
-#   512 lanes 54 vs 50, 1024 lanes 65 vs 61;
-# * sliding-psn (k=32): 16 lanes 16 vs 83, 64 lanes 18 vs 57, 256 lanes 54
-#   vs 82, 512 lanes 124 vs 85, 1024 lanes 228 vs 120.
+# Lanes (B*C) from which a serial step's ordered sum is a loop of multiply-adds
+# rather than one accumulate (BENCH_serial_step.json).
 STEP_LOOP_LANES = 512
 
 # Lanes below which the LIF/IF kernel loops on Python floats (BENCH_lif_narrow.json).
@@ -547,24 +549,12 @@ BLOCK_MIN_COUNT = 6
 BLOCK_MARGIN = 1.5
 # Frames between two merge checks of a repair pass (BENCH_lif_blocks.json).
 MERGE_CHECK_FRAMES = 8
-
-# Lanes (B*C) from which untaped ``DsnNeuron.sequence`` runs the serial
-# block path (``advance`` from ``init_state``) instead of ``dsn_membrane``
-# and ``clip_round``: the scan folds each 64-lane tile row by row, while a
-# step of the block path takes every lane of a frame in one ufunc call.
-# Measured on a 2-core Xeon, float64, one BLAS thread, B x 16 lanes, the
-# paths interleaved, median of 9 calls at T=1024 and of 3 at T=32768
-# (``BENCH_dsn_eval_route.json``), scan against block path, in ms:
-#
-# * T=1024: 16 lanes 1.3 vs 2.1, 32 lanes 2.7 vs 3.5, 64 lanes 3.9 vs 3.8,
-#   128 lanes 7.5 vs 6.1, 256 lanes 18 vs 11, 1024 lanes 58 vs 28, 2048
-#   lanes 130 vs 60;
-# * T=32768: 16 lanes 33 vs 61, 32 lanes 64 vs 59, 64 lanes 152 vs 100,
-#   128 lanes 311 vs 163, 256 lanes 894 vs 475, 1024 lanes 3377 vs 1368,
-#   2048 lanes 6267 vs 3429.
-SEQUENCE_ADVANCE_LANES = 64
-# Frames up to which it does so at any lane count (BENCH_dsn_eval_route.json).
-SEQUENCE_ADVANCE_T = 256
+# Lanes below which the DSN's H recurrence runs time blocks (BENCH_dsn_blocks.json).
+DSN_BLOCK_MAX_LANES = 96
+# Frames from which a DSN sub-block plans time blocks (BENCH_dsn_blocks.json).
+DSN_BLOCK_MIN_FRAMES = 256
+# Repair passes of a DSN sub-block before the rest runs in order (BENCH_dsn_blocks.json).
+DSN_REPAIR_PASSES = 2
 
 
 def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
@@ -634,22 +624,9 @@ def _sub_blocks(window: np.ndarray, frames: np.ndarray):
     (as ``eval_serial`` passes them) in one copy, the time-major view of
     lane-major input ``TILE_LANES`` lanes at a time.  Copied whole, that
     view reads each frame from B*C lanes a page apart; a tile's 64 lanes
-    stay in cache for all n frames.  Measured as the gather of every
-    sub-block of one lane-major input on a 2-core Xeon, float64, one copy
-    against tiles interleaved, median of 21 (``BENCH_dsn_eval_route.json``),
-    in ms: 9.5 vs 3.0 at 4x256x1024, 20.4 vs 8.0 at 16x128x1024, 0.49 vs
-    0.55 at 1x16x32768 and 6.6 vs 6.6 at 4x16x30000 (64 lanes, one tile).
-
-    A sub-block is ``numerics.CONV_BLOCK_BYTES // (8 B C)`` frames, at
-    least one.  Measured as ``advance`` from ``init_state`` on a 2-core
-    Xeon, float64, one BLAS thread, median of 7, for sub-blocks of 64 KiB,
-    128 KiB, 256 KiB, 512 KiB, 1 MiB and 2 MiB (``BENCH_advance.json``), in
-    ms:
-
-    * dsn, 4x16x30000: 122, 116, 115, 123, 133 and 147;
-    * dsn, 16x128x1024: 67, 69, 67, 69, 79 and 81;
-    * sliding-psn (k=32), 4x16x30000: 85, 68, 60, 73, 104 and 118;
-    * sliding-psn, 16x128x1024: 113, 87, 68, 70, 122 and 130.
+    stay in cache for all n frames (``BENCH_dsn_eval_route.json``).  A
+    sub-block is ``numerics.CONV_BLOCK_BYTES // (8 B C)`` frames, at least
+    one (``BENCH_advance.json``).
     """
     m = window.shape[0]
     T, B, C = frames.shape
@@ -695,34 +672,92 @@ def _last_frames(older: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
                            frames[max(T - m, 0):]), dtype=float)
 
 
+def _dsn_membranes(alpha: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """H_t = alpha_t H_{t-1} + b_t over the (n, B, C) frames of a sub-block
+    from the (B, C) membrane h, written into alpha; returns the last H.
+
+    The decays depend on the input window alone, never on H, so before the
+    fold they tell how soon each lane forgets a wrong start.  Below
+    ``DSN_BLOCK_MAX_LANES`` lanes, from ``DSN_BLOCK_MIN_FRAMES`` frames on,
+    ``_time_blocks`` plans time blocks from the lane that forgets least
+    (``_least_forgetting``), and they run through ``_merge_blocks`` on
+    contiguous copies of alpha and b whose row j is frame j of every block.
+    H_t depends only on H_{t-1}, alpha_t and b_t, so a block whose H agrees
+    bit for bit with its repair at one frame is exact from there on: the
+    result equals the plain loop (``_dsn_frames`` in place of alpha) in
+    every case, and only the cost depends on the decays.  A lane that never forgets (alpha at 1 - ulp)
+    could never merge; its mean decay rounds to 1 or asks for blocks longer
+    than the sub-block, so the plain loop runs.  Where a lane forgets only
+    at frames far apart (a latch cleared by rare markers), blocks may not
+    merge; after ``DSN_REPAIR_PASSES`` passes the frames after the exact
+    blocks run the plain loop.
+    """
+    n, lanes = alpha.shape[0], h.size
+    blocks, m = (_time_blocks(n, lanes, None, _least_forgetting(alpha))
+                 if n >= DSN_BLOCK_MIN_FRAMES and 0 < lanes < DSN_BLOCK_MAX_LANES
+                 else (1, n))
+    if blocks == 1:
+        return _dsn_frames([alpha, b], alpha, h)
+    ins = [_block_rows(a.reshape(n, lanes), blocks, m) for a in (alpha, b)]
+    out = np.empty(ins[0].shape)
+    exact = _merge_blocks(_dsn_frames, ins, out, h.reshape(-1), lambda rows: rows,
+                          DSN_REPAIR_PASSES)
+    done = min(exact * m, n)
+    q, r = divmod(done, m)
+    by_block, h_all = out.swapaxes(0, 1), alpha.reshape(n, lanes)
+    h_all[:q * m].reshape(q, m, lanes)[...] = by_block[:q]
+    if r:
+        h_all[q * m:] = by_block[q, :r]
+    if done < n:  # the frames after the exact blocks, in order
+        return _dsn_frames([alpha[done:], b[done:]], alpha[done:], alpha[done - 1])
+    return alpha[-1]
+
+
+def _dsn_frames(ins: list, out: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """run([alpha, b], out, h) -> H: H_t = alpha_t H_{t-1}, then + b_t, the
+    step's own two ufuncs, into each row of out, in place over a copy of
+    alpha unless out is alpha, from h over the frame axis of rows of any
+    shape; h is not written."""
+    if ins[0] is not out:
+        np.copyto(out, ins[0])
+    for o, b in zip(out, ins[1]):
+        o *= h
+        o += b
+        h = o
+    return h
+
+
+def _least_forgetting(alpha: np.ndarray) -> float:
+    """The largest per-lane geometric mean of (n, ...) decays, 2 to the
+    mean of log2 alpha over the frames, each log at least -53: a frame
+    whose decay is below 2^-53 forgets a start whole, and counted deeper, a
+    rare one would pull the mean of a lane that holds its state between
+    such frames down as far as a lane that forgets every frame."""
+    n = alpha.shape[0]
+    logs = np.maximum(np.log2(alpha), -53.0).reshape(n, -1)
+    return 2.0 ** (float(np.max(np.ones(n) @ logs)) / n)
+
+
+def _block_rows(a: np.ndarray, blocks: int, m: int) -> np.ndarray:
+    """A C-contiguous (m, blocks, ...) copy of (n, ...) frames cut into
+    blocks of m: row j holds frame j of every block, zeros past frame n."""
+    rows = np.zeros((m, blocks) + a.shape[1:])
+    by_block = rows.swapaxes(0, 1)
+    q, r = divmod(len(a), m)
+    by_block[:q] = a[:q * m].reshape((q, m) + a.shape[1:])
+    if r:
+        by_block[q, :r] = a[q * m:]
+    return rows
+
+
 # Bytes of one tile of ``dsn_membrane``: DSN_TILE_BYTES // (8 T) whole
 # lanes, but never fewer than the scan's ``TILE_LANES`` (a narrower tile
 # narrows every copy of the scan and pays its row loop for few lanes).
 # Where those lanes come to more than twice DSN_TILE_BYTES, the tile is cut
 # along time into DSN_TILE_BYTES pieces on the scan's chunk boundaries;
-# below that a cut costs more row loops than it saves (4x16x2048, 1 MiB:
-# 21.8 ms cut against 19.1-20.3 whole; 1x16x16384, 2 MiB: 31 against 33).
-# A channel mix couples the channels, so there a tile is whole batch rows
-# of whole lanes.  Measured on a 2-core Xeon (2 MiB L2 a core), float64,
-# one BLAS thread, as one taped bench pass (forward plus mean-spike
-# backward), tile sizes and the separate ops interleaved pass by pass in
-# one process, median of 15, for 256 KiB, 512 KiB, 1 MiB and 2 MiB tiles,
-# in two runs (``BENCH_fused_dsn.json``; the host ran slower in the
-# second), in ms:
-#
-# * 4x256x1024: 133, 109, 108 and 114 (separate ops 127); 133, 146, 134
-#   and 154 (separate ops 172);
-# * 1x16x32768 (16 lanes by 2048, 4096 and 8192 steps, then uncut): 75,
-#   59, 58 and 70 (separate ops 64); the first run, 16384 steps for 2 MiB:
-#   78, 62, 63 and 70, and 70 uncut (separate ops 68);
-# * 32x128x128: 56, 52, 53 and 61 (separate ops 59); 46, 47, 49 and 53
-#   (separate ops 57);
-# * 4x16x2048 (uncut from 512 KiB on): 16.2, 12.1 and 12.2 (separate ops
-#   11.6).
-#
-# Cut by lanes alone, 16 lanes of 32768 steps took 72 ms whole against 87
-# and 136 ms in 4- and 1-lane tiles (73 ms in 512 KiB tiles, separate ops
-# 76, in that run).
+# below that a cut costs more row loops than it saves.  A channel mix
+# couples the channels, so there a tile is whole batch rows of whole lanes
+# (BENCH_fused_dsn.json).
 DSN_TILE_BYTES = 2 ** 19
 
 
@@ -1091,9 +1126,7 @@ class Neuron:
     * ``forward`` -- taped spikes over (B, C, T) input, the training path;
     * ``sequence`` -- the offline map of a whole sequence: ``forward`` where
       ``supports_parallel``, otherwise ParallelUnavailable; the DSN runs its
-      serial block path instead for untaped input from
-      ``SEQUENCE_ADVANCE_LANES`` lanes on or up to ``SEQUENCE_ADVANCE_T``
-      frames, where that is faster;
+      serial block path instead for untaped input;
     * ``weights``/``with_weights`` -- the named trainable tensors, and the
       same neuron (hyperparameters unchanged) over given tensors, taped or
       not, so a training loop can leaf them onto its tape;
@@ -1297,12 +1330,11 @@ class DsnNeuron(Neuron):
     """Dynamic-decay neuron: scan-parallel training, windowed serial inference.
 
     ``forward`` is the taped parallel pass (``dsn_membrane``, then
-    ``clip_round``); ``step`` and ``_advance`` are serial inference.
-    ``sequence`` takes whichever of the two is faster: ``forward`` below
-    ``SEQUENCE_ADVANCE_LANES`` lanes (B*C) over more than
-    ``SEQUENCE_ADVANCE_T`` frames and wherever the input or a weight is
-    taped, ``advance`` from ``init_state`` elsewhere.  The spikes are the
-    same either way.
+    ``clip_round``); ``step`` and ``_advance`` are serial inference, whose
+    H recurrence runs over time blocks where the decays forget a start
+    soon enough.  ``sequence`` runs ``forward`` where the input or a
+    weight is taped and ``advance`` from ``init_state`` elsewhere, with
+    the same spikes either way.
     """
 
     def __init__(self, params: DsnParams):
@@ -1333,17 +1365,8 @@ class DsnNeuron(Neuron):
         then the bias, then the channel mix in channel order, as
         ``dsn_membrane`` adds them.  Decay and fire are the taped ops' own
         kernels (``numerics.decay_chain``, ``fire_counts``), so spikes and
-        decays equal ``sequence`` bit for bit.
-
-        Measured per ``Neuron.step`` call on a 2-core Xeon, float64, one BLAS
-        thread, kinds interleaved, median of 11 runs (``BENCH_serial_step.json``),
-        at 1x16 and 4x256 lanes:
-
-        * lif-hard: 11.6 and 20 us;
-        * dsn (k=4): 28 and 70 us, from 58 and 108 us with a Python loop over
-          taps, a Tensor-wrapped window and np.clip; 2.4x lif-hard at 1x16;
-        * sliding-psn (k=32): 17 and 133 us, from 106 and 193 us with a
-          Python loop over taps; 1.5x lif-hard at 1x16.
+        decays equal ``sequence`` bit for bit (timed in
+        ``BENCH_serial_step.json``).
         """
         x = np.asarray(x_t, dtype=float)
         if x.shape != state.h.shape:
@@ -1365,16 +1388,13 @@ class DsnNeuron(Neuron):
         Every stage without a recurrence runs over a whole sub-block of
         time-major frames (``_sub_blocks``): the tap sum, bias and mix and
         the decay chain (``_dsn_decay``, the step's own), b = (1 - alpha) x
-        and the fire.  Only H_t = alpha_t H_{t-1}, then + b_t, runs frame by
-        frame, as the step's own two ufuncs, in place of alpha_t.  Each
+        and the fire.  Only H_t = alpha_t H_{t-1}, then + b_t, the step's
+        own two ufuncs, runs frame by frame, in place of alpha_t, and over
+        time blocks where the decays allow (``_dsn_membranes``).  Each
         element therefore rounds as in ``step``, and spikes, membranes and
         state equal the step fold's bit for bit at any block length.  The
-        returned state owns its memory.
-
-        Measured as ``_SequenceModel.eval_serial`` on a 2-core Xeon,
-        float64, one BLAS thread, median of 7 runs (``BENCH_advance.json``):
-        137 ms at 4x16x30000 against 1132 ms through the step fold, and
-        79 ms at 16x128x1024 against 132 ms.
+        returned state owns its memory (timed in ``BENCH_advance.json`` and
+        ``BENCH_dsn_blocks.json``).
         """
         p = self.params
         frames = _block_frames(x, state.h.shape)
@@ -1385,10 +1405,7 @@ class DsnNeuron(Neuron):
             alpha = _dsn_decay(p, taps)
             b = np.subtract(_ONE, alpha)
             np.multiply(b, taps[-1], out=b)
-            for a_t, b_t in zip(alpha, b):  # H_t, in place of alpha_t
-                a_t *= h
-                a_t += b_t
-                h = a_t
+            h = _dsn_membranes(alpha, b, h)  # H in place of alpha
             if membranes:
                 h_out[t:t + len(alpha)] = alpha
             s[t:t + len(alpha)] = nm.fire_counts(alpha, p._step_operands[2])[1]
@@ -1409,15 +1426,11 @@ class DsnNeuron(Neuron):
         return nm.clip_round(dsn_membrane(self.params, x), self.params.n_max)
 
     def sequence(self, x) -> Tensor:
-        """Spikes over (B, C, T) input; from ``SEQUENCE_ADVANCE_LANES``
-        lanes on or up to ``SEQUENCE_ADVANCE_T`` frames, with no taped input
-        or weight, the (B, C, T) view of the time-major spikes of
-        ``advance`` from ``init_state``."""
+        """Spikes over (B, C, T) input: with no taped input or weight, the
+        (B, C, T) view of the time-major spikes of ``advance`` from
+        ``init_state``; otherwise ``forward``."""
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if (nm._shared_tape(x, *self.weights().values())[0] is not None
-                or data.ndim != 3
-                or (data.shape[0] * data.shape[1] < SEQUENCE_ADVANCE_LANES
-                    and data.shape[2] > SEQUENCE_ADVANCE_T)):
+        if nm._shared_tape(x, *self.weights().values())[0] is not None or data.ndim != 3:
             return self.forward(x)
         s, _ = self.advance(self.init_state(data.shape[0], data.shape[1]), data)
         return Tensor._attach(s, None, None)
@@ -1474,11 +1487,8 @@ class PsnNeuron(Neuron):
         Tap order: the membrane is the sum over taps j = 0 (oldest) .. k-1
         (current) of weight[k-1-j] * x_{t-k+1+j}, added in that order from
         +0.0 (``_ordered_sum``), the order of the depthwise taps that
-        ``sequence`` runs, so membranes and spikes equal it bit for bit.
-
-        Measured as for ``DsnNeuron.step`` (k=32): 17 us at 1x16 and 133 us at
-        4x256 lanes, from 106 and 193 us with a Python loop over taps,
-        against 11.6 and 20 us for lif-hard.
+        ``sequence`` runs, so membranes and spikes equal it bit for bit
+        (timed in ``BENCH_serial_step.json``).
         """
         x = np.asarray(x_t, dtype=float)
         if x.shape != state.shape[1:]:

@@ -408,8 +408,8 @@ def test_fused_membrane_rejects_non_finite_values(monkeypatch, where):
 
 
 # ---------------------------------------------------------------------------
-# untaped ``DsnNeuron.sequence``: the scan below SEQUENCE_ADVANCE_LANES lanes
-# over more than SEQUENCE_ADVANCE_T frames, the block path elsewhere
+# ``DsnNeuron.sequence``: the block path for untaped input and weights at
+# every lane count, the taped pass (the scan) where either is taped
 
 
 def _sequence_path(monkeypatch, neuron, x) -> tuple[Tensor, str]:
@@ -425,33 +425,39 @@ def _sequence_path(monkeypatch, neuron, x) -> tuple[Tensor, str]:
     return s, taken[0]
 
 
-# (B, C, T, k, mix): lanes on both sides of the lane crossover (64) above
-# the frame crossover (256), T on both sides of it below 64 lanes, a lane
-# count that is no multiple of 64, a channel mix, T = 0, T = 1 and T < k
+# (B, C, T, k, mix, taped): lane counts below, at and above 64 and no
+# multiple of it, a channel mix, T from 0 to 300, T < k, and a taped input
+# or taped weights, which take the scan
 DSN_ROUTE_CASES = {
-    "scan": (2, 31, 300, 4, False),
-    "advance": (2, 32, 300, 4, False),
-    "advance-201-lanes": (3, 67, 300, 4, False),
-    "scan-mix": (3, 8, 300, 4, True),
-    "advance-mix": (4, 16, 300, 5, True),
-    "scan-T257": (1, 6, 257, 4, False),
-    "advance-T256": (1, 6, 256, 4, False),
-    "advance-T0": (2, 40, 0, 4, False),
-    "advance-T1": (2, 40, 1, 4, False),
-    "advance-6-lanes-T-below-k": (1, 6, 2, 4, False),
-    "advance-T-below-k": (2, 40, 2, 4, True),
+    "advance-62-lanes": (2, 31, 300, 4, False, ()),
+    "advance": (2, 32, 300, 4, False, ()),
+    "advance-201-lanes": (3, 67, 300, 4, False, ()),
+    "advance-mix-24-lanes": (3, 8, 300, 4, True, ()),
+    "advance-mix": (4, 16, 300, 5, True, ()),
+    "advance-6-lanes-T257": (1, 6, 257, 4, False, ()),
+    "advance-T256": (1, 6, 256, 4, False, ()),
+    "advance-T0": (2, 40, 0, 4, False, ()),
+    "advance-T1": (2, 40, 1, 4, False, ()),
+    "advance-6-lanes-T-below-k": (1, 6, 2, 4, False, ()),
+    "advance-T-below-k": (2, 40, 2, 4, True, ()),
+    "scan-taped-x": (2, 31, 300, 4, False, ("x",)),
+    "scan-taped-weights-mix": (3, 8, 300, 4, True, ("kernel", "mix")),
 }
 
 
 @pytest.mark.parametrize("case", list(DSN_ROUTE_CASES))
 def test_sequence_spikes_equal_the_parallel_pass_on_either_path(monkeypatch, case):
-    B, C, T, k, mix = DSN_ROUTE_CASES[case]
+    B, C, T, k, mix, taped = DSN_ROUTE_CASES[case]
     rng = np.random.default_rng(45)
     params = _dsn_params(rng, C, k=k, mix=mix)
     x = rng.normal(size=(B, C, T)) * 2.0
-    s, path = _sequence_path(monkeypatch, DsnNeuron(params), x)
+    tape = Tape()
+    neuron = DsnNeuron(params)
+    neuron = neuron.with_weights({n: tape.leaf(w.data) if n in taped else w
+                                  for n, w in neuron.weights().items()})
+    s, path = _sequence_path(monkeypatch, neuron, tape.leaf(x) if "x" in taped else x)
     assert path == case.split("-")[0]
-    assert s.tape is None and s.shape == (B, C, T)
+    assert (s.tape is None) == (not taped) and s.shape == (B, C, T)
     assert s.data.tobytes() == dsn_forward_parallel(params, x)[0].data.tobytes()
     assert s.data.tobytes() == dsn_op_chain(params, x)[0].data.tobytes()
     if T > 2:  # bytes, so a -0.0 count must come out -0.0 on both paths
@@ -491,6 +497,180 @@ def test_taped_sequence_stays_on_the_taped_pass():
     for taped in (("x",), ("kernel", "bias")):
         assert (_dsn_pass_bytes(sequence, params, x, w, taped)
                 == _dsn_pass_bytes(chain, params, x, w, taped))
+
+
+# ---------------------------------------------------------------------------
+# the DSN's H recurrence over time blocks (``_dsn_membranes``)
+
+
+def _latch_params(channels: int, marker: bool) -> DsnParams:
+    """A DSN whose value channels latch: bias +40 pins their decay at 1 - ulp.
+    With ``marker``, the second half of the channels are markers: a marker
+    frame of 1 drives its value channel's decay (mixed in with weight 80)
+    to about 0, and the channel then holds the value of that frame."""
+    kernel, bias, mix = np.zeros((channels, 4)), np.full(channels, 40.0), None
+    if marker:
+        half = channels // 2
+        kernel[half:, -1] = -1.0
+        bias[half:] = 0.0
+        mix = np.eye(channels)
+        mix[np.arange(half), np.arange(half) + half] = 80.0
+        mix = Tensor(mix)
+    return DsnParams(conv_kernel=Tensor(kernel), conv_bias=Tensor(bias), channel_mix=mix)
+
+
+def _latch_input(shape, seed, marker_rate=0.0):
+    """Values 1..4 on the first half of the channels and, on the second, a
+    marker at each frame with probability ``marker_rate``."""
+    B, C, T = shape
+    rng = np.random.default_rng(seed)
+    x = np.zeros(shape)
+    x[:, :C // 2] = rng.integers(1, 5, size=(B, C // 2, T))
+    x[:, C // 2:] = rng.random((B, C - C // 2, T)) < marker_rate
+    return x
+
+
+def _spy_block_plans(monkeypatch):
+    """A list that gets (frames, blocks, frames per block) of the
+    sub-blocks the DSN fold cuts into time blocks, once for a run of equal
+    plans (alpha and b of a sub-block are cut alike)."""
+    block_rows, plans = neurons._block_rows, []
+
+    def spy(a, blocks, m):
+        if not plans or plans[-1][0] != len(a) or plans[-1][1:] != (blocks, m):
+            plans.append((len(a), blocks, m))
+        return block_rows(a, blocks, m)
+    monkeypatch.setattr(neurons, "_block_rows", spy)
+    return plans
+
+
+def _assert_block_route_equals_the_step_fold(neuron, x):
+    s_fold, h_fold, state_fold = step_fold(neuron, x)
+    s, h = neuron.trace(x)
+    assert s.tobytes() == s_fold.tobytes() and h.tobytes() == h_fold.tobytes()
+    s, state = neuron.advance(neuron.init_state(*x.shape[:2]), x)
+    assert s.tobytes() == s_fold.tobytes()
+    _assert_same_state(state, state_fold)
+    assert all(_owns_its_memory(a) for a in _state_arrays(state))
+
+
+# (neuron, (B, C, T), merges expected): the seeded neuron, a channel mix,
+# 1001 frames that 50 blocks of 21 do not divide, the all-latch neuron, and
+# the marker latch with a marker every ~100 frames
+DSN_BLOCK_CASES = {
+    "seeded-1x16x4096": (lambda: make_neuron("dsn", channels=16, seed=3), (1, 16, 4096), True),
+    "seeded-2x8x4096": (lambda: make_neuron("dsn", channels=8, seed=4), (2, 8, 4096), True),
+    "mix-2x8x2048": (lambda: DsnNeuron(replace(
+        DsnParams.init(8, seed=5), channel_mix=Tensor(
+            np.random.default_rng(5).normal(size=(8, 8)) / np.sqrt(8)))), (2, 8, 2048), True),
+    "seeded-1x16x1001": (lambda: make_neuron("dsn", channels=16, seed=6), (1, 16, 1001), True),
+    "all-latch-1x16x2048": (lambda: DsnNeuron(_latch_params(16, False)), (1, 16, 2048), False),
+    "marker-latch-8x2x4096": (lambda: DsnNeuron(_latch_params(2, True)), (8, 2, 4096), None),
+}
+
+
+@pytest.mark.parametrize("case", list(DSN_BLOCK_CASES))
+def test_dsn_time_blocks_equal_the_step_fold(monkeypatch, case):
+    make, shape, merges_expected = DSN_BLOCK_CASES[case]
+    neuron = make()
+    if case.startswith("marker"):
+        x = _latch_input(shape, 81, 0.01)
+    elif case.startswith("all-latch"):
+        x = _latch_input(shape, 82)
+    else:
+        x = np.random.default_rng(83).normal(size=shape) * 2.0
+    merges, plans = _spy_merges(monkeypatch), _spy_block_plans(monkeypatch)
+    merge, merged = neurons._merge_blocks, []
+
+    def recorded(run, ins, out, *rest):
+        exact = merge(run, ins, out, *rest)
+        merged.append(exact == out.shape[1])
+        return exact
+    monkeypatch.setattr(neurons, "_merge_blocks", recorded)
+    _assert_block_route_equals_the_step_fold(neuron, x)
+    if merges_expected is not None:
+        assert bool(merges) == merges_expected
+    if merges_expected:  # within DSN_REPAIR_PASSES passes
+        assert all(merged)
+    if case.endswith("x1001"):
+        assert plans == [(1001, 50, 21)]
+    if case.startswith("marker"):  # the latch holds its marked values
+        assert np.all(neuron.trace(x)[0][:, 0, -1] == x[np.arange(8), 0, [
+            np.flatnonzero(x[b, 1])[-1] for b in range(8)]])
+
+
+def test_dsn_time_blocks_run_the_plain_loop_after_unmerged_repair_passes(monkeypatch):
+    # 8-frame blocks of lanes that forget over ~200 frames: DSN_REPAIR_PASSES
+    # passes end unmerged, each leaving one more block exact, and the frames
+    # after those blocks run the plain loop
+    params = replace(DsnParams.init(16, seed=7), conv_bias=Tensor(np.full(16, 3.0)))
+    neuron = DsnNeuron(params)
+    x = np.random.default_rng(84).normal(size=(1, 16, 512))
+    monkeypatch.setattr(neurons, "BLOCK_MARGIN", 0.0)
+    merges, plans = _spy_merges(monkeypatch), _spy_block_plans(monkeypatch)
+    merge, exact = neurons._merge_blocks, []
+    monkeypatch.setattr(neurons, "_merge_blocks", lambda *a: exact.append(merge(*a)) or exact[-1])
+    _assert_block_route_equals_the_step_fold(neuron, x)
+    assert plans == [(512, 64, 8)]
+    passes = neurons.DSN_REPAIR_PASSES
+    assert merges == [list(range(63, 63 - passes, -1))] * 2  # trace, then advance
+    assert exact == [passes + 1] * 2
+
+
+def test_dsn_time_blocks_chained_through_advance_and_step(monkeypatch):
+    neuron = make_neuron("dsn", channels=16, seed=8)
+    x = np.random.default_rng(85).normal(size=(1, 16, 2048)) * 2.0
+    states = _step_states(neuron, x)
+    s_fold = step_fold(neuron, x)[0]
+    merges = _spy_merges(monkeypatch)
+    for n in (1, 7, 97, 2047):
+        state, spikes, t = states[0], [], 0
+        while t < 2048:  # a step, then a block of n frames
+            s, _, state = neuron.step(state, x[..., t])
+            spikes.append(s[..., None])
+            s, state = neuron.advance(state, x[..., t + 1:t + 1 + n])
+            spikes.append(s)
+            t += 1 + n
+            _assert_same_state(state, states[min(t, 2048)])
+        assert np.concatenate(spikes, axis=-1).tobytes() == s_fold.tobytes(), n
+    assert merges  # the 2047-frame blocks take time blocks
+
+
+@pytest.mark.parametrize("shape", [(4, 256, 1024), (6, 16, 2048), (1, 16, 255)],
+                         ids=["wide-eval", "96-lanes", "255-frames"])
+def test_dsn_time_blocks_stay_off_outside_their_bounds(monkeypatch, shape):
+    # the benchmark's wide eval shape (1,024 lanes leave no room for even
+    # one block of a BLOCK_ROW-element row), DSN_BLOCK_MAX_LANES lanes and a
+    # sub-block shorter than DSN_BLOCK_MIN_FRAMES: the planner never runs
+    called = []
+    monkeypatch.setattr(neurons, "_least_forgetting", lambda a: called.append(a) or 0.5)
+    merges = _spy_merges(monkeypatch)
+    B, C, T = shape
+    neuron = make_neuron("dsn", channels=C, seed=9)
+    x = np.random.default_rng(86).normal(size=shape)
+    s = neuron.sequence(x)
+    assert not called and not merges
+    assert s.data.tobytes() == neuron.forward(x).data.tobytes()
+
+
+def test_least_forgetting_counts_a_full_reset_as_53_bits():
+    # lane 0 latches (1 - ulp) but for two frames of decay 1e-70; lane 1
+    # halves every frame: lane 0 forgets least, 2 x 53 bits over 600 frames
+    alpha = np.full((600, 2), 1.0 - 2.0 ** -53)
+    alpha[[100, 400], 0] = 1e-70
+    alpha[:, 1] = 0.5
+    got = neurons._least_forgetting(alpha)
+    assert got == pytest.approx(2.0 ** (-106 / 600), rel=1e-12)
+
+
+@pytest.mark.parametrize("B, T", [(0, 300), (2, 0)])
+def test_dsn_fold_of_no_lanes_or_no_frames_is_empty(B, T):
+    neuron = make_neuron("dsn", channels=4, seed=10)
+    x = np.zeros((B, 4, T))
+    s, state = neuron.advance(neuron.init_state(B, 4), x)
+    assert s.shape == (B, 4, T) and state.h.shape == (B, 4)
+    assert neuron.sequence(x).shape == (B, 4, T)
+    assert [a.shape for a in neuron.trace(x)] == [(B, 4, T)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -961,14 +1141,14 @@ def _spy_merges(monkeypatch):
     ``_merge_blocks`` (one list of row counts per call)."""
     merge, passes = neurons._merge_blocks, []
 
-    def spy(run, ins, out, start, carry):
+    def spy(run, ins, out, start, carry, *repairs):
         rows = []
         passes.append(rows)
 
         def counted(r):
             rows.append(r.shape[0])
             return carry(r)
-        return merge(run, ins, out, start, counted)
+        return merge(run, ins, out, start, counted, *repairs)
 
     monkeypatch.setattr(neurons, "_merge_blocks", spy)
     return passes
