@@ -762,8 +762,9 @@ DSN_TILE_BYTES = 2 ** 19
 
 
 def _tile_shape(params: DsnParams, batch: int, T: int) -> tuple[int, int]:
-    """(lanes, steps) of one tile of ``dsn_membrane``."""
-    n = batch * params.channels
+    """(lanes, steps) of one tile of ``dsn_membrane``; one lane where
+    there are none, so an empty batch walks no tiles."""
+    n = max(batch * params.channels, 1)
     rows = max(DSN_TILE_BYTES // (8 * max(T, 1)), TILE_LANES)
     if params.channel_mix is not None:
         c = params.channels
@@ -1066,8 +1067,9 @@ def _psn_membrane(params: PsnParams, x) -> Tensor:
     dW = g.T @ lanes, times the band for masked PSN (whose W ``PsnParams``
     keeps zero outside it, so the forward needs no mask).  Sliding: the
     depthwise causal taps of the lag-indexed weights reversed (current step
-    last) and tiled over the lanes; dx from the adjoint taps, and dW the
-    per-lane kernel gradient summed over the batch, the channels, reversed.
+    last), one (k,) kernel that every lane shares; dx from the adjoint taps
+    of that kernel, and dW the per-lane kernel gradient summed over the
+    batch, the channels, reversed.
     """
     x = nm._as_tensor(x)
     if x.ndim != 3:
@@ -1077,7 +1079,7 @@ def _psn_membrane(params: PsnParams, x) -> Tensor:
     lanes = np.ascontiguousarray(x.data.reshape(n, t))
     if params.variant == "sliding":
         k = w.shape[0]
-        kern = np.tile(w[::-1], (n, 1))
+        kern = w[::-1].copy()
         h = np.zeros((n, t))
         nm._depthwise_taps(lanes, kern, h, adjoint=False)
 

@@ -514,9 +514,9 @@ def sharpened_sigmoid(pre, tau: float) -> Tensor:
 
 # Bytes of one lane block of the depthwise taps: the block's input, output
 # and product rows (3 x 256 KiB) stay in a core's 2 MiB L2 while all k taps
-# pass over them; ``_depthwise_taps`` gives the measured cost of the sizes
-# around it.  ``_dense_taps`` sizes its batch blocks by it (its sweep is in
-# its docstring), and ``Neuron._advance`` its sub-blocks of frames
+# pass over them; ``BENCH_shared_taps.json`` gives the measured cost of the
+# sizes around it.  ``_dense_taps`` sizes its batch blocks by it (its sweep
+# is in its docstring), and ``Neuron._advance`` its sub-blocks of frames
 # (``neurons._sub_blocks`` gives that sweep).
 CONV_BLOCK_BYTES = 2 ** 18
 
@@ -551,35 +551,31 @@ def _depthwise_taps(src: np.ndarray, kern: np.ndarray, dst: np.ndarray,
     """Add the k causal taps of src into zero-filled dst (adjoint: the
     anti-causal mirror), block by block.
 
-    src, dst: (L, T) lanes, dst C-contiguous; kern: (L, k) per-lane kernel
-    rows, column k-1 on lag 0.  Taps run j = 0..k-1 on every element.
+    src, dst: (L, T) lanes, dst C-contiguous.  kern, entry k-1 on lag 0,
+    comes in one of two forms, told apart by its shape: a (k,) kernel that
+    every lane shares, each tap a scalar multiply, or (L, k) per-lane rows,
+    each tap a multiply by a (rows, 1) kernel column.  Either way every
+    element gets the same product, so the two give the same bits.  Taps run
+    j = 0..k-1 on every element.
 
     Lanes go in blocks of ``CONV_BLOCK_BYTES // (8*T)`` (at least one); in
-    a block each tap multiplies them by its kernel column into one reused
+    a block each tap multiplies them by its kernel entry into one reused
     buffer and adds that into dst shifted by its lag (``_add_shifted``), so
     every output element sees the additions of a serial step's window sum
-    in the same order.  Measured on a 2-core Xeon, float64, one BLAS thread,
-    as a depthwise conv's taps, adjoint taps and ``_depthwise_kernel_grad``
-    (median of 7) for blocks of 16 KiB, 64 KiB, 256 KiB, 1 MiB and 4 MiB:
-
-    * 4x256x1024, k=32: 446, 193, 155, 185 and 205 ms;
-    * 1x16x32768, k=32: 43, 50, 46, 73 and 77 ms (one lane per block at
-      256 KiB and below, so the first three differ by noise only);
-    * 1250x8x128, k=4 (a checker's many short lanes): 82, 47, 38, 43 and
-      47 ms.
-
-    The per-tap shifted copies this replaced took 491, 203 and 90 ms there,
-    with 31.6k page faults per pass at k=32 against 0.7k now.
+    in the same order.  ``BENCH_shared_taps.json`` holds the block-size
+    sweep of both forms.
     """
     n, T = src.shape
-    k = kern.shape[1]
+    k = kern.shape[-1]
     rows = _block_rows(T)
     tmp = np.empty((min(rows, n), T))
     for r0 in range(0, n, rows):
-        s, kb = src[r0:r0 + rows], kern[r0:r0 + rows]
+        s = src[r0:r0 + rows]
+        # taps[j]: a scalar, or the (rows, 1) kernel column of the block
+        taps = kern if kern.ndim == 1 else kern[r0:r0 + rows].T[:, :, None]
         prod = tmp[:s.shape[0]]
         for j in range(max(0, k - T), k):
-            np.multiply(s, kb[:, j:j + 1], out=prod)
+            np.multiply(s, taps[j], out=prod)
             _add_shifted(dst[r0:r0 + rows], prod, k - 1 - j, adjoint)
 
 

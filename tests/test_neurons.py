@@ -342,6 +342,27 @@ def test_fused_membrane_takes_an_empty_sequence(mix):
     assert DsnNeuron(params).sequence(np.zeros((2, 4, 0))).shape == (2, 4, 0)
 
 
+@pytest.mark.parametrize("mix", [False, True], ids=["plain", "mix"])
+def test_fused_membrane_takes_an_empty_batch(mix):
+    params = _dsn_params(np.random.default_rng(45), 4, mix=mix)
+    neuron = DsnNeuron(params)
+    x = np.zeros((0, 4, 5))
+    s, h, alpha = dsn_forward_parallel(params, x)
+    assert s.shape == h.shape == alpha.shape == (0, 4, 5)
+    assert neuron.forward(x).shape == neuron.sequence(x).shape == (0, 4, 5)
+    tape = Tape()
+    leaves = {n: tape.leaf(w.data) for n, w in neuron.weights().items()}
+    xt = tape.leaf(x)
+    s = neuron.with_weights(leaves).forward(xt)
+    assert s.shape == (0, 4, 5)
+    tape.backward(nm.sum_all(s))
+    assert tape.grad(xt).shape == (0, 4, 5)
+    for name, leaf in leaves.items():
+        g = tape.grad(leaf)
+        assert g.shape == neuron.weights()[name].shape, name
+        assert not np.any(g), name
+
+
 @pytest.mark.parametrize("taped", [("x",), ("kernel", "bias")], ids=["x", "weights"])
 def test_fused_membrane_differentiates_only_what_is_taped(monkeypatch, taped):
     monkeypatch.setattr(neurons, "DSN_TILE_BYTES", 2 ** 14)
@@ -809,6 +830,32 @@ def test_sliding_psn_membrane_of_a_time_major_view():
     assert np.any(results[1][0])
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes()
+
+
+def test_sliding_psn_shares_one_kernel_and_dsn_keeps_lane_rows(monkeypatch):
+    # the sliding PSN's taps and adjoint taps take its one (k,) kernel; the
+    # fused DSN op's take an (L, k) row per lane of the tile, one per channel
+    calls = []
+    taps = nm._depthwise_taps
+
+    def spy(src, kern, dst, adjoint):
+        calls.append((kern.shape, adjoint, src.shape[0]))
+        taps(src, kern, dst, adjoint)
+
+    monkeypatch.setattr(nm, "_depthwise_taps", spy)
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(2, 3, 40))
+    for neuron, k in ((PsnNeuron(PsnParams.sliding(rng.normal(size=5))), 5),
+                      (DsnNeuron(_dsn_params(rng, 3, k=4)), 4)):
+        calls.clear()
+        tape = Tape()
+        leaves = {n: tape.leaf(w.data) for n, w in neuron.weights().items()}
+        xt = tape.leaf(x)
+        tape.backward(nm.sum_all(neuron.with_weights(leaves).forward(xt)))
+        assert sorted({adjoint for _, adjoint, _ in calls}) == [False, True]
+        want = ((k,) if neuron.name == "sliding-psn" else (lanes, k)
+                for _, _, lanes in calls)
+        assert [shape for shape, _, _ in calls] == list(want)
 
 
 @pytest.mark.parametrize("i, j, outside", [

@@ -386,3 +386,32 @@ def test_operands_on_two_tapes_are_rejected(name):
         args[other] = second.leaf(arrays[other])
         with pytest.raises(ValueError, match="different tapes"):
             op(*args)
+
+
+# inputs that stress a product's rounding: signed zeros, subnormals and
+# large finite values among normal ones
+TAP_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1.7e308]
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["default", "3-row-blocks"])
+@pytest.mark.parametrize("T", [3, 5, 12], ids=["T<k", "T=k", "T>k"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["taps", "adjoint"])
+def test_shared_kernel_taps_equal_tiled_kernel_bit_for_bit(monkeypatch, block_rows,
+                                                           T, adjoint):
+    # a (k,) kernel every lane shares multiplies by scalars; the same kernel
+    # tiled to (L, k) multiplies by columns: the same bits either way, over
+    # 7 lanes that 3-row blocks cut into 3, 3 and 1
+    if block_rows is not None:
+        monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", 8 * block_rows * T)
+    L, k = 7, 5
+    rng = np.random.default_rng(46)
+    src = rng.normal(size=(L, T)) * 10.0
+    src.flat[rng.choice(src.size, len(TAP_SPECIALS), replace=False)] = TAP_SPECIALS
+    kern = rng.normal(size=k)
+    kern[:4] = [-0.0, 5e-324, 1e10, -3e-300]
+    shared, tiled = np.zeros((L, T)), np.zeros((L, T))
+    with np.errstate(all="ignore"):
+        nm._depthwise_taps(src, kern, shared, adjoint)
+        nm._depthwise_taps(src, np.tile(kern, (L, 1)), tiled, adjoint)
+    assert shared.tobytes() == tiled.tobytes()
+    assert np.any(shared)
