@@ -19,10 +19,11 @@ time: every time block at once from a guessed start, then repaired from
 the block before until it merges with its first run bit for bit
 (``_merge_blocks``), which a decay makes happen within about as many
 frames as its powers take to fall below 2^-53 (``_time_blocks`` plans the
-blocks from beta, or from the DSN's own decays).  Full and masked PSN
-have no serial mode: their ``step``, ``advance`` and ``trace`` raise
-StepUnavailable.  Folding ``step`` over time and calling ``sequence``
-produce the same spikes wherever both exist.
+blocks from beta, or from the DSN's own decays).  A DSN or PSN step sums
+its window in one multiply and one in-order reduce (``_ordered_sum``).
+Full and masked PSN have no serial mode: their ``step``, ``advance``
+and ``trace`` raise StepUnavailable.  Folding ``step`` over time and
+calling ``sequence`` produce the same spikes wherever both exist.
 
 Models:
 
@@ -533,10 +534,6 @@ def _finite_input(x: np.ndarray) -> None:
         raise NonFiniteError("non-finite input")
 
 
-# Lanes (B*C) from which a serial step's ordered sum is a loop of multiply-adds
-# rather than one accumulate (BENCH_serial_step.json).
-STEP_LOOP_LANES = 512
-
 # Lanes below which the LIF/IF kernel loops on Python floats (BENCH_lif_narrow.json).
 FLOAT_LOOP_LANES = 8
 # Lanes below which a leaky BPTT runs time blocks (BENCH_lif_blocks.json).
@@ -557,30 +554,37 @@ DSN_BLOCK_MIN_FRAMES = 256
 DSN_REPAIR_PASSES = 2
 
 
-def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
-    """sum over j of a[j] * b[j], a sum of the given shape ((B, C) for a
-    step, (n, B, C) for a block of n frames) added in the order j = 0, 1,
-    ... of the leading axis.
+def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple,
+                 from_zero: bool = False) -> np.ndarray:
+    """sum over j of a[j] * b[j] of the given shape ((B, C) for a step,
+    (n, B, C) for a block of n frames), added in the order j = 0, 1, ...
 
     That is the order in which the depthwise conv's taps (oldest first)
-    add into each output element and a channel mix adds its channels, in
-    ``dsn_membrane`` and ``psn_membrane``, so every partial sum rounds
-    as it does there and a step reproduces ``sequence`` bit for bit.  Those ops
-    start from +0.0; this sum starts from the first term, which changes
-    only the sign of a sum whose every term is -0.0 (adding +0.0 to the
-    result undoes that).  For the equal-rank operands of a step below
-    ``STEP_LOOP_LANES`` elements the sum is one multiply and one in-place
-    ``np.add.accumulate`` down the leading axis; otherwise it is a loop of
-    multiply-adds over whole terms, which rounds the same.
+    and a channel mix's channels add in ``dsn_membrane`` and
+    ``psn_membrane``, so a step reproduces ``sequence`` bit for bit.  Those
+    ops start from +0.0, as ``from_zero`` does; otherwise the sum starts
+    from the first term, which changes only the sign of an all -0.0 sum.
+    Equal-rank operands (a step's) whose terms fit ``CONV_BLOCK_BYTES``
+    take one multiply into C-ordered terms and one ``np.add.reduce`` over
+    their outermost axis: numpy runs it terms outside, elements inside, so
+    each element adds its terms in order.  An innermost term axis numpy
+    sums pairwise, so one-element terms run ``np.add.accumulate``, and the
+    multiply asks for C order (under 'K' the mix's transposed operand puts
+    the term axis innermost).  Larger terms (faster so,
+    ``BENCH_step_sums.json``) and unequal ranks (a block's) run a loop.
     """
-    if a.ndim == b.ndim and math.prod(shape) < STEP_LOOP_LANES:
-        terms = np.multiply(a, b)
-        np.add.accumulate(terms, axis=0, out=terms)
-        return terms[-1]
-    acc, term = np.multiply(a[0], b[0]), np.empty(shape)
-    for j in range(1, a.shape[0]):
-        np.multiply(a[j], b[j], out=term)
-        np.add(acc, term, out=acc)
+    if a.ndim == b.ndim and 8 * len(a) * math.prod(shape) <= nm.CONV_BLOCK_BYTES:
+        terms = np.multiply(a, b, order="C")
+        if math.prod(shape) > 1:
+            return np.add.reduce(terms, axis=0, initial=0.0 if from_zero else None)
+        acc = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    else:
+        acc, term = np.multiply(a[0], b[0]), np.empty(shape)
+        for j in range(1, a.shape[0]):
+            np.multiply(a[j], b[j], out=term)
+            np.add(acc, term, out=acc)
+    if from_zero:
+        np.add(acc, _ZERO, out=acc)  # S + 0.0 has the bits of the sum from +0.0
     return acc
 
 
@@ -1363,12 +1367,12 @@ class DsnNeuron(Neuron):
 
         Tap order: the window is shifted oldest first, and the pre-activation
         is the sum over taps j = 0 (oldest) .. k-1 (current) of
-        kernel[:, j] * x_{t-k+1+j}, added in that order (``_ordered_sum``),
-        then the bias, then the channel mix in channel order, as
-        ``dsn_membrane`` adds them.  Decay and fire are the taped ops' own
-        kernels (``numerics.decay_chain``, ``fire_counts``), so spikes and
-        decays equal ``sequence`` bit for bit (timed in
-        ``BENCH_serial_step.json``).
+        kernel[:, j] * x_{t-k+1+j}, added in that order, then the bias,
+        then the channel mix in channel order, as ``dsn_membrane`` adds
+        them (``_ordered_sum``, one reduce up to 32,768 terms: k B C, or
+        B C^2 for the mix).  Decay and fire are the taped ops' own kernels
+        (``numerics.decay_chain``, ``fire_counts``), so spikes and decays
+        equal ``sequence`` bit for bit (timed in ``BENCH_step_sums.json``).
         """
         x = np.asarray(x_t, dtype=float)
         if x.shape != state.h.shape:
@@ -1488,20 +1492,18 @@ class PsnNeuron(Neuron):
 
         Tap order: the membrane is the sum over taps j = 0 (oldest) .. k-1
         (current) of weight[k-1-j] * x_{t-k+1+j}, added in that order from
-        +0.0 (``_ordered_sum``), the order of the depthwise taps that
-        ``sequence`` runs, so membranes and spikes equal it bit for bit
-        (timed in ``BENCH_serial_step.json``).
+        +0.0 (``_ordered_sum``, a reduce up to 1024 lanes of 32 taps), the
+        order of the depthwise taps that ``sequence`` runs, and it fires on
+        H >= v_th, as heaviside(H - v_th) does (``_lif_fold``), so membranes
+        and spikes equal it bit for bit (timed in ``BENCH_step_sums.json``).
         """
         x = np.asarray(x_t, dtype=float)
         if x.shape != state.shape[1:]:
             raise ShapeMismatch(f"x_t {x.shape} vs state {state.shape[1:]}")
         _finite_input(x)
-        window = np.empty_like(state)
-        window[:-1] = state[1:]
-        window[-1] = x
+        window = np.concatenate((state[1:], x[None]))
         h = self._window_sum(window)
-        s = heaviside(h - self.v_th)
-        return s, h, window
+        return (h >= self.v_th).astype(float), h, window
 
     def _advance(self, state, x, membranes: bool):
         """``step`` folded over a (B, C, T) block: the window sums of a
@@ -1524,9 +1526,7 @@ class PsnNeuron(Neuron):
         """Membranes from a tap-major (k, ..., B, C) window of inputs, oldest
         first, summed as the depthwise taps of ``psn_membrane`` sum them."""
         taps = self.params.weight.data[::-1, None, None]  # lag order -> window order
-        h = _ordered_sum(window, taps, window.shape[1:])
-        np.add(h, _ZERO, out=h)  # the conv's sum starts at +0.0
-        return h
+        return _ordered_sum(window, taps, window.shape[1:], from_zero=True)
 
     def weights(self) -> dict[str, Tensor]:
         return {"weight": self.params.weight}

@@ -514,10 +514,10 @@ def sharpened_sigmoid(pre, tau: float) -> Tensor:
 
 # Bytes of one lane block of the depthwise taps: the block's input, output
 # and product rows (3 x 256 KiB) stay in a core's 2 MiB L2 while all k taps
-# pass over them; ``BENCH_shared_taps.json`` gives the measured cost of the
-# sizes around it.  ``_dense_taps`` sizes its batch blocks by it (its sweep
-# is in its docstring), and ``Neuron._advance`` its sub-blocks of frames
-# (``neurons._sub_blocks`` gives that sweep).
+# pass over them (``BENCH_shared_taps.json``).  It also sizes the batch
+# blocks of ``_dense_taps`` (swept in its docstring), the sub-blocks of
+# ``Neuron._advance`` (``neurons._sub_blocks``) and the step sums that
+# reduce (``neurons._ordered_sum``, swept in ``BENCH_step_sums.json``).
 CONV_BLOCK_BYTES = 2 ** 18
 
 

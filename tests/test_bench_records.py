@@ -37,3 +37,12 @@ def test_every_record_the_source_cites_exists_and_parses(name):
     path = ROOT / name
     assert path.is_file(), f"{name} is cited under src/ but missing at the root"
     assert isinstance(json.loads(path.read_text()), dict)
+
+
+def test_step_sums_record_holds_the_golden_step_digests():
+    from test_neurons import STEP_DIGESTS
+
+    record = json.loads((ROOT / "BENCH_step_sums.json").read_text())
+    recorded = {(d["kind"], d["batch"], d["channels"]): d["sha256"]
+                for d in record["step_digests"]}
+    assert recorded == STEP_DIGESTS

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -184,11 +185,28 @@ def test_dsn_streaming_state_is_bounded():
     assert state.window.shape == (params.kernel_size - 1, 1, 2)  # tap-major
 
 
-@pytest.mark.parametrize("loop_lanes", [10 ** 9, 1], ids=["accumulate", "loop"])
-def test_step_sums_match_sequence_in_both_forms(monkeypatch, loop_lanes):
-    # the step's ordered sums (taps, and channels of a mix) as one accumulate
+def _force_sum_route(monkeypatch, budget: int) -> None:
+    """Run ``neurons._ordered_sum`` under a ``CONV_BLOCK_BYTES`` of budget
+    bytes while every other caller keeps its own: 2**40 sends each step's
+    sum of more than one element to the reduce, 0 every sum to the loop."""
+    ordered_sum = neurons._ordered_sum
+
+    def forced(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nm, "CONV_BLOCK_BYTES", budget)
+            return ordered_sum(*args, **kwargs)
+
+    monkeypatch.setattr(neurons, "_ordered_sum", forced)
+
+
+SUM_ROUTES = {"reduce": 2 ** 40, "loop": 0}
+
+
+@pytest.mark.parametrize("route", list(SUM_ROUTES))
+def test_step_sums_match_sequence_in_both_forms(monkeypatch, route):
+    # the step's ordered sums (taps, and channels of a mix) as one reduce
     # and as a loop over terms; both must round as the taped ops do
-    monkeypatch.setattr(neurons, "STEP_LOOP_LANES", loop_lanes)
+    _force_sum_route(monkeypatch, SUM_ROUTES[route])
     rng = np.random.default_rng(24)
     c = 6
     base = DsnParams.init(channels=c, k=5, seed=8)
@@ -213,6 +231,82 @@ def test_step_sums_match_sequence_in_both_forms(monkeypatch, loop_lanes):
     zeros = np.zeros((2, 3, 6))
     h_conv = neurons._psn_membrane(negative.params, zeros).data
     assert step_fold(negative, zeros)[1].tobytes() == h_conv.tobytes()
+
+
+# columns of 32 terms whose sum depends on the order of its adds
+ORDER_TERMS = np.array([
+    [1e16, 1.0, -1e16, 1.0] * 8,  # in order 1.0, pairwise 0.0
+    [-1.0, 1e16, 1.0, -1e16] * 8,
+    [-0.0] * 32,  # -0.0 from the first term, +0.0 from +0.0
+    [0.0, -0.0] * 16,
+    [5e-324, -1e-310, 3e-320, -2.5e-308] * 8,  # subnormal partial sums
+    [1e300, -1e300, 1e-300, 7.0] * 8,
+]).T
+
+
+def _left_fold(a: np.ndarray, b: np.ndarray, from_zero: bool) -> np.ndarray:
+    """sum over j of a[j] * b[j], element by element in Python floats, one
+    term after another from the first term (or from +0.0)."""
+    terms = np.array([np.multiply(u, v) for u, v in zip(a, b)])
+    sums = []
+    for lane in terms.reshape(len(terms), -1).T:
+        acc = 0.0 if from_zero else float(lane[0])
+        for term in lane[0 if from_zero else 1:]:
+            acc = acc + float(term)
+        sums.append(acc)
+    return np.array(sums).reshape(terms.shape[1:])
+
+
+def _order_operands(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(32, B, C) terms cycling through the ``ORDER_TERMS`` columns lane by
+    lane, and (32, 1, C) taps of 1, -1, 0.5 and 2."""
+    k, B, C = shape
+    a = ORDER_TERMS[:, np.arange(B * C) % ORDER_TERMS.shape[1]].reshape(shape)
+    b = np.resize([1.0, -1.0, 0.5, 2.0], (k, 1, C))
+    return a, b
+
+
+ORDER_CASES = ([("accumulate", (32, 1, 1), 2 ** 40)]
+               + [(route, shape, SUM_ROUTES[route]) for route in SUM_ROUTES
+                  for shape in ((32, 1, 2), (32, 2, 1), (32, 3, 4))]
+               + [("loop", (32, 1, 1), 0)])
+
+
+@pytest.mark.parametrize("from_zero", [False, True], ids=["from-first", "from-zero"])
+@pytest.mark.parametrize("route, shape, budget", ORDER_CASES,
+                         ids=[f"{r}-{'x'.join(map(str, s))}" for r, s, _ in ORDER_CASES])
+def test_ordered_sum_is_the_left_fold_on_every_route(monkeypatch, route, shape, budget,
+                                                     from_zero):
+    pairwise = np.add.reduce(ORDER_TERMS[:, 0])  # one innermost axis
+    assert pairwise != _left_fold(ORDER_TERMS[:, :1], np.ones((32, 1)), False)[0]
+    monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", budget)
+    a, b = _order_operands(shape)
+    got = neurons._ordered_sum(a, b, shape[1:], from_zero)
+    assert got.shape == shape[1:]
+    assert got.tobytes() == _left_fold(a, b, from_zero).tobytes()
+
+
+def test_ordered_sum_of_a_block_is_the_left_fold():
+    # a block's (k, n, B, C) window against (k, 1, C) taps: unequal ranks
+    a, b = _order_operands((32, 6, 4))
+    a = a.reshape(32, 3, 2, 4)
+    got = neurons._ordered_sum(a, b, a.shape[1:])
+    assert got.tobytes() == _left_fold(a, b, False).tobytes()
+
+
+@pytest.mark.parametrize("route", list(SUM_ROUTES))
+def test_ordered_sum_of_a_channel_mix_is_the_left_fold(monkeypatch, route):
+    # the DSN step's mix operands: a transposed (C, 1, C) view of the mix and
+    # the (C, B, 1) pre-activations, whose product in the default 'K' layout
+    # has the channel axis innermost
+    monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", SUM_ROUTES[route])
+    C, B = 32, 3
+    mix = ORDER_TERMS[:, np.arange(C) % ORDER_TERMS.shape[1]].T  # mix[o, j]
+    npre = np.resize([1.0, -1.0, 0.5, 2.0], (B, C))
+    a, b = mix.T[:, None, :], np.moveaxis(npre, -1, 0)[..., None]
+    assert np.multiply(a, b).strides[0] == 8
+    got = neurons._ordered_sum(a, b, (B, C))
+    assert got.tobytes() == _left_fold(a, b, False).tobytes()
 
 
 @pytest.mark.parametrize("tau", [0.25, 0.5, 2.0])
@@ -1675,6 +1769,59 @@ def test_non_finite_frame_is_rejected_by_step(kind):
         neuron.step(state, np.array([[0.0, np.nan, 1.0]]))
 
 
+def _step_digest_neuron(kind: str, channels: int) -> Neuron:
+    """A registry neuron, or ``dsn-mix``: a DSN with a random bias and a
+    random channel mix."""
+    if kind != "dsn-mix":
+        return make_neuron(kind, channels=channels, seed=0)
+    rng = np.random.default_rng(27)
+    base = DsnParams.init(channels=channels, k=4, seed=0)
+    return DsnNeuron(DsnParams(
+        conv_kernel=base.conv_kernel, conv_bias=Tensor(rng.normal(size=channels)),
+        channel_mix=Tensor(rng.normal(size=(channels, channels)) / np.sqrt(channels)),
+        tau=0.5, n_max=3))
+
+
+def step_digest(kind: str, batch: int, channels: int) -> str:
+    """sha256 over the spikes, the membranes and the final state of the
+    ``step`` fold of 48 seeded frames, 2 N(0, 1) each."""
+    x = np.random.default_rng(26).normal(size=(batch, channels, 48)) * 2.0
+    s, h, state = step_fold(_step_digest_neuron(kind, channels), x)
+    blob = hashlib.sha256()
+    for a in (s, h, *_state_arrays(state)):
+        blob.update(np.ascontiguousarray(a).tobytes())
+    return blob.hexdigest()
+
+
+# ``step_digest`` by (kind, batch, channels), recorded before a step's
+# ordered sums became one reduce (``BENCH_step_sums.json``).  Among them
+# the shapes run every route of ``neurons._ordered_sum``: one-lane windows
+# the accumulate, 1 x 16 and 4 x 256 the reduce, and the 4 x 256 mix and
+# the 8 x 2048 windows, past ``CONV_BLOCK_BYTES``, the loop.
+STEP_DIGESTS = {
+    ("dsn", 1, 1): "e1bd15356da498104843e3b28e4b48a9964f71c7b942d241bc52fed47541be6e",
+    ("dsn", 1, 16): "2cb7d02851734ff3a0fc1c185f71f86ecc9726f69284b24a2c15e1eb0c1867f0",
+    ("dsn", 4, 256): "2521495683daf203716de5510a8e493b96922ccae88cb4704c06337dc4db6e84",
+    ("dsn", 8, 2048): "f70323034b12f4a3eb67304faa36c0fdc366897518057e80cabd370c4b36b734",
+    ("dsn-mix", 1, 1): "905dcf682003b7848d762685469d7f8605ff4e231fde6df17e2d9c9debaeec34",
+    ("dsn-mix", 1, 16): "7055d2fd1e334b9d83d3b61d44a9799e006c99416663ab20beedd287e5236dc9",
+    ("dsn-mix", 4, 256): "7d07c3063e4e1e4f7f40b500d40d5dcdc2b67d44dff7dd53102ff254d830ffe9",
+    ("sliding-psn", 1, 1): "9b3b730eb055ba8d74469377adbf5731828f61a15aac3e3be95546d7019b79fd",
+    ("sliding-psn", 1, 16): "6b498739ddb5bc8ae262b2bc13a01d3db228c9eef7c5ae631e36a8d63b017dbb",
+    ("sliding-psn", 4, 256): "a7c362015f9ef5c1497458d6c386ea0bb186b60d8e2c60c12794f357499ce515",
+    ("sliding-psn", 8, 2048): "204cc438cd71c70032288edf15105b9a6136bdf43b8be1a188a575ccfbf55058",
+    ("lif-hard", 1, 1): "950a2363750ddc15f2d9d2b380277f17ce080a7f4723ee76a97740577979c2c6",
+    ("lif-hard", 1, 16): "f98387abc360d1b95d0a88b38afea551f2834051c98313d1317f2b3d66f7bb8a",
+    ("lif-hard", 4, 256): "8fd21a08fe2e02e07dd70fbf714b51965b808e48285d60386b5a01c14d2d9848",
+    ("lif-hard", 8, 2048): "973dbb44509262cf0809c3263df2d202a971402e9a3e4e9c7c07f02e41908109",
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_step_fold_digests_match_golden(case):
+    assert step_digest(*case) == STEP_DIGESTS[case]
+
+
 # ---------------------------------------------------------------------------
 # block inference: ``advance`` is the step fold, a block at a time
 
@@ -1722,10 +1869,10 @@ def _owns_its_memory(a: np.ndarray) -> bool:
     return root.nbytes == a.nbytes
 
 
-@pytest.fixture(params=[10 ** 9, 1], ids=["accumulate", "loop"])
+@pytest.fixture(params=list(SUM_ROUTES))
 def sum_form(request, monkeypatch):
-    # the ordered sums as one accumulate and as a loop over terms
-    monkeypatch.setattr(neurons, "STEP_LOOP_LANES", request.param)
+    # the ordered sums as one reduce and as a loop over terms, at any sub-block
+    _force_sum_route(monkeypatch, SUM_ROUTES[request.param])
 
 
 @pytest.fixture(params=[None, 5], ids=["sub-block-default", "sub-block-5"])
