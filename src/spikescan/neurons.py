@@ -13,17 +13,21 @@ it.
 block kernel ``_lif_fold``, a few whole-row ufuncs a frame from
 ``FLOAT_LOOP_LANES`` lanes on and a Python-float loop per lane below, and
 for DSN and sliding PSN a cache-sized sub-block of frames at a time, each
-equal to the fold of ``step`` bit for bit.  A leaky LIF fold of few lanes
-over many frames, its BPTT, and the DSN's H recurrence run parallel over
-time: every time block at once from a guessed start, then repaired from
-the block before until it merges with its first run bit for bit
-(``_merge_blocks``), which a decay makes happen within about as many
-frames as its powers take to fall below 2^-53 (``_time_blocks`` plans the
-blocks from beta, or from the DSN's own decays).  A DSN or PSN step sums
-its window in one multiply and one in-order reduce (``_ordered_sum``).
-Full and masked PSN have no serial mode: their ``step``, ``advance``
-and ``trace`` raise StepUnavailable.  Folding ``step`` over time and
-calling ``sequence`` produce the same spikes wherever both exist.
+equal to the fold of ``step`` bit for bit.  The taped ``forward`` of LIF/IF
+and of the DSN is that same fold plus a reverse-time backward, so its
+spikes are the step fold's by construction; the PSN family's is
+``psn_membrane``, whose sums add in the step's order.  A leaky LIF fold of
+few lanes over many frames, its BPTT, and the DSN's H recurrence and its
+adjoint run parallel over time: every time block at once from a guessed
+start, then repaired from the block before until it merges with its first
+run bit for bit (``_merge_blocks``), which a decay makes happen within
+about as many frames as its powers take to fall below 2^-53
+(``_time_blocks`` plans the blocks from beta, or from the DSN's own
+decays).  A DSN or PSN step sums its window in one multiply and one
+in-order reduce (``_ordered_sum``).  Full and masked PSN have no serial
+mode: their ``step``, ``advance`` and ``trace`` raise StepUnavailable.
+Folding ``step`` over time and calling ``sequence`` produce the same spikes
+wherever both exist.
 
 Models:
 
@@ -31,18 +35,17 @@ Models:
   or no reset.  ``step`` is its single-step definition, and ``_lif_fold``
   its one block kernel, equal to the fold of ``step`` bit for bit, with
   per-lane betas: the trace, the taped training pass (that kernel forward,
-  reverse-time BPTT backward) and the approx task's targets, a bank of
-  channels as lanes of one call per reset mode, all run it.  Only the
-  no-reset variant, a linear recurrence, has a parallel path, through the
-  scan; with a leak, the kernel's frame loops run time blocks side by
-  side instead (``_time_blocks``).
+  reverse-time BPTT backward), ``sequence`` of the reset-free variants
+  and the approx task's targets, a bank of channels as lanes of one call
+  per reset mode, all run it.  With a leak, the kernel's frame loops run
+  time blocks side by side (``_time_blocks``).
 * ``DsnNeuron`` -- reset-free neuron whose decay is produced per step from
   the last k inputs by a depthwise causal convolution and a sharpened
-  sigmoid; fires integer spikes clip(round(H), 0, N).  Parallel via
-  ``dsn_membrane`` (conv, decay and scan as one taped op), serial via an
-  O(C*k) window of the last k-1 inputs; untaped ``sequence`` takes the
-  serial block path, whose H recurrence runs over time blocks
-  (``_dsn_membranes``).
+  sigmoid; fires integer spikes clip(round(H), 0, N).  Serial via an
+  O(C*k) window of the last k-1 inputs; a sequence runs the time-major
+  fold ``_dsn_fold``, whose H recurrence runs over time blocks
+  (``_dsn_membranes``), and training tapes that fold (``_dsn_taped``) with
+  a time-major reverse pass (``_dsn_bptt``).
 * ``PsnNeuron`` -- the learnable time-by-time weight family: full (dense,
   non-causal), masked (banded lower-triangular) and sliding (k shared
   weights).  Full/masked are locked to their training length and raise
@@ -65,7 +68,7 @@ from .errors import (LengthMismatch, NonFiniteError, ParallelUnavailable, ShapeM
                      StepUnavailable)
 from .numerics import (_ONE, _ZERO, SurrogateKind, Rectangular, Tensor, heaviside,
                        surrogate_grad)
-from .scan import CHUNK, TILE_LANES, _chunked_scan, linear_scan
+from .scan import TILE_LANES
 
 HARD, SOFT, NONE = "hard", "soft", "none"
 _RESETS = (HARD, SOFT, NONE)
@@ -559,11 +562,12 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple,
     """sum over j of a[j] * b[j] of the given shape ((B, C) for a step,
     (n, B, C) for a block of n frames), added in the order j = 0, 1, ...
 
-    That is the order in which the depthwise conv's taps (oldest first)
-    and a channel mix's channels add in ``dsn_membrane`` and
-    ``psn_membrane``, so a step reproduces ``sequence`` bit for bit.  Those
-    ops start from +0.0, as ``from_zero`` does; otherwise the sum starts
-    from the first term, which changes only the sign of an all -0.0 sum.
+    That is the order in which the depthwise taps (oldest first) add in
+    ``psn_membrane``, so a PSN step reproduces ``sequence`` bit for bit,
+    and the DSN's step and its sub-block fold both sum their taps and mix
+    through it (``_dsn_pre``).  ``psn_membrane`` starts from +0.0, as
+    ``from_zero`` does; otherwise the sum starts from the first term,
+    which changes only the sign of an all -0.0 sum.
     Equal-rank operands (a step's) whose terms fit ``CONV_BLOCK_BYTES``
     take one multiply into C-ordered terms and one ``np.add.reduce`` over
     their outermost axis: numpy runs it terms outside, elements inside, so
@@ -588,19 +592,20 @@ def _ordered_sum(a: np.ndarray, b: np.ndarray, shape: tuple,
     return acc
 
 
-def _dsn_decay(params: DsnParams, window: np.ndarray) -> np.ndarray:
-    """Decays (..., C) from a tap-major (k, ..., C) window, oldest first:
-    (k, B, C) for a step, a (k, n, B, C) view for n frames of a block.  The
-    negated pre-activation is summed in the order ``dsn_membrane`` adds
-    it, then goes through the ``numerics.decay_chain`` it runs."""
+def _dsn_pre(params: DsnParams, window: np.ndarray, mixed: bool = True) -> np.ndarray:
+    """The negated pre-activation (..., C) from a tap-major (k, ..., C)
+    window, oldest first: (k, B, C) for a step, a (k, n, B, C) view for n
+    frames of a sub-block.  The taps, then the bias, then (``mixed``) the
+    channel mix, each summed in order (``_ordered_sum``); the negation is
+    exact, and ``numerics.decay_chain`` takes it so."""
     shape = window.shape[1:]
     taps, bias, _ = params._step_operands
     npre = _ordered_sum(window, taps, shape)
     np.add(npre, bias, out=npre)
-    if params.channel_mix is not None:
+    if mixed and params.channel_mix is not None:
         npre = _ordered_sum(params.channel_mix.data.T[:, None, :],
                             np.moveaxis(npre, -1, 0)[..., None], shape)
-    return nm.decay_chain(npre, 1.0 / params.tau)[2]
+    return npre
 
 
 def _block_frames(x, lanes: tuple) -> np.ndarray:
@@ -613,9 +618,16 @@ def _block_frames(x, lanes: tuple) -> np.ndarray:
     return x.transpose(2, 0, 1)
 
 
-def _sub_blocks(window: np.ndarray, frames: np.ndarray):
+def _sub_block_frames(B: int, C: int) -> int:
+    """Frames of one sub-block of (B, C) lanes: ``numerics.CONV_BLOCK_BYTES
+    // (8 B C)``, at least one (``BENCH_advance.json``)."""
+    return max(1, nm.CONV_BLOCK_BYTES // max(8 * B * C, 1))
+
+
+def _sub_blocks(window: np.ndarray, frames: np.ndarray, reverse: bool = False):
     """Walk (T, B, C) frames a sub-block at a time behind a tap-major
-    (m, B, C) window of the frames before them, oldest first.
+    (m, B, C) window of the frames before them, oldest first; from the
+    last sub-block back with ``reverse``.
 
     Yields (t, taps) per sub-block of n frames from frame t on: taps is a
     read-only (m + 1, n, B, C) view of [window | frames] whose row j holds,
@@ -628,22 +640,25 @@ def _sub_blocks(window: np.ndarray, frames: np.ndarray):
     (as ``eval_serial`` passes them) in one copy, the time-major view of
     lane-major input ``TILE_LANES`` lanes at a time.  Copied whole, that
     view reads each frame from B*C lanes a page apart; a tile's 64 lanes
-    stay in cache for all n frames (``BENCH_dsn_eval_route.json``).  A
-    sub-block is ``numerics.CONV_BLOCK_BYTES // (8 B C)`` frames, at least
-    one (``BENCH_advance.json``).
+    stay in cache for all n frames (``BENCH_dsn_eval_route.json``).
+    Sub-blocks are ``_sub_block_frames`` long.
     """
     m = window.shape[0]
     T, B, C = frames.shape
-    n = max(1, nm.CONV_BLOCK_BYTES // max(8 * B * C, 1))
+    n = _sub_block_frames(B, C)
     buf = np.empty((m + min(n, T), B, C))
-    buf[:m] = window
     strides = (buf.strides[0],) + buf.strides
-    for t in range(0, T, n):
-        if t:
-            buf[:m] = buf[n:n + m]  # the last m frames of the sub-block before
+    starts = range(0, T, n)
+    for t in reversed(starts) if reverse else starts:
         stop = min(t + n, T)
+        if t and not reverse:
+            buf[:m] = buf[n:n + m]  # the last m frames of the sub-block before
+            lo = t
+        else:  # the window's frames still in reach, then frames from lo
+            lo = max(t - m, 0)
+            buf[:m - t + lo] = window[t - lo:]
+        _gather(buf[m - t + lo:m + stop - t], frames[lo:stop])
         block = buf[m:m + stop - t]
-        _gather(block, frames[t:stop])
         _finite_input(block)
         yield t, np.lib.stride_tricks.as_strided(buf, (m + 1,) + block.shape, strides,
                                                  writeable=False)
@@ -676,30 +691,39 @@ def _last_frames(older: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
                            frames[max(T - m, 0):]), dtype=float)
 
 
-def _dsn_membranes(alpha: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _dsn_plan(alpha: np.ndarray) -> tuple[int, int]:
+    """(blocks, frames per block) of the H recurrence over a sub-block's
+    (n, B, C) decays: below ``DSN_BLOCK_MAX_LANES`` lanes, from
+    ``DSN_BLOCK_MIN_FRAMES`` frames on, ``_time_blocks`` plans them from the
+    lane that forgets least (``_least_forgetting``); (1, n) elsewhere."""
+    n, lanes = alpha.shape[0], math.prod(alpha.shape[1:])
+    if n >= DSN_BLOCK_MIN_FRAMES and 0 < lanes < DSN_BLOCK_MAX_LANES:
+        return _time_blocks(n, lanes, None, _least_forgetting(alpha))
+    return 1, n
+
+
+def _dsn_membranes(alpha: np.ndarray, b: np.ndarray, h: np.ndarray,
+                   plan: tuple[int, int]) -> np.ndarray:
     """H_t = alpha_t H_{t-1} + b_t over the (n, B, C) frames of a sub-block
     from the (B, C) membrane h, written into alpha; returns the last H.
 
     The decays depend on the input window alone, never on H, so before the
-    fold they tell how soon each lane forgets a wrong start.  Below
-    ``DSN_BLOCK_MAX_LANES`` lanes, from ``DSN_BLOCK_MIN_FRAMES`` frames on,
-    ``_time_blocks`` plans time blocks from the lane that forgets least
-    (``_least_forgetting``), and they run through ``_merge_blocks`` on
-    contiguous copies of alpha and b whose row j is frame j of every block.
-    H_t depends only on H_{t-1}, alpha_t and b_t, so a block whose H agrees
-    bit for bit with its repair at one frame is exact from there on: the
-    result equals the plain loop (``_dsn_frames`` in place of alpha) in
-    every case, and only the cost depends on the decays.  A lane that never forgets (alpha at 1 - ulp)
-    could never merge; its mean decay rounds to 1 or asks for blocks longer
-    than the sub-block, so the plain loop runs.  Where a lane forgets only
-    at frames far apart (a latch cleared by rare markers), blocks may not
-    merge; after ``DSN_REPAIR_PASSES`` passes the frames after the exact
-    blocks run the plain loop.
+    fold they tell how soon each lane forgets a wrong start: ``plan`` is
+    ``_dsn_plan``'s, and where it has more than one block they run through
+    ``_merge_blocks`` on contiguous copies of alpha and b whose row j is
+    frame j of every block.  H_t depends only on H_{t-1}, alpha_t and b_t,
+    so a block whose H agrees bit for bit with its repair at one frame is
+    exact from there on: the result equals the plain loop (``_dsn_frames``
+    in place of alpha) in every case, and only the cost depends on the
+    decays and the plan.  A lane that never
+    forgets (alpha at 1 - ulp) could never merge; its mean decay rounds to 1
+    or asks for blocks longer than the sub-block, so the plain loop runs.
+    Where a lane forgets only at frames far apart (a latch cleared by rare
+    markers), blocks may not merge; after ``DSN_REPAIR_PASSES`` passes the
+    frames after the exact blocks run the plain loop.
     """
     n, lanes = alpha.shape[0], h.size
-    blocks, m = (_time_blocks(n, lanes, None, _least_forgetting(alpha))
-                 if n >= DSN_BLOCK_MIN_FRAMES and 0 < lanes < DSN_BLOCK_MAX_LANES
-                 else (1, n))
+    blocks, m = plan
     if blocks == 1:
         return _dsn_frames([alpha, b], alpha, h)
     ins = [_block_rows(a.reshape(n, lanes), blocks, m) for a in (alpha, b)]
@@ -754,189 +778,172 @@ def _block_rows(a: np.ndarray, blocks: int, m: int) -> np.ndarray:
     return rows
 
 
-# Bytes of one tile of ``dsn_membrane``: DSN_TILE_BYTES // (8 T) whole
-# lanes, but never fewer than the scan's ``TILE_LANES`` (a narrower tile
-# narrows every copy of the scan and pays its row loop for few lanes).
-# Where those lanes come to more than twice DSN_TILE_BYTES, the tile is cut
-# along time into DSN_TILE_BYTES pieces on the scan's chunk boundaries;
-# below that a cut costs more row loops than it saves.  A channel mix
-# couples the channels, so there a tile is whole batch rows of whole lanes
-# (BENCH_fused_dsn.json).
-DSN_TILE_BYTES = 2 ** 19
-
-
-def _tile_shape(params: DsnParams, batch: int, T: int) -> tuple[int, int]:
-    """(lanes, steps) of one tile of ``dsn_membrane``; one lane where
-    there are none, so an empty batch walks no tiles."""
-    n = max(batch * params.channels, 1)
-    rows = max(DSN_TILE_BYTES // (8 * max(T, 1)), TILE_LANES)
-    if params.channel_mix is not None:
-        c = params.channels
-        return min(max(c, rows - rows % c), n), max(T, 1)
-    rows = min(rows, n)
-    if 8 * rows * T <= 2 * DSN_TILE_BYTES:
-        return rows, max(T, 1)
-    return rows, max(CHUNK, DSN_TILE_BYTES // (8 * rows) // CHUNK * CHUNK)
-
-
-def _rows(flat: np.ndarray, m: int, w: int) -> np.ndarray:
-    # a C-contiguous (m, w) array at the front of a flat scratch buffer
-    return flat[:m * w].reshape(m, w)
-
-
-def dsn_membrane(params: DsnParams, x) -> Tensor:
-    """The DSN membrane H of a (B, C, T) input as one taped op: depthwise
-    causal conv (+ bias, then the channel mix), decay (``decay_chain``) and
-    the scan H_t = alpha_t H_{t-1} + (1 - alpha_t) x_t from H = 0.
-
-    The op walks the B*C lanes a tile at a time (``DSN_TILE_BYTES``), so
-    the stages of a tile pass over it while it sits in cache, in scratch
-    buffers every tile reuses.  Each stage is the kernel the separate ops
-    ran (``numerics._depthwise_taps``, ``decay_chain``,
-    ``scan._chunked_scan``), and a tile cut along time starts on a chunk
-    boundary of the scan (forward: from the start of time, carrying the
-    last H; backward: from the end, carrying the adjoint and the decay one
-    step on) and reads the k-1 conv inputs or gradients beyond its edge, so
-    every element rounds as it did through the separate ops.  The tape
-    keeps H and sigma; the backward recomputes alpha from sigma and runs
-    the adjoint scan, d_alpha, the sigmoid gradient and the conv adjoint
-    tile by tile.  The kernel and bias gradients are per-lane dot products
-    and sums over whole lanes, summed over the batch at the end in the
-    order the separate ops summed them.
+def _dsn_fold(params: DsnParams, state: DsnState, frames: np.ndarray,
+              h_out: np.ndarray | None = None, sigma: np.ndarray | None = None,
+              unclipped: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list]:
+    """(S, last H, plans): ``DsnNeuron.step`` folded over (T, B, C) frames
+    from ``state`` a sub-block at a time (``_sub_blocks``), S time-major,
+    with each sub-block's time-block plan; H, sigma and the fire's one-byte
+    mask (the rounded H left unclipped) go into the time-major buffers
+    given.  Every stage but H_t = alpha_t H_{t-1} + b_t (``_dsn_membranes``)
+    runs over the whole sub-block with the step's own kernels, so each
+    element rounds as in ``step``.  Finite frames whose pre-activation
+    overflows raise NonFiniteError (one test per sub-block), not a
+    RuntimeWarning.
     """
-    return _dsn_membrane(params, x, False)[0]
-
-
-def _dsn_membrane(params: DsnParams, x, keep_alpha: bool):
-    """(H, alpha): ``dsn_membrane``, and its (B, C, T) decays when asked."""
-    x = nm._as_tensor(x)
-    if x.ndim != 3 or x.shape[1] != params.channels:
-        raise ShapeMismatch(f"expected (B, {params.channels}, T) input, "
-                            f"got shape {x.shape}")
-    B, C, T = x.shape
-    n, k, e = B * C, params.kernel_size, 1.0 / params.tau
-    kernel, bias, mix = params.conv_kernel, params.conv_bias, params.channel_mix
-    tape, nodes = nm._shared_tape(x, kernel, bias, mix)
-    lanes = x.data.reshape(n, T)
-    kern = np.tile(kernel.data, (B, 1))  # lane b*C + c uses channel c's row
-    lane_bias = None if bias is None else np.tile(bias.data, B)[:, None]
-    rows, steps = _tile_shape(params, B, T)
-    blocks = [(slice(l0, l0 + rows), min(rows, n - l0)) for l0 in range(0, n, rows)]
-    zeros = np.zeros(rows)
-    h = np.empty((n, T))
-    sigma = np.empty((n, T)) if tape else None
-    alpha = np.empty((n, T)) if keep_alpha else None
-
-    def pre_activation(ls, t0, t1, out):
-        # the conv's taps, then the bias, from zero into C-contiguous out
-        out.fill(0.0)
-        nm._depthwise_taps(lanes[ls, t0:t1], kern[ls], out, adjoint=False)
-        if lane_bias is not None:
-            out += lane_bias[ls]
-        return out
-
-    def forward(ls, m, t0, t1):
-        w, lead = t1 - t0, min(k - 1, t0)  # lead: the conv's inputs before t0
-        pre = pre_activation(ls, t0 - lead, t1, _rows(flat[0], m, w + lead))[:, lead:]
-        if mix is not None:
-            pre = np.einsum("dc,bct->bdt", mix.data, pre.reshape(-1, C, T),
-                            out=_rows(flat[2], m, w).reshape(-1, C, T)).reshape(m, w)
-        nm._ensure_finite(pre, "dsn_membrane")
-        npre = np.negative(pre, out=sigma[ls, t0:t1] if tape else pre)
-        a = alpha[ls, t0:t1] if keep_alpha else _rows(flat[1], m, w)
-        nm.decay_chain(npre, e, a, a)
-        b = np.subtract(_ONE, a, out=_rows(flat[2], m, w))
-        np.multiply(b, lanes[ls, t0:t1], out=b)
-        _chunked_scan(a, b, h[ls, t0 - 1] if t0 else zeros[:m], False, h[ls, t0:t1])
-
-    flat = np.empty((3, rows * (steps + k - 1)))
-    # an overflowing conv raises NonFiniteError, not a RuntimeWarning
+    s, plans = np.empty(frames.shape), []
+    h, e, n_max = state.h, 1.0 / params.tau, params._step_operands[2]
     with np.errstate(over="ignore", invalid="ignore"):
-        for ls, m in blocks:
-            for t0 in range(0, T, steps):
-                forward(ls, m, t0, min(t0 + steps, T))
+        for t, taps in _sub_blocks(state.window, frames):
+            npre = _dsn_pre(params, taps)
+            nm._ensure_finite(npre, "dsn pre-activation")
+            alpha = nm.decay_chain(npre, e)[2]  # npre now holds sigma
+            rows = slice(t, t + len(alpha))
+            if sigma is not None:
+                sigma[rows] = npre
+            b = np.subtract(_ONE, alpha, out=npre)
+            np.multiply(b, taps[-1], out=b)
+            plans.append(_dsn_plan(alpha))
+            h = _dsn_membranes(alpha, b, h, plans[-1])  # H in place of alpha
+            if h_out is not None:
+                h_out[rows] = alpha
+            if unclipped is None:
+                s[rows] = nm.fire_counts(alpha, n_max)[1]
+            else:
+                rounded, s[rows] = nm.fire_counts(alpha, n_max)
+                np.equal(rounded, s[rows], out=unclipped[rows])
+    return s, h, plans
+
+
+def _dsn_taped(params: DsnParams, x) -> tuple[Tensor, Tensor, np.ndarray]:
+    """(S, H, sigma) of the taped DSN pass over (B, C, T) input x from rest.
+
+    The forward is ``_dsn_fold``, so S and H equal ``trace``'s bit for bit;
+    it keeps H, sigma and the fire's one-byte mask, all time-major.  H is
+    one taped op, ``dsn_membrane``, whose backward (``_dsn_bptt``) yields
+    the input and weight gradients together; S is ``clip_round`` on it,
+    straight through where the mask is set.  Both come back as (B, C, T)
+    views of time-major memory, untaped where neither x nor a weight is.
+    """
+    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+    if data.ndim != 3 or data.shape[1] != params.channels:
+        raise ShapeMismatch(f"expected (B, {params.channels}, T) input, "
+                            f"got shape {data.shape}")
+    frames = data.transpose(2, 0, 1)
+    h, sigma = np.empty(frames.shape), np.empty(frames.shape)
+    unclipped = np.empty(frames.shape, dtype=bool)
+    state = DsnState.zeros(data.shape[0], data.shape[1], params.kernel_size)
+    s, _, plans = _dsn_fold(params, state, frames, h, sigma, unclipped)
+    s, h_bct = s.transpose(1, 2, 0), h.transpose(1, 2, 0)
+    tape, nodes = nm._shared_tape(x, params.conv_kernel, params.conv_bias,
+                                  params.channel_mix)
+    if tape is None:
+        return Tensor._attach(s, None, None), Tensor._attach(h_bct, None, None), sigma
 
     def backward(g):
-        nx, nk, nb, nw = nodes
-        g = g.reshape(n, T)
-        # x's gradient is the scan's d_x plus the conv's, added to any it
-        # already holds in that order, as the separate ops' nodes added them
-        dx = tape._grads[nx] if nx is not None else None
-        own = dx is None
-        if nx is not None:
-            dx = np.empty((B, C, T)) if own else np.ascontiguousarray(dx)
-            tape._grads[nx] = dx
-            dx_lanes = dx.reshape(n, T)
-        gk = np.empty((n, k)) if nk is not None else None
-        gb = np.empty(n) if nb is not None else None
-        gw = np.zeros((C, C)) if nw is not None else None
-        flat = np.empty((3 if mix is None else 4, rows * (steps + k)))
-        unpinned = np.empty(rows * steps, dtype=bool)
-        dpre = np.empty(rows * T)  # the conv output's gradient over whole lanes
-        for ls, m in blocks:
-            sig, xl, hl = sigma[ls], lanes[ls], h[ls]
-            dp = _rows(dpre, m, T)
-            carry = zeros[:m]
-            for t1 in range(T, 0, -steps):
-                t0 = max(t1 - steps, 0)
-                w, on = t1 - t0, min(t1 + 1, T) - t0  # on: alpha one step past t1
-                p, a = nm._pinned_power(sig[:, t0:t0 + on], e, _rows(flat[0], m, on),
-                                        _rows(flat[1], m, on))
-                mask = np.equal(p[:, :w], a[:, :w], out=_rows(unpinned, m, w))
-                adj = _chunked_scan(a, g[ls, t0:t1], carry, True, _rows(flat[2], m, w))
-                carry = adj[:, 0].copy()
-                d = dp[:, t0:t1] if mix is None else _rows(flat[3], m, w)
-                np.subtract(hl[:, t0 - 1] if t0 else zeros[:m], xl[:, t0], out=d[:, 0])
-                np.subtract(hl[:, t0:t1 - 1], xl[:, t0 + 1:t1], out=d[:, 1:])
-                np.multiply(adj, d, out=d)  # d_alpha
-                p, a, s = p[:, :w], a[:, :w], sig[:, t0:t1]
-                if dx is not None:  # the scan's d_x
-                    np.multiply(adj, np.subtract(_ONE, a, out=a), out=a)
-                np.multiply(d, mask, out=d)
-                np.multiply(d, e, out=d)
-                np.multiply(d, np.power(s, e - 1.0, out=p), out=d)
-                np.multiply(d, s, out=d)
-                np.multiply(d, np.subtract(_ONE, s, out=p), out=d)
-                if mix is not None:  # whole lanes: t0 = 0, t1 = T
-                    d3 = d.reshape(-1, C, T)
-                    if gw is not None:
-                        pre = pre_activation(ls, 0, T, _rows(flat[0], m, T))
-                        gw += np.einsum("bdt,bct->dc", d3, pre.reshape(-1, C, T))
-                    np.einsum("dc,bdt->bct", mix.data, d3, out=dp.reshape(-1, C, T))
-                if dx is not None:
-                    t2 = min(t1 + k - 1, T)  # the conv adjoint reads dp up to t2
-                    gx = _rows(flat[2], m, t2 - t0)  # adj is spent
-                    gx.fill(0.0)
-                    nm._depthwise_taps(dp[:, t0:t2], kern[ls], gx, adjoint=True)
-                    dxl = dx_lanes[ls, t0:t1]
-                    if own:
-                        np.add(a, gx[:, :w], out=dxl)
-                    else:
-                        dxl += a
-                        dxl += gx[:, :w]
-            if gk is not None:
-                gk[ls] = nm._depthwise_kernel_grad(dp, xl, k)
-            if gb is not None:
-                np.sum(dp, axis=1, out=gb[ls])
-        if gk is not None:
-            tape._accumulate(nk, gk.reshape(B, C, k).sum(axis=0), own=True)
-        if gb is not None:
-            tape._accumulate(nb, gb.reshape(B, C).sum(axis=0), own=True)
-        if gw is not None:
-            tape._accumulate(nw, gw, own=True)
+        grads = _dsn_bptt(params, frames, h, sigma, g.transpose(2, 0, 1), plans,
+                          [node is not None for node in nodes])
+        for node, grad in zip(nodes, grads):
+            if node is not None:
+                tape._accumulate(node, grad, own=True)
 
-    out = nm._result(h.reshape(B, C, T), "dsn_membrane", tape, nodes,
-                     backward if tape else None)
-    return out, None if alpha is None else alpha.reshape(B, C, T)
+    def fire_backward(g):  # straight through where unclipped, time-major
+        gh = np.empty(frames.shape)
+        _gather(gh, g.transpose(2, 0, 1))
+        np.multiply(gh, unclipped, out=gh)
+        tape._accumulate(hn, gh.transpose(1, 2, 0), own=True)
+
+    hn = tape._record("dsn_membrane", tuple(n for n in nodes if n is not None), backward)
+    sn = tape._record("clip_round", (hn,), fire_backward)
+    return Tensor._attach(s, tape, sn), Tensor._attach(h_bct, tape, hn), sigma
+
+
+def _dsn_bptt(params: DsnParams, frames: np.ndarray, h: np.ndarray, sigma: np.ndarray,
+              g: np.ndarray, plans: list, wanted: list) -> tuple:
+    """(dL/dx, dL/dkernel, dL/dbias, dL/dmix) from g = dL/dH of the pass
+    ``_dsn_fold`` made over (T, B, C) frames with these time-block
+    ``plans``, None where ``wanted`` is False; dL/dx is a (B, C, T) view of
+    time-major memory.
+
+    The fold's sub-blocks are walked from the last one back.  In each, the
+    adjoint A_t = g_t + alpha_{t+1} A_{t+1} runs through ``_dsn_membranes``
+    on reversed rows from the A of the sub-block after, over the time
+    blocks the forward planned (its decays are the adjoint's, one frame
+    apart); the decays are sigma's pinned powers.  The rest runs over the
+    sub-block's tap-major frames: the pin's mask and the chain
+    e power (1 - sigma) (e sigma^(e-1) sigma), the mix's adjoint (its
+    channels added in order), the weight gradients (summed over the
+    sub-blocks), and dL/dx_t = (1 - alpha_t) A_t plus the conv adjoint, its
+    taps added in order j = 0..k-1 over this sub-block's pre-activation
+    gradients and the first k-1 of the one after.
+    ``tests/oracles.dsn_bptt`` equals dL/dx bit for bit.
+    """
+    want_x, want_k, want_b, want_w = wanted
+    T, B, C = frames.shape
+    k, e, mix = params.kernel_size, 1.0 / params.tau, params.channel_mix
+    m, n = k - 1, min(_sub_block_frames(B, C), T)
+    kern = params.conv_kernel.data.T[:, None, :]  # (k, 1, C), tap j on lag k-1-j
+    dx = np.empty(frames.shape) if want_x else None
+    gk, gb = np.zeros((k, C)), np.zeros(C)
+    gw = np.zeros((C, C)) if want_w else None
+    gs, coef, scan_dx = (np.empty((n, B, C)) for _ in range(3))
+    power, alpha = np.empty((n + 1, B, C)), np.empty((n + 1, B, C))
+    unpinned = np.empty((n, B, C), dtype=bool)
+    dpre = np.empty((n + m, B, C))  # a sub-block's, then the k-1 after it
+    later, carry = np.zeros((m, B, C)), np.zeros((B, C))
+    for (t0, taps), plan in zip(_sub_blocks(np.zeros((m, B, C)), frames, reverse=True),
+                                reversed(plans)):
+        w = taps.shape[1]
+        t1, on = t0 + w, min(t0 + w + 1, T) - t0  # on: one decay past t1
+        _gather(gs[:w], g[t0:t1])
+        p, a = nm._pinned_power(sigma[t0:t0 + on], e, power[:on], alpha[:on])
+        c = coef[:w]  # row i: alpha_{t+1} for t = t1-1-i
+        c[0] = a[w] if on > w else _ONE
+        c[1:] = a[w - 1:0:-1]
+        carry = _dsn_membranes(c, gs[:w][::-1], carry, plan).copy()
+        adj = c[::-1]  # A over the sub-block, in time order
+        d = dpre[:w]
+        first = 1 if t0 == 0 else 0  # H before frame 0 is 0
+        np.subtract(h[t0 - 1 + first:t1 - 1], taps[-1, first:], out=d[first:])
+        if first:
+            np.subtract(_ZERO, taps[-1, 0], out=d[0])
+        np.multiply(adj, d, out=d)  # dL/dalpha
+        if want_x:  # the scan's dL/dx
+            sx = np.subtract(_ONE, a[:w], out=scan_dx[:w])
+            np.multiply(adj, sx, out=sx)
+        np.equal(p[:w], a[:w], out=unpinned[:w])
+        np.multiply(d, unpinned[:w], out=d)
+        np.multiply(d, e, out=d)
+        np.multiply(d, p[:w], out=d)  # e sigma^(e-1) sigma = e power
+        np.multiply(d, np.subtract(_ONE, sigma[t0:t1], out=p[:w]), out=d)
+        if mix is not None:
+            if want_w:  # pre-activation = -(negated), so subtract
+                gw -= d.reshape(-1, C).T @ _dsn_pre(params, taps, False).reshape(-1, C)
+            d[...] = _ordered_sum(mix.data[:, None, :], np.moveaxis(d, -1, 0)[..., None],
+                                  d.shape)
+        if want_b:
+            gb += np.add.reduce(d.reshape(-1, C), axis=0)
+        if want_k:
+            for j in range(k):
+                gk[j] += np.einsum("ic,ic->c", taps[j].reshape(-1, C), d.reshape(-1, C))
+        if want_x:
+            dpre[w:w + m] = later
+            ahead = np.lib.stride_tricks.as_strided(
+                dpre, (k, w, B, C), (dpre.strides[0],) + dpre.strides)[::-1]
+            np.add(sx, _ordered_sum(ahead, kern, (w, B, C)), out=dx[t0:t1])
+            later[...] = dpre[:m]
+    return (dx.transpose(1, 2, 0) if want_x else None,
+            np.ascontiguousarray(gk.T) if want_k else None, gb if want_b else None, gw)
 
 
 def dsn_forward_parallel(params: DsnParams, x) -> tuple[Tensor, Tensor, Tensor]:
-    """Whole-sequence forward: (S, H, alpha), with H the taped
-    ``dsn_membrane`` op, S = ``clip_round(H)`` taped through it, and alpha
-    the untaped decays that op scanned with, for callers that inspect them.
-    """
-    h, alpha = _dsn_membrane(params, x, True)
-    return nm.clip_round(h, params.n_max), h, Tensor(alpha)
+    """Whole-sequence forward: (S, H, alpha), S and H taped as
+    ``DsnNeuron.forward`` tapes them (``_dsn_taped``), and alpha the
+    untaped decays of the pass, sigma's pinned powers, for callers that
+    inspect them."""
+    s, h, sigma = _dsn_taped(params, x)
+    alpha = nm._pinned_power(sigma, 1.0 / params.tau)[1]
+    return s, h, Tensor._attach(alpha.transpose(1, 2, 0), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1129,10 +1136,12 @@ class Neuron:
       for the property checkers: ``advance`` from ``init_state``, membranes
       kept.  Both run ``_advance``, and both raise StepUnavailable for a
       kind without a serial mode (full and masked PSN);
-    * ``forward`` -- taped spikes over (B, C, T) input, the training path;
+    * ``forward`` -- taped spikes over (B, C, T) input, the training path:
+      for a kind that can step, its ``_advance`` fold plus a reverse-time
+      backward, so its spikes are ``trace``'s;
     * ``sequence`` -- the offline map of a whole sequence: ``forward`` where
-      ``supports_parallel``, otherwise ParallelUnavailable; the DSN runs its
-      serial block path instead for untaped input;
+      ``supports_parallel``, otherwise ParallelUnavailable (the DSN's
+      ``forward`` keeps nothing for a backward on untaped input);
     * ``weights``/``with_weights`` -- the named trainable tensors, and the
       same neuron (hyperparameters unchanged) over given tensors, taped or
       not, so a training loop can leaf them onto its tape;
@@ -1219,12 +1228,13 @@ class Neuron:
 
 
 class LifNeuron(Neuron):
-    """Classical stepper, parallel only in the reset-free linear case.
+    """Classical stepper; ``sequence`` only in the reset-free linear case.
 
     ``step`` is the single-step definition; ``_advance``, behind ``trace``
     and ``advance``, runs the block kernel ``_lif_fold``, which equals the
     fold of ``step`` bit for bit.  ``forward``, the taped training pass, runs
-    that kernel forward and BPTT (``_lif_bptt``) backward.
+    that kernel forward and BPTT (``_lif_bptt``) backward, and ``sequence``
+    is ``forward`` for the variants without reset (``supports_parallel``).
     """
 
     def __init__(self, cfg: NeuronConfig, sg: SurrogateKind = Rectangular()):
@@ -1276,20 +1286,6 @@ class LifNeuron(Neuron):
 
         return nm._op("lif_sequence", s, (x, grad))
 
-    def sequence(self, x) -> Tensor:
-        if not self.supports_parallel:
-            raise ParallelUnavailable(
-                f"{self.name}: reset couples steps; no parallel path registered")
-        x = nm._as_tensor(x)
-        cfg = self.cfg
-        zeros = np.zeros(x.shape[:2], dtype=x.data.dtype)
-        if cfg.leak == "if":
-            a, b = np.ones_like(x.data), x.data
-        else:
-            a, b = np.full_like(x.data, cfg.beta), (1.0 - cfg.beta) * x.data
-        h = linear_scan(a, b, zeros)
-        return nm.spike_threshold(Tensor(h), cfg.v_th, self.sg)
-
     def long_control_bound(self, c_bound: float) -> float | None:
         # leak alone bounds the convex update, and hard reset can pin
         # v_reset; a pure accumulator is bounded (at C + v_th) by hard reset
@@ -1333,14 +1329,15 @@ class LifNeuron(Neuron):
 
 
 class DsnNeuron(Neuron):
-    """Dynamic-decay neuron: scan-parallel training, windowed serial inference.
+    """Dynamic-decay neuron: one time-major fold for inference and training.
 
-    ``forward`` is the taped parallel pass (``dsn_membrane``, then
-    ``clip_round``); ``step`` and ``_advance`` are serial inference, whose
-    H recurrence runs over time blocks where the decays forget a start
-    soon enough.  ``sequence`` runs ``forward`` where the input or a
-    weight is taped and ``advance`` from ``init_state`` elsewhere, with
-    the same spikes either way.
+    ``step`` and ``_advance`` (the sub-block fold ``_dsn_fold``) are serial
+    inference, whose H recurrence runs over time blocks where the decays
+    forget a start soon enough.  ``forward`` tapes that fold where the
+    input or a weight is taped (``_dsn_taped``: ``dsn_membrane``, then
+    ``clip_round``, with the time-major backward ``_dsn_bptt``) and runs
+    ``advance`` from ``init_state`` elsewhere, with the same spikes either
+    way; ``sequence`` is ``forward``.
     """
 
     def __init__(self, params: DsnParams):
@@ -1368,11 +1365,14 @@ class DsnNeuron(Neuron):
         Tap order: the window is shifted oldest first, and the pre-activation
         is the sum over taps j = 0 (oldest) .. k-1 (current) of
         kernel[:, j] * x_{t-k+1+j}, added in that order, then the bias,
-        then the channel mix in channel order, as ``dsn_membrane`` adds
-        them (``_ordered_sum``, one reduce up to 32,768 terms: k B C, or
-        B C^2 for the mix).  Decay and fire are the taped ops' own kernels
-        (``numerics.decay_chain``, ``fire_counts``), so spikes and decays
-        equal ``sequence`` bit for bit (timed in ``BENCH_step_sums.json``).
+        then the channel mix in channel order, as the sub-block fold adds
+        them (``_dsn_pre``, ``_ordered_sum``: one reduce up to 32,768
+        terms, k B C, or B C^2 for the mix).  Decay and fire are the fold's
+        own kernels (``numerics.decay_chain``, ``fire_counts``), so spikes
+        and decays equal ``sequence`` bit for bit (timed in
+        ``BENCH_step_sums.json``).  A finite frame whose pre-activation
+        overflows only warns here (RuntimeWarning), where ``_advance``
+        raises NonFiniteError.
         """
         x = np.asarray(x_t, dtype=float)
         if x.shape != state.h.shape:
@@ -1380,7 +1380,7 @@ class DsnNeuron(Neuron):
         window = np.concatenate((state.window, x[None]))
         x = window[-1]  # contiguous
         _finite_input(x)
-        alpha = _dsn_decay(self.params, window)
+        alpha = nm.decay_chain(_dsn_pre(self.params, window), 1.0 / self.params.tau)[2]
         h = np.multiply(alpha, state.h)
         np.subtract(_ONE, alpha, out=alpha)
         np.multiply(alpha, x, out=alpha)
@@ -1389,33 +1389,16 @@ class DsnNeuron(Neuron):
         return s, h, DsnState(h=h, window=window[1:])
 
     def _advance(self, state: DsnState, x, membranes: bool):
-        """``step`` folded over a (B, C, T) block, a sub-block at a time.
-
-        Every stage without a recurrence runs over a whole sub-block of
-        time-major frames (``_sub_blocks``): the tap sum, bias and mix and
-        the decay chain (``_dsn_decay``, the step's own), b = (1 - alpha) x
-        and the fire.  Only H_t = alpha_t H_{t-1}, then + b_t, the step's
-        own two ufuncs, runs frame by frame, in place of alpha_t, and over
-        time blocks where the decays allow (``_dsn_membranes``).  Each
-        element therefore rounds as in ``step``, and spikes, membranes and
-        state equal the step fold's bit for bit at any block length.  The
-        returned state owns its memory (timed in ``BENCH_advance.json`` and
+        """``step`` folded over a (B, C, T) block, a sub-block at a time
+        (``_dsn_fold``), so spikes, membranes and state equal the step
+        fold's bit for bit at any block length.  The returned state owns
+        its memory (timed in ``BENCH_advance.json`` and
         ``BENCH_dsn_blocks.json``).
         """
-        p = self.params
         frames = _block_frames(x, state.h.shape)
-        s = np.empty(frames.shape)
         h_out = np.empty(frames.shape) if membranes else None
-        h = state.h
-        for t, taps in _sub_blocks(state.window, frames):
-            alpha = _dsn_decay(p, taps)
-            b = np.subtract(_ONE, alpha)
-            np.multiply(b, taps[-1], out=b)
-            h = _dsn_membranes(alpha, b, h)  # H in place of alpha
-            if membranes:
-                h_out[t:t + len(alpha)] = alpha
-            s[t:t + len(alpha)] = nm.fire_counts(alpha, p._step_operands[2])[1]
-        window = _last_frames(state.window, frames, p.kernel_size - 1)
+        s, h, _ = _dsn_fold(self.params, state, frames, h_out)
+        window = _last_frames(state.window, frames, self.params.kernel_size - 1)
         return s, h_out, DsnState(h=h.copy(), window=window)
 
     def weights(self) -> dict[str, Tensor]:
@@ -1429,15 +1412,16 @@ class DsnNeuron(Neuron):
                                  channel_mix=weights.get("mix")))
 
     def forward(self, x) -> Tensor:
-        return nm.clip_round(dsn_membrane(self.params, x), self.params.n_max)
-
-    def sequence(self, x) -> Tensor:
-        """Spikes over (B, C, T) input: with no taped input or weight, the
-        (B, C, T) view of the time-major spikes of ``advance`` from
-        ``init_state``; otherwise ``forward``."""
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if nm._shared_tape(x, *self.weights().values())[0] is not None or data.ndim != 3:
-            return self.forward(x)
+        """Spikes over (B, C, T) input: with the input or a weight taped,
+        the taped pass (``_dsn_taped``); otherwise the (B, C, T) view of
+        the time-major spikes of ``advance`` from ``init_state``, with
+        nothing kept for a backward."""
+        if nm._shared_tape(x, *self.weights().values())[0] is not None:
+            return _dsn_taped(self.params, x)[0]
+        data = np.asarray(x.data if isinstance(x, Tensor) else x)
+        if data.ndim != 3:
+            raise ShapeMismatch(f"expected (B, {self.channels}, T) input, "
+                                f"got shape {data.shape}")
         s, _ = self.advance(self.init_state(data.shape[0], data.shape[1]), data)
         return Tensor._attach(s, None, None)
 

@@ -1,8 +1,9 @@
 """Dense rank-<=3 arrays with a reverse-mode gradient tape.
 
 Tensors wrap float64 numpy buffers shaped batch x channel x time.  Ops
-make them contiguous, time innermost, except the LIF's taped spikes: a
-(B, C, T) view of the time-major memory its block kernel writes.
+make them contiguous, time innermost, except the spikes of the LIF and
+the DSN (and the DSN's membranes): (B, C, T) views of the time-major
+memory their block kernels write.
 Every library operation validates finiteness of its result: NaN/Inf raise
 :class:`~spikescan.errors.NonFiniteError` instead of propagating.
 
@@ -15,17 +16,18 @@ functions carry surrogate backward rules (see :class:`Rectangular`,
 The ops here are elementwise arithmetic, sums, reshape, time_slice,
 matmul, the spike functions, the decay, the dense causal conv and the
 channel mix and bias.  The depthwise causal taps are raw kernels with no op
-of their own; ``neurons.psn_membrane`` and ``dsn_membrane`` run them.
+of their own; ``neurons.psn_membrane`` runs them.
 
 Every taped op, here and in ``layers`` and ``neurons``, records through
 one path, ``_op``: the op computes its forward value and states, per
 input, how the output gradient maps to that input's gradient; ``_op``
 builds the one backward closure that puts them on the tape.  Three
 recorders stay apart on purpose: ``scan.scan``, whose one adjoint scan
-yields all three of its gradients at once; ``neurons.dsn_membrane``, the
-DSN's conv, decay and scan as one op whose tile-by-tile backward yields
-the input and weight gradients together and keeps only H and sigma; and
-the reference ops the tests keep as oracles.
+yields all three of its gradients at once; ``neurons._dsn_taped``, the
+DSN's serial fold taped as one membrane op and its fire, whose time-major
+backward yields the input and weight gradients together and keeps only H,
+sigma and the fire's one-byte mask; and the reference ops the tests keep
+as oracles.
 
 Broadcasting is deliberately minimal: scalar-against-array or exactly equal
 shapes.  Structured ops (convolutions, channel mixes) handle their own
@@ -435,11 +437,11 @@ def spike_threshold(h, v_th: float, sg: SurrogateKind) -> Tensor:
 
 def fire_counts(h: np.ndarray, n_max) -> tuple[np.ndarray, np.ndarray]:
     """(rounded, counts) of the integer fire clip(round(h), 0, n_max), for
-    ``clip_round``, ``DsnNeuron.step`` and the approx readouts alike.  Rounding is
-    half away from zero, as trunc(h + copysign(0.5, h)).  The clip keeps a
-    -0.0 count; as the ndarray method it costs 1 us at 16 lanes (np.clip:
-    2.4), and a masked store of the negative counts, 5x as much on
-    4x256x1024 arrays."""
+    ``clip_round``, the DSN's step and fold and the approx readouts alike.
+    Rounding is half away from zero, as trunc(h + copysign(0.5, h)).  The
+    clip keeps a -0.0 count; as the ndarray method it costs 1 us at 16
+    lanes (np.clip: 2.4), and a masked store of the negative counts, 5x as
+    much on 4x256x1024 arrays."""
     rounded = np.copysign(_HALF, h)
     np.add(rounded, h, out=rounded)
     np.trunc(rounded, out=rounded)
@@ -462,8 +464,8 @@ def decay_chain(npre: np.ndarray, exponent, power: np.ndarray | None = None,
                 alpha: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma, power, alpha) of the decay sigmoid(pre) ** exponent, for
-    ``sharpened_sigmoid``, ``neurons.dsn_membrane``, ``DsnNeuron.step`` and
-    the approx bank alike.
+    ``sharpened_sigmoid``, the DSN's fold (``neurons._dsn_fold``), its
+    ``step`` and the approx bank alike.
 
     npre holds -pre and becomes sigma in place: min(-pre, 500) saturates
     extreme logits (1 + exp(-500) rounds to 1.0), then exp, +1, reciprocal.

@@ -262,9 +262,10 @@ def check_conditions_table(neuron: Neuron, rng_seed: int = 0) -> dict[str, bool]
     condition2: a step mode exists whose per-step state does not grow with t
     and whose fold matches ``trace``, the block path (``Neuron._advance``);
     condition3: an offline sequence evaluation exists and (when a step mode
-    exists too) matches ``trace``.  Its input is a leaf of a throwaway tape,
-    so ``sequence`` runs the taped parallel pass (``forward``) at any width,
-    never the block path ``trace`` runs.
+    exists too) its spikes match ``trace``'s.  Its input is a leaf of a
+    throwaway tape, so ``sequence`` runs the taped op (``forward``, the
+    training pass) at any width, not the untaped ``advance``, and the
+    condition compares that op's spikes with ``trace``.
     """
     rng = np.random.default_rng(rng_seed)
     t_full = neuron.t_train or 32

@@ -1,7 +1,10 @@
 """Parallel evaluation of the input-dependent recurrence H_t = a_t H_{t-1} + (1-a_t) x_t.
 
 One route computes it: the taped :func:`scan`, built on the raw-array core
-:func:`linear_scan` for h_t = a_t h_{t-1} + b_t.  The core is a two-stage
+:func:`linear_scan` for h_t = a_t h_{t-1} + b_t.  Its one caller in the
+program is the approx bank's decay model (``tasks.approx.ApproxModel``);
+the neurons run exact serial folds, time-major both ways, whose H the
+scan's reassociated sums can miss by a few ulps.  The core is a two-stage
 chunked scan (Martin & Cundy 2018, "Parallelizing linear recurrent neural
 nets over sequence length"):
 
@@ -44,7 +47,9 @@ in one process) for (lanes, KiB) tiles of (64, 64), (64, 32), (64, 16) and
 * 10000 x 128: 5.3-6.1, 5.7-7.2, 7.7 and 6.4-8.2 ms;
 * 4096 x 256: 6.0-6.3, 3.1-4.1, 3.6 and 4.0-5.2 ms.
 
-Only the tile shape changed, so every element is copied as before.
+Only the tile shape changed, so every element is copied as before.  The
+sweep of ``BACK_TILE_BYTES`` at the approx bank's shapes and these is in
+``BENCH_back_tile.json``.
 
 The carry fold is a Python loop over the chunks, which at the sizes this
 library runs (at most a few hundred chunks) needs no parallel-prefix sweep.
@@ -74,6 +79,7 @@ CHUNK = 256
 # chunk-major layout and BACK_TILE_BYTES back out of it
 TILE_LANES = 64
 TILE_BYTES = 2 ** 16
+# Bytes of a tile of the copy back (BENCH_back_tile.json).
 BACK_TILE_BYTES = 2 ** 15
 
 

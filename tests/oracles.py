@@ -11,9 +11,13 @@ match bit for bit.  ``dsn_dynamic_decay`` is one step's decay from a
 ``dsn_serial_trace`` is the DSN recurrence written out step by step with
 the arithmetic inlined on top of it, and ``dsn_op_chain`` the taped DSN
 pass as the separate conv (``depthwise_causal_conv``, the taped depthwise
-causal conv no program path records any more), mix, sigmoid and scan ops that
-``neurons.dsn_membrane`` fuses, which it must match bit for bit, gradients
-included; ``psn_dense`` is the PSN membrane and its gradients as dense
+causal conv no program path records any more), mix, sigmoid and scan ops,
+whose spikes and decays the taped serial fold ``neurons._dsn_taped`` must
+match bit for bit and whose weight gradients within rounding;
+``dsn_bptt`` is that fold's backward as a per-frame reverse loop on fresh
+arrays, which the sub-block ``neurons._dsn_bptt`` must match bit for bit
+in dx and within rounding in the weight gradients; ``psn_dense`` is the PSN
+membrane and its gradients as dense
 numpy on one T x T matrix (``band_mask`` for masked PSN, the Toeplitz band
 of the k weights for sliding PSN), which ``neurons.psn_membrane`` must
 match within rounding; ``lif_step_fold`` is the per-step taped LIF fold (time_slice ->
@@ -50,7 +54,7 @@ import numpy as np
 
 from spikescan import numerics as nm
 from spikescan.errors import ShapeMismatch
-from spikescan.neurons import _dsn_decay
+from spikescan.neurons import _dsn_pre
 from spikescan.numerics import Tape, Tensor
 from spikescan.scan import scan
 from spikescan.tasks.training import leaves
@@ -109,7 +113,8 @@ def dsn_dynamic_decay(params, x_window) -> Tensor:
     k = params.kernel_size
     if x_window.ndim != 3 or x_window.shape[1:] != (params.channels, k):
         raise ShapeMismatch(f"window must be (B, {params.channels}, {k})")
-    return Tensor(_dsn_decay(params, x_window.data.transpose(2, 0, 1)))
+    npre = _dsn_pre(params, x_window.data.transpose(2, 0, 1))
+    return Tensor(nm.decay_chain(npre, 1.0 / params.tau)[2])
 
 
 def dsn_serial_trace(params, x: np.ndarray):
@@ -133,6 +138,66 @@ def dsn_serial_trace(params, x: np.ndarray):
     return s_out, h_out, a_out
 
 
+def dsn_bptt(params, x: np.ndarray, g: np.ndarray):
+    """(dx, dkernel, dbias, dmix) of a DSN pass over (B, C, T) input x from
+    rest, given g = dL/dH, as a per-frame reverse loop on fresh (B, C)
+    arrays (dmix None without a mix).
+
+    The forward is the step's window a frame at a time: sigma from the
+    negated pre-activation, its pinned power the decay, H = alpha H +
+    (1 - alpha) x.  In reverse, the adjoint A = alpha_{t+1} A + g_t (1.0
+    after the last frame), dL/dalpha = A (H_{t-1} - x_t), then the pin's
+    mask and the chain e power (1 - sigma), product by product (the power
+    sigma^e standing in for sigma^(e-1) sigma);
+    a channel mix's adjoint adds its channels in order, from the first.
+    dx_t = (1 - alpha_t) A_t + sum_j kernel[:, j] dpre_{t+k-1-j}, the taps
+    added in order j = 0..k-1 from the first.  The weight gradients are
+    sums over the frames and the batch."""
+    B, C, T = x.shape
+    k, e, mix = params.kernel_size, 1.0 / params.tau, params.channel_mix
+    kern = params.conv_kernel.data
+    window = np.zeros((k - 1, B, C))
+    sigma, alpha, h, pre = (np.empty((T, B, C)) for _ in range(4))
+    state = np.zeros((B, C))
+    for t in range(T):
+        window = np.concatenate((window, x[None, :, :, t]))
+        npre = _dsn_pre(params, window)
+        pre[t] = -_dsn_pre(params, window, mixed=False)
+        sigma[t], _, alpha[t] = nm.decay_chain(npre, e)
+        state = alpha[t] * state + (1.0 - alpha[t]) * x[..., t]
+        h[t] = state
+        window = window[1:]
+    dx, dpre = np.empty((T, B, C)), np.zeros((T + k - 1, B, C))
+    dk, db, dw = np.zeros((C, k)), np.zeros(C), np.zeros((C, C))
+    adj = np.zeros((B, C))
+    for t in range(T - 1, -1, -1):
+        coef = alpha[t + 1] if t + 1 < T else np.ones((B, C))
+        adj = coef * adj + g[..., t]
+        d = adj * ((h[t - 1] if t else np.zeros((B, C))) - x[..., t])
+        power = sigma[t] ** e
+        d = d * (power == np.minimum(np.maximum(power, UNIT_OPEN_LO), UNIT_OPEN_HI))
+        d = d * e
+        d = d * power
+        d = d * (1.0 - sigma[t])
+        if mix is not None:
+            dw += d.T @ pre[t]
+            acc = mix.data[0] * d[:, :1]
+            for c in range(1, C):
+                acc = acc + mix.data[c] * d[:, c:c + 1]
+            d = acc
+        db += d.sum(axis=0)
+        for j in range(k):
+            lag = k - 1 - j
+            if t >= lag:
+                dk[:, j] += (d * x[..., t - lag]).sum(axis=0)
+        dpre[t] = d
+        conv = kern[:, 0] * dpre[t + k - 1]
+        for j in range(1, k):
+            conv = conv + kern[:, j] * dpre[t + k - 1 - j]
+        dx[t] = (1.0 - alpha[t]) * adj + conv
+    return dx.transpose(1, 2, 0), dk, db, (None if mix is None else dw)
+
+
 def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
     """Per-channel causal convolution over time, as a taped op.
 
@@ -141,7 +206,7 @@ def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
     k-1 steps see an implicit zero history.  The B*C lanes run through
     ``numerics._depthwise_taps`` (its adjoint for the input gradient) and
     ``numerics._depthwise_kernel_grad`` summed over the batch, the kernels
-    ``neurons.dsn_membrane`` and the sliding PSN's ``psn_membrane`` run.
+    the sliding PSN's ``psn_membrane`` runs.
     """
     x = nm._as_tensor(x)
     kernel = nm._as_tensor(kernel)
@@ -176,10 +241,11 @@ def depthwise_causal_conv(x, kernel, bias=None) -> Tensor:
 
 def dsn_op_chain(params, x) -> tuple[Tensor, Tensor, Tensor]:
     """(S, H, alpha) of a (B, C, T) input through the separate taped ops the
-    fused ``neurons.dsn_membrane`` replaced: depthwise causal conv (+ bias),
-    channel mix, sharpened sigmoid, scan, then ``clip_round``.  Every
-    output and gradient of the fused op must equal this chain's bit for
-    bit."""
+    taped serial fold ``neurons._dsn_taped`` replaced: depthwise causal
+    conv (+ bias), channel mix, sharpened sigmoid, scan, then
+    ``clip_round``.  The fold's spikes and decays must equal this chain's
+    bit for bit, and its gradients within rounding: the scan's H differs
+    from the fold's by a few ulps."""
     pre = depthwise_causal_conv(x, params.conv_kernel, params.conv_bias)
     if params.channel_mix is not None:
         pre = nm.channel_mix(params.channel_mix, pre)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (band_mask, dsn_dynamic_decay, dsn_op_chain, dsn_serial_trace,
-                     lif_bptt, lif_step_fold, matrix_form, psn_dense, round_half_away,
-                     step_fold)
+from oracles import (band_mask, dsn_bptt, dsn_dynamic_decay, dsn_op_chain,
+                     dsn_serial_trace, lif_bptt, lif_step_fold, matrix_form, psn_dense,
+                     round_half_away, step_fold)
 from spikescan import neurons
 from spikescan import numerics as nm
 from spikescan.errors import (LengthMismatch, NonFiniteError, ShapeMismatch,
@@ -367,11 +367,11 @@ def _dsn_params(rng, channels, k=4, tau=0.25, bias=True, mix=False):
         tau=tau, n_max=3)
 
 
-def _dsn_pass_bytes(fn, params, x, w, taped=("x", "kernel", "bias", "mix"),
-                    reuse_x=False):
-    """Bytes of S, H and alpha and of every taped gradient of one pass of
-    mean(S) + sum(H * w) (+ sum(x * w) recorded after it with ``reuse_x``,
-    so x's node holds a gradient when the pass's backward reaches it)."""
+def _dsn_pass(fn, params, x, w, taped=("x", "kernel", "bias", "mix"), reuse_x=False):
+    """S, H and alpha and every taped gradient (x, then the weights by name)
+    of one pass of mean(S) + sum(H * w) (+ sum(x * w) recorded after it
+    with ``reuse_x``, so x's node holds a gradient when the pass's backward
+    reaches it), None for an untaped one."""
     tape = Tape()
     named = {"kernel": params.conv_kernel, "bias": params.conv_bias,
              "mix": params.channel_mix}
@@ -384,48 +384,69 @@ def _dsn_pass_bytes(fn, params, x, w, taped=("x", "kernel", "bias", "mix"),
     if reuse_x:
         loss = nm.add(loss, nm.sum_all(nm.mul(xt, Tensor(w))))
     tape.backward(loss)
-    grads = [tape.grad(xt)] + [tape.grad(leaves[n]) for n in sorted(leaves)]
-    return [v.tobytes() for v in (s.data, h.data, a.data)] + [
-        None if g is None else g.tobytes() for g in grads]
+    return [s.data, h.data, a.data, tape.grad(xt)] + [tape.grad(leaves[n])
+                                                      for n in sorted(leaves)]
 
 
-# (B, C, T, k, tau, bias, mix, tile bytes, tile lanes, reuse_x); the tile
-# settings, when given, shrink the tiles so a small input spans many
+def _dsn_pass_bytes(fn, params, x, w, taped=("x", "kernel", "bias", "mix"),
+                    reuse_x=False):
+    """The bytes of ``_dsn_pass``'s arrays, None for an untaped gradient."""
+    return [None if v is None else v.tobytes()
+            for v in _dsn_pass(fn, params, x, w, taped, reuse_x)]
+
+
+# (B, C, T, k, tau, bias, mix, sub-block frames, reuse_x); the sub-block
+# frames, when given, shrink ``numerics.CONV_BLOCK_BYTES`` so that many
+# sub-blocks, each shorter than the kernel where k = 300, cut the pass
 DSN_FUSED_CASES = {
-    # 900 lanes of 300 steps: tiles of 218 lanes, the last one 28
-    "lanes": (3, 300, 300, 4, 0.25, True, False, None, None, False),
-    "no-bias": (3, 300, 300, 4, 0.25, None, False, None, None, False),
-    "x-reused": (3, 20, 300, 4, 0.5, True, False, 2 ** 14, 4, True),
+    # 900 lanes of 300 steps: 9 sub-blocks of 36 frames, the last one 12
+    "lanes": (3, 300, 300, 4, 0.25, True, False, None, False),
+    "no-bias": (3, 300, 300, 4, 0.25, None, False, None, False),
+    "x-reused": (3, 20, 300, 4, 0.5, True, False, 16, True),
     # decays pinned at both ends, where only the pin's mask zeroes gradients
     "saturated": (3, 6, 300, 4, 0.25, [800.0, 80.0, -800.0, -180.0, 0.5, -1.0],
-                  False, 2 ** 14, 4, False),
-    # one batch row of 8 channels a tile
-    "mix": (3, 8, 300, 4, 0.25, True, True, 8 * 8 * 300, 1, False),
-    "mix-no-bias": (3, 8, 300, 5, 0.5, None, True, 8 * 8 * 300, 1, False),
-    # 4 lanes by 512 steps: 2 lane blocks of 6 time tiles, the forward's
-    # last and the backward's first 440 steps long
-    "time": (2, 3, 3000, 7, 2.0, True, False, 2 ** 14, 4, False),
-    "time-long-kernel": (1, 2, 1100, 300, 0.25, True, False, 2 ** 13, 2, False),
+                  False, 16, False),
+    "mix": (3, 8, 300, 4, 0.25, True, True, 16, False),
+    "mix-no-bias": (3, 8, 300, 5, 0.5, None, True, 16, False),
+    "time": (2, 3, 3000, 7, 2.0, True, False, 512, False),
+    "time-long-kernel": (1, 2, 1100, 300, 0.25, True, False, 37, False),
+    # 16 lanes: both 2,048-frame sub-blocks run the adjoint over time blocks
+    "time-blocks": (1, 16, 4096, 4, 0.25, True, False, None, False),
 }
 
 
 @pytest.mark.parametrize("case", list(DSN_FUSED_CASES))
-def test_fused_membrane_matches_separate_ops_bit_for_bit(monkeypatch, case):
-    B, C, T, k, tau, bias, mix, tile_bytes, tile_lanes, reuse_x = DSN_FUSED_CASES[case]
-    if tile_bytes is not None:
-        monkeypatch.setattr(neurons, "DSN_TILE_BYTES", tile_bytes)
-        monkeypatch.setattr(neurons, "TILE_LANES", tile_lanes)
+def test_taped_pass_matches_the_fold_and_the_oracles(monkeypatch, case):
+    # S and alpha equal the separate ops' and H the fold's bit for bit; dx
+    # equals the per-frame reverse loop ``oracles.dsn_bptt`` bit for bit;
+    # the weight gradients, sums over the batch and time taken in another
+    # order, match it and the separate ops within 1e-12 of their largest
+    B, C, T, k, tau, bias, mix, frames, reuse_x = DSN_FUSED_CASES[case]
+    if frames is not None:
+        monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", 8 * B * C * frames)
+    merges = _spy_merges(monkeypatch)
     rng = np.random.default_rng(40)
     params = _dsn_params(rng, C, k=k, tau=tau, bias=bias, mix=mix)
-    rows, steps = neurons._tile_shape(params, B, T)
-    assert -(-B * C // rows) * -(-T // steps) >= 3
     x = rng.normal(size=(B, C, T)) * 2.0
     w = rng.normal(size=(B, C, T)) * 0.1
-    got = _dsn_pass_bytes(dsn_forward_parallel, params, x, w, reuse_x=reuse_x)
-    want = _dsn_pass_bytes(dsn_op_chain, params, x, w, reuse_x=reuse_x)
-    assert len(got) == len(want)
-    for i, (g, r) in enumerate(zip(got, want)):
-        assert g == r, i
+    s, h, a, dx, *grads = _dsn_pass(dsn_forward_parallel, params, x, w, reuse_x=reuse_x)
+    if case == "time-blocks":  # both sub-blocks of the forward, then of the adjoint
+        assert len(merges) == 4
+    want = _dsn_pass(dsn_op_chain, params, x, w, reuse_x=reuse_x)
+    assert s.tobytes() == want[0].tobytes() and a.tobytes() == want[2].tobytes()
+    assert h.tobytes() == DsnNeuron(params).trace(x)[1].tobytes()
+    assert 0.05 < np.mean(s > 0) < 0.95
+    rounded, counts = nm.fire_counts(h, params.n_max)
+    oracle = dsn_bptt(params, x, w * 1.0 + (1.0 / x.size) * (rounded == counts))
+    assert dx.tobytes() == ((w + oracle[0]) if reuse_x else oracle[0]).tobytes()
+    refs = {"kernel": oracle[1], "bias": oracle[2] if bias is not None else None,
+            "mix": oracle[3]}
+    named = sorted(n for n, ref in refs.items() if ref is not None)
+    assert len(grads) == len(named)
+    for name, got, chain in zip(named, grads, want[4:]):
+        for ref in (refs[name], chain):
+            assert got.shape == ref.shape, name
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 @pytest.mark.parametrize("mix", [False, True], ids=["plain", "mix"])
@@ -459,15 +480,19 @@ def test_fused_membrane_takes_an_empty_batch(mix):
 
 @pytest.mark.parametrize("taped", [("x",), ("kernel", "bias")], ids=["x", "weights"])
 def test_fused_membrane_differentiates_only_what_is_taped(monkeypatch, taped):
-    monkeypatch.setattr(neurons, "DSN_TILE_BYTES", 2 ** 14)
-    monkeypatch.setattr(neurons, "TILE_LANES", 4)
+    # the gradients of what is taped are those of the pass that tapes
+    # everything, bit for bit, and the rest are None
+    monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", 8 * 6 * 64)
     rng = np.random.default_rng(41)
     params = _dsn_params(rng, 3)
     x = rng.normal(size=(2, 3, 700))
     w = rng.normal(size=x.shape)
     got = _dsn_pass_bytes(dsn_forward_parallel, params, x, w, taped)
-    assert got == _dsn_pass_bytes(dsn_op_chain, params, x, w, taped)
-    assert (got[3] is None) == ("x" not in taped)
+    full = _dsn_pass_bytes(dsn_forward_parallel, params, x, w)
+    names = ["x", "bias", "kernel"]
+    assert got[:3] == full[:3]
+    for name, g, f in zip(names, got[3:], full[3:]):
+        assert g == (f if name in taped else None), name
 
 
 def test_dsn_pass_keeps_h_sigma_and_a_mask():
@@ -497,10 +522,12 @@ def test_dsn_pass_keeps_h_sigma_and_a_mask():
     assert peak <= 6 * one
 
 
-@pytest.mark.parametrize("where", ["input", "overflow", "kernel", "bias", "late-tile"])
+@pytest.mark.parametrize("where", ["input", "overflow", "kernel", "bias", "last-frame"])
 def test_fused_membrane_rejects_non_finite_values(monkeypatch, where):
-    monkeypatch.setattr(neurons, "DSN_TILE_BYTES", 2 ** 13)
-    monkeypatch.setattr(neurons, "TILE_LANES", 2)
+    # every DSN path over a sequence raises NonFiniteError, with no
+    # RuntimeWarning on the way, where a pre-activation is not finite:
+    # 16-frame sub-blocks put the bad frame in the middle or the last one
+    monkeypatch.setattr(nm, "CONV_BLOCK_BYTES", 8 * 4 * 16)
     rng = np.random.default_rng(43)
     params = _dsn_params(rng, 2)
     x = rng.normal(size=(2, 2, 1500))
@@ -513,26 +540,32 @@ def test_fused_membrane_rejects_non_finite_values(monkeypatch, where):
         bad = np.array(getattr(params, f"conv_{where}").data)
         bad.flat[-1] = np.inf
         params = replace(params, **{f"conv_{where}": Tensor._attach(bad, None, None)})
-    else:  # the last time tile of the last lane block
+    else:  # the last frame of the last sub-block
         x[1, 1, -1] = 1e308
         params = replace(params, conv_kernel=Tensor(np.full((2, 4), 10.0)))
-    with pytest.raises(NonFiniteError):
-        neurons.dsn_membrane(params, x)
-    with pytest.raises(NonFiniteError):
-        DsnNeuron(params).forward(Tape().leaf(x) if where != "input" else x)
+    neuron = DsnNeuron(params)
+    taped = Tape().leaf(x) if where != "input" else x
+    calls = [lambda: dsn_forward_parallel(params, x), lambda: neuron.forward(taped),
+             lambda: neuron.trace(x), lambda: neuron.sequence(x),
+             lambda: neuron.advance(neuron.init_state(2, 2), x)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NonFiniteError):
+                call()
 
 
 # ---------------------------------------------------------------------------
-# ``DsnNeuron.sequence``: the block path for untaped input and weights at
-# every lane count, the taped pass (the scan) where either is taped
+# ``DsnNeuron.forward`` and ``sequence``: the block path for untaped input
+# and weights at every lane count, the taped pass where either is taped
 
 
 def _sequence_path(monkeypatch, neuron, x) -> tuple[Tensor, str]:
     """``neuron.sequence(x)`` and the path it took."""
     taken = []
-    membrane, advance = neurons._dsn_membrane, DsnNeuron._advance
-    monkeypatch.setattr(neurons, "_dsn_membrane",
-                        lambda *a: taken.append("scan") or membrane(*a))
+    taped, advance = neurons._dsn_taped, DsnNeuron._advance
+    monkeypatch.setattr(neurons, "_dsn_taped",
+                        lambda *a: taken.append("taped") or taped(*a))
     monkeypatch.setattr(DsnNeuron, "_advance",
                         lambda *a: taken.append("advance") or advance(*a))
     s = neuron.sequence(x)
@@ -542,7 +575,7 @@ def _sequence_path(monkeypatch, neuron, x) -> tuple[Tensor, str]:
 
 # (B, C, T, k, mix, taped): lane counts below, at and above 64 and no
 # multiple of it, a channel mix, T from 0 to 300, T < k, and a taped input
-# or taped weights, which take the scan
+# or taped weights, which take the taped pass
 DSN_ROUTE_CASES = {
     "advance-62-lanes": (2, 31, 300, 4, False, ()),
     "advance": (2, 32, 300, 4, False, ()),
@@ -555,8 +588,8 @@ DSN_ROUTE_CASES = {
     "advance-T1": (2, 40, 1, 4, False, ()),
     "advance-6-lanes-T-below-k": (1, 6, 2, 4, False, ()),
     "advance-T-below-k": (2, 40, 2, 4, True, ()),
-    "scan-taped-x": (2, 31, 300, 4, False, ("x",)),
-    "scan-taped-weights-mix": (3, 8, 300, 4, True, ("kernel", "mix")),
+    "taped-x": (2, 31, 300, 4, False, ("x",)),
+    "taped-weights-mix": (3, 8, 300, 4, True, ("kernel", "mix")),
 }
 
 
@@ -594,8 +627,8 @@ def test_sequence_rejects_bad_input_on_either_path(shape):
 
 
 def test_taped_sequence_stays_on_the_taped_pass():
-    # 128 lanes, past the crossover: a taped input or taped weights still go
-    # through ``forward`` and get the separate ops' gradients
+    # 128 lanes: a taped input or taped weights still go through ``forward``
+    # and get the taped pass's gradients
     rng = np.random.default_rng(47)
     params = _dsn_params(rng, 32)
     x = rng.normal(size=(4, 32, 200)) * 2.0
@@ -606,12 +639,13 @@ def test_taped_sequence_stays_on_the_taped_pass():
         assert s.tape is not None
         return s, Tensor(np.zeros(x.shape)), Tensor(np.zeros(x.shape))
 
-    def chain(p, xt):
-        return dsn_op_chain(p, xt)[0], Tensor(np.zeros(x.shape)), Tensor(np.zeros(x.shape))
+    def taped(p, xt):
+        return (dsn_forward_parallel(p, xt)[0], Tensor(np.zeros(x.shape)),
+                Tensor(np.zeros(x.shape)))
 
-    for taped in (("x",), ("kernel", "bias")):
-        assert (_dsn_pass_bytes(sequence, params, x, w, taped)
-                == _dsn_pass_bytes(chain, params, x, w, taped))
+    for names in (("x",), ("kernel", "bias")):
+        assert (_dsn_pass_bytes(sequence, params, x, w, names)
+                == _dsn_pass_bytes(taped, params, x, w, names))
 
 
 # ---------------------------------------------------------------------------
@@ -926,30 +960,24 @@ def test_sliding_psn_membrane_of_a_time_major_view():
         assert got.tobytes() == want.tobytes()
 
 
-def test_sliding_psn_shares_one_kernel_and_dsn_keeps_lane_rows(monkeypatch):
-    # the sliding PSN's taps and adjoint taps take its one (k,) kernel; the
-    # fused DSN op's take an (L, k) row per lane of the tile, one per channel
+def test_sliding_psn_shares_one_kernel(monkeypatch):
+    # the sliding PSN's taps and adjoint taps take its one (k,) kernel
     calls = []
     taps = nm._depthwise_taps
 
     def spy(src, kern, dst, adjoint):
-        calls.append((kern.shape, adjoint, src.shape[0]))
+        calls.append((kern.shape, adjoint))
         taps(src, kern, dst, adjoint)
 
     monkeypatch.setattr(nm, "_depthwise_taps", spy)
     rng = np.random.default_rng(47)
     x = rng.normal(size=(2, 3, 40))
-    for neuron, k in ((PsnNeuron(PsnParams.sliding(rng.normal(size=5))), 5),
-                      (DsnNeuron(_dsn_params(rng, 3, k=4)), 4)):
-        calls.clear()
-        tape = Tape()
-        leaves = {n: tape.leaf(w.data) for n, w in neuron.weights().items()}
-        xt = tape.leaf(x)
-        tape.backward(nm.sum_all(neuron.with_weights(leaves).forward(xt)))
-        assert sorted({adjoint for _, adjoint, _ in calls}) == [False, True]
-        want = ((k,) if neuron.name == "sliding-psn" else (lanes, k)
-                for _, _, lanes in calls)
-        assert [shape for shape, _, _ in calls] == list(want)
+    neuron = PsnNeuron(PsnParams.sliding(rng.normal(size=5)))
+    tape = Tape()
+    leaves = {n: tape.leaf(w.data) for n, w in neuron.weights().items()}
+    xt = tape.leaf(x)
+    tape.backward(nm.sum_all(neuron.with_weights(leaves).forward(xt)))
+    assert sorted(calls) == [((5,), False), ((5,), True)]
 
 
 @pytest.mark.parametrize("i, j, outside", [
@@ -1055,6 +1083,41 @@ def test_channels_is_fixed_only_for_dsn(kind):
     neuron = make_neuron(kind, channels=5, t_train=16)
     assert neuron.channels == (5 if kind == "dsn" else None)
     assert neuron.with_weights(neuron.weights()).channels == neuron.channels
+
+
+# Inputs whose last frame puts the fold's membrane on a fire boundary, where
+# a scan's reassociated H (a few ulps off) fired otherwise: (kind, seed of
+# default_rng, draw of standard_normal((1, 1, 600)), scale, frames, value
+# of the last frame, the fold's spike count there)
+BOUNDARY_WITNESSES = {
+    "lif-none": ("lif-none", 2, 11, 1.0, 565, 1.7006490508506813, 1.0),
+    "if-none": ("if-none", 2, 1, 1.0, 600, 34.43311684121372, 0.0),
+    "dsn": ("dsn", 1, 7, 3.0, 522, 1.563509754438159, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_WITNESSES))
+def test_taped_pass_fires_as_the_fold_on_a_boundary_witness(case):
+    kind, seed, draw, scale, frames, last, count = BOUNDARY_WITNESSES[case]
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        x = rng.standard_normal((1, 1, 600)) * scale
+    x = x[..., :frames].copy()
+    x[0, 0, -1] = last
+    neuron = make_neuron(kind, channels=1, seed=0)
+    s_fold, h_fold, _ = step_fold(neuron, x)
+    s_trace, h_trace = neuron.trace(x)
+    assert s_trace.tobytes() == s_fold.tobytes() and h_trace.tobytes() == h_fold.tobytes()
+    assert s_fold[0, 0, -1] == count
+    tape = Tape()
+    leaves = {n: tape.leaf(w.data) for n, w in neuron.weights().items()}
+    taped = neuron.with_weights(leaves)
+    for s in (neuron.sequence(x), neuron.sequence(Tensor(x)), taped.forward(tape.leaf(x)),
+              taped.sequence(tape.leaf(x))):
+        assert s.data.tobytes() == s_fold.tobytes()
+    if kind == "dsn":  # the taped membranes are the fold's too
+        s, h, _ = dsn_forward_parallel(neuron.params, tape.leaf(x))
+        assert s.data.tobytes() == s_fold.tobytes() and h.data.tobytes() == h_fold.tobytes()
 
 
 def test_lif_none_gains_parallel_path():

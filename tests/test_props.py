@@ -460,24 +460,25 @@ def test_conditions_table_fails_a_block_path_unlike_step():
 
 def test_condition3_runs_the_parallel_pass_at_any_width(monkeypatch):
     # 2 x 32 channels make 64 lanes, where untaped ``sequence`` runs the
-    # same block path as ``trace``: the probe must take ``_dsn_membrane``
+    # same block path as ``trace``: the probe must take the taped pass,
+    # ``_dsn_taped``, and spikes perturbed there alone break condition 3
     neuron = make_neuron("dsn", channels=32)
-    membrane = neurons._dsn_membrane
+    taped = neurons._dsn_taped
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return membrane(*args)
+        return taped(*args)
 
-    monkeypatch.setattr(neurons, "_dsn_membrane", spy)
+    monkeypatch.setattr(neurons, "_dsn_taped", spy)
     assert check_conditions_table(neuron)["condition3"]
     assert calls
 
     def perturbed(*args):
-        h, alpha = membrane(*args)
-        return Tensor._attach(h.data + 0.75, h.tape, h._node), alpha
+        s, h, sigma = taped(*args)
+        return Tensor._attach(s.data + 1.0, s.tape, s._node), h, sigma
 
-    monkeypatch.setattr(neurons, "_dsn_membrane", perturbed)
+    monkeypatch.setattr(neurons, "_dsn_taped", perturbed)
     table = check_conditions_table(neuron)
     assert table == {"condition1": True, "condition2": True, "condition3": False}
 
